@@ -1,26 +1,46 @@
-"""Backward rule application with local loop checking, and saturation.
+"""The rule table, its two readings, and saturation.
 
-Every rule is cumulative: principal formulas and blocks are copied into
-the premisses, which makes all rules invertible. Applicability is
-filtered by a local loop check: an instance is blocked when one of its
-premisses adds nothing new, where "nothing new" means the changed
-component is absorbed set-wise (``subsumes``) by its origin component
-for rules that extend a component in place, or by any existing component
-for rules that create a component. A hypersequent where no instance
-survives the check and no initial pattern applies is saturated, and
-saturation is exactly the countermodel condition the models module
-consumes.
+Every rule of the calculus is one entry of ``_TABLE`` (the graded rules
+one per arity, from ``_graded``). An entry says where the rule's
+principal sits, a number of block occurrences followed by at most one
+formula of a given connective on a given side, and gives the rule's
+premiss schema: for each premiss, what it adds to the principal's
+component, or the component it creates. The rest is read off the entry:
+
+- ``_candidates`` enumerates each rule's distinct principals in each
+  component: block choices by position, then formulas in sequent order;
+- ``rule_groups`` puts a logic's rules in strategy order;
+- the cumulative reading, ``iter_instances``, keeps the principal in
+  every premiss, which makes every rule invertible. It filters instances
+  by a local loop check: an instance is blocked when one of its premisses
+  adds nothing new, that is, when the principal's component already has
+  what the premiss adds to it, or an existing component absorbs
+  (set-wise, as in ``subsumes``) the component the premiss creates;
+- the deleting reading, ``lean_premisses``, takes the principal out of
+  the premisses, gives every new component the verum block when the
+  logic has N (so N itself is never applied), and filters nothing;
+- ``build_premisses`` gives the cumulative premisses of one instance
+  and rejects principal data that does not fit; the derivation checker
+  audits proofs with it.
+
+A hypersequent where no cumulative instance survives the loop check and
+no initial pattern applies is saturated, and saturation is exactly the
+countermodel condition the models module consumes. ``is_saturated``
+tests it clause by clause, apart from the table, as the oracle that the
+test suite compares the instance enumeration against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .formula import And, Bottom, Box, Formula, Imp, Or, TOP, sort_key
 from .hypersequent import (
     Block,
+    Component,
     Hypersequent,
     Sequent,
     block_sets,
@@ -53,6 +73,7 @@ from .logic import (
 )
 
 _TOP_BLOCK_SET = frozenset({TOP})
+_TOP_BLOCK = Block.of((TOP,))
 
 
 class InvalidInstance(ValueError):
@@ -87,157 +108,303 @@ def is_initial(h: Hypersequent) -> bool:
     return initial_evidence(h) is not None
 
 
-def _distinct_sorted(formulas) -> list[Formula]:
-    seen = set()
-    out = []
-    for f in formulas:
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
+# --- the rule table -----------------------------------------------------------
+
+
+class Premiss(NamedTuple):
+    """What one premiss adds to the principal's component, ``blocks``
+    giving the members of each block it adds; or, for a rule that creates
+    components, the formulas of the component it creates."""
+
+    left: tuple[Formula, ...] = ()
+    blocks: tuple[tuple[Formula, ...], ...] = ()
+    right: tuple[Formula, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class RuleDef:
+    """One rule: where its principal sits, and its premiss schema.
+
+    A principal is ``blocks`` block occurrences of the component followed,
+    when ``connective`` is set, by one formula of that class on ``side``.
+    ``schema`` takes the principal's items and returns the premisses:
+    each extends the principal's component or, when ``spawns`` is set,
+    adds a new component.
+    """
+
+    rule: RuleId
+    schema: Callable[..., tuple[Premiss, ...]]
+    blocks: int = 0
+    connective: type | None = None
+    side: str = "left"
+    spawns: bool = False
+
+
+def _members(b: Block) -> list[Formula]:
+    """The distinct members, in canonical order (block members are kept
+    sorted)."""
+    return list(dict.fromkeys(b.members))
+
+
+_TABLE: dict[RuleId, RuleDef] = {
+    rd.rule: rd
+    for rd in (
+        RuleDef(AND_L, lambda f: (Premiss(left=(f.left, f.right)),), connective=And),
+        RuleDef(
+            OR_L,
+            lambda f: (Premiss(left=(f.left,)), Premiss(left=(f.right,))),
+            connective=Or,
+        ),
+        RuleDef(
+            IMP_L,
+            lambda f: (Premiss(right=(f.left,)), Premiss(left=(f.right,))),
+            connective=Imp,
+        ),
+        RuleDef(
+            AND_R,
+            lambda f: (Premiss(right=(f.left,)), Premiss(right=(f.right,))),
+            connective=And,
+            side="right",
+        ),
+        RuleDef(
+            OR_R, lambda f: (Premiss(right=(f.left, f.right)),), connective=Or, side="right"
+        ),
+        RuleDef(
+            IMP_R,
+            lambda f: (Premiss(left=(f.left,), right=(f.right,)),),
+            connective=Imp,
+            side="right",
+        ),
+        RuleDef(BOX_L, lambda f: (Premiss(blocks=((f.body,),)),), connective=Box),
+        RuleDef(RULE_T, lambda b: (Premiss(left=b.members),), blocks=1),
+        RuleDef(RULE_C, lambda b1, b2: (Premiss(blocks=(b1.members + b2.members,)),), blocks=2),
+        RuleDef(RULE_N, lambda: (Premiss(blocks=((TOP,),)),)),
+        # Without monotonicity each member of the block is also tested
+        # against the body, one component per member.
+        RuleDef(
+            BOX_R,
+            lambda b, f: tuple(Premiss(left=(f.body,), right=(a,)) for a in _members(b))
+            + (Premiss(left=b.members, right=(f.body,)),),
+            blocks=1,
+            connective=Box,
+            side="right",
+            spawns=True,
+        ),
+        RuleDef(
+            BOX_RM,
+            lambda b, f: (Premiss(left=b.members, right=(f.body,)),),
+            blocks=1,
+            connective=Box,
+            side="right",
+            spawns=True,
+        ),
+        RuleDef(RULE_P, lambda b: (Premiss(left=b.members),), blocks=1, spawns=True),
+        RuleDef(
+            RULE_D1,
+            lambda b: (Premiss(left=b.members),)
+            + tuple(Premiss(right=(a,)) for a in _members(b)),
+            blocks=1,
+            spawns=True,
+        ),
+        RuleDef(
+            RULE_D2,
+            lambda b1, b2: (Premiss(left=b1.members + b2.members),)
+            + tuple(Premiss(right=(a, c)) for a in _members(b1) for c in _members(b2)),
+            blocks=2,
+            spawns=True,
+        ),
+    )
+}
+
+
+@cache
+def _graded(arity: int) -> RuleDef:
+    return RuleDef(
+        dn_plus(arity),
+        lambda *bs: (Premiss(left=tuple(m for b in bs for m in b.members)),),
+        blocks=arity,
+        spawns=True,
+    )
+
+
+def _rule_def(rule: RuleId) -> RuleDef:
+    if rule.name == "DnPlus" and rule.arity >= 1:
+        return _graded(rule.arity)
+    try:
+        return _TABLE[rule]
+    except KeyError:
+        raise InvalidInstance(f"unknown rule {rule!r}") from None
+
+
+# The strategy order: invertible single-premiss propositional rules,
+# branching propositional rules, block creation and block bookkeeping,
+# the modal right rule, then the deontic rules, the graded ones by
+# arity. The rules of one group take turns within each component; the
+# groups follow one another, each over all components.
+_ORDER = (
+    (AND_L, OR_L, IMP_R),
+    (AND_R, OR_R, IMP_L),
+    (BOX_L,),
+    (RULE_T,),
+    (RULE_C,),
+    (RULE_N,),
+    (BOX_R,),
+    (BOX_RM,),
+    (RULE_P,),
+    (RULE_D1,),
+    (RULE_D2,),
+)
+
+
+@cache
+def rule_groups(l: LogicSpec, lean: bool = False) -> tuple[tuple[RuleDef, ...], ...]:
+    """The logic's rules in strategy order, as groups (see ``_ORDER``).
+
+    The lean procedure has no N: every component carries the verum block
+    N would add.
+    """
+    rules = rule_set(l) - {RULE_N} if lean else rule_set(l)
+    groups = [tuple(_TABLE[r] for r in group if r in rules) for group in _ORDER]
+    arities = sorted(r.arity for r in rules if r.name == "DnPlus")
+    groups += [(_graded(arity),) for arity in arities]
+    return tuple(g for g in groups if g)
+
+
+def _by_connective(s: Sequent) -> dict[tuple[str, type], list[tuple[Formula]]]:
+    """(side, connective) -> the distinct formulas of s there, in sequent
+    order, each as a one-item principal."""
+    out: dict[tuple[str, type], list[tuple[Formula]]] = {}
+    for side, formulas in (("left", s.left), ("right", s.right)):
+        for f in dict.fromkeys(formulas):
+            out.setdefault((side, type(f)), []).append((f,))
     return out
 
 
-def _distinct_blocks(blocks) -> list[Block]:
-    seen = set()
-    out = []
-    for b in blocks:
-        if b not in seen:
-            seen.add(b)
-            out.append(b)
-    return out
+def _candidates(h: Hypersequent, groups) -> Iterator[tuple[RuleDef, Component, tuple]]:
+    """Every rule, component and distinct principal, in strategy order;
+    within one rule, component order first, then block choices by
+    position, then formulas in sequent order."""
+    formulas: dict[int, dict] = {}
+    for group in groups:
+        for c in h.components:
+            for rd in group:
+                fs: list[tuple] = [()]
+                if rd.connective is not None:
+                    if c.cid not in formulas:
+                        formulas[c.cid] = _by_connective(c.seq)
+                    fs = formulas[c.cid].get((rd.side, rd.connective))
+                    if not fs:
+                        continue
+                choices = dict.fromkeys(combinations(c.seq.blocks, rd.blocks)) if rd.blocks else [()]
+                for blocks in choices:
+                    for f in fs:
+                        yield rd, c, blocks + f
+
+
+def _without_principal(rd: RuleDef, s: Sequent, principal: tuple) -> Sequent:
+    """s with the principal's blocks and formula taken out."""
+    blocks = list(s.blocks)
+    formulas = list(s.left if rd.side == "left" else s.right)
+    try:
+        for x in principal:
+            (blocks if isinstance(x, Block) else formulas).remove(x)
+    except ValueError:
+        raise InvalidInstance(f"{rd.rule.render()}: principal not in its component") from None
+    if rd.side == "left":
+        return Sequent(tuple(formulas), tuple(blocks), s.right)
+    return Sequent(s.left, tuple(blocks), tuple(formulas))
+
+
+def _apply(
+    h: Hypersequent, cid: int, rd: RuleDef, base: Sequent, schema: tuple[Premiss, ...], fresh: tuple
+) -> tuple[Hypersequent, ...]:
+    """The premisses of one instance; ``base`` is what they keep of the
+    principal's component, ``fresh`` the blocks of each new component."""
+    if rd.spawns:
+        kept = h.replace(cid, base)
+        return tuple([kept.with_new_component(Sequent.of(p.left, fresh, p.right)) for p in schema])
+    return tuple(
+        [h.replace(cid, base.adding(p.left, map(Block.of, p.blocks), p.right)) for p in schema]
+    )
+
+
+class _Sides(dict):
+    """Component id -> antecedent set, succedent set and block sets of that
+    component of h, each looked up once, when first needed."""
+
+    def __init__(self, h: Hypersequent):
+        self.h = h
+
+    def __missing__(self, cid: int):
+        s = self.h.component(cid)
+        out = self[cid] = (left_set(s), right_set(s), block_sets(s))
+        return out
+
+
+def _adds_nothing(sides: _Sides, rd: RuleDef, cid: int, schema: tuple[Premiss, ...]) -> bool:
+    """The local loop check of the cumulative reading (see the module
+    docstring); cid is the principal's component."""
+    for p in schema:
+        if rd.spawns:
+            left, right = frozenset(p.left), frozenset(p.right)
+            for c in sides.h.components:
+                ls, rs, _ = sides[c.cid]
+                if left <= ls and right <= rs:
+                    return True
+        else:
+            ls, rs, bsets = sides[cid]
+            if (
+                ls.issuperset(p.left)
+                and rs.issuperset(p.right)
+                and all(frozenset(b) in bsets for b in p.blocks)
+            ):
+                return True
+    return False
 
 
 def build_premisses(h: Hypersequent, rule: RuleId, cid: int, principal: tuple) -> tuple[Hypersequent, ...]:
-    """Construct the premisses of one rule instance.
+    """Construct the cumulative premisses of one rule instance.
 
-    This is the single source of truth for rule schemas; the searcher and
-    the derivation checker both call it. Principal data that does not
-    occur in the target component raises InvalidInstance.
+    Principal data that does not fit the rule or does not occur in the
+    target component raises InvalidInstance.
     """
+    rd = _rule_def(rule)
+    shape = (Block,) * rd.blocks + ((rd.connective,) if rd.connective else ())
+    if len(principal) != len(shape) or not all(map(isinstance, principal, shape)):
+        names = ", ".join(t.__name__ for t in shape) or "nothing"
+        raise InvalidInstance(f"{rule.render()} needs a principal of {names}")
     s = h.component(cid)
+    _without_principal(rd, s, principal)
+    return _apply(h, cid, rd, s, rd.schema(*principal), ())
 
-    def need_left(f):
-        if f not in left_set(s):
-            raise InvalidInstance(f"{rule.render()}: principal not in antecedent")
 
-    def need_right(f):
-        if f not in right_set(s):
-            raise InvalidInstance(f"{rule.render()}: principal not in succedent")
+def iter_instances(h: Hypersequent, l: LogicSpec) -> Iterator[RuleInstance]:
+    """Cumulative instances that pass the loop check, in strategy order."""
+    sides = _Sides(h)
+    for rd, c, principal in _candidates(h, rule_groups(l)):
+        schema = rd.schema(*principal)
+        if not _adds_nothing(sides, rd, c.cid, schema):
+            yield RuleInstance(rd.rule, c.cid, principal, _apply(h, c.cid, rd, c.seq, schema, ()))
 
-    def need_blocks(blocks):
-        have = list(s.blocks)
-        for b in blocks:
-            if b in have:
-                have.remove(b)
-            else:
-                raise InvalidInstance(f"{rule.render()}: principal block missing")
 
-    name = rule.name
-    if name == "AndL":
-        (f,) = principal
-        if not isinstance(f, And):
-            raise InvalidInstance("AndL needs a conjunction")
-        need_left(f)
-        return (h.replace(cid, s.adding(left=(f.left, f.right))),)
-    if name == "OrL":
-        (f,) = principal
-        if not isinstance(f, Or):
-            raise InvalidInstance("OrL needs a disjunction")
-        need_left(f)
-        return (
-            h.replace(cid, s.adding(left=(f.left,))),
-            h.replace(cid, s.adding(left=(f.right,))),
-        )
-    if name == "ImpR":
-        (f,) = principal
-        if not isinstance(f, Imp):
-            raise InvalidInstance("ImpR needs an implication")
-        need_right(f)
-        return (h.replace(cid, s.adding(left=(f.left,), right=(f.right,))),)
-    if name == "AndR":
-        (f,) = principal
-        if not isinstance(f, And):
-            raise InvalidInstance("AndR needs a conjunction")
-        need_right(f)
-        return (
-            h.replace(cid, s.adding(right=(f.left,))),
-            h.replace(cid, s.adding(right=(f.right,))),
-        )
-    if name == "OrR":
-        (f,) = principal
-        if not isinstance(f, Or):
-            raise InvalidInstance("OrR needs a disjunction")
-        need_right(f)
-        return (h.replace(cid, s.adding(right=(f.left, f.right))),)
-    if name == "ImpL":
-        (f,) = principal
-        if not isinstance(f, Imp):
-            raise InvalidInstance("ImpL needs an implication")
-        need_left(f)
-        return (
-            h.replace(cid, s.adding(right=(f.left,))),
-            h.replace(cid, s.adding(left=(f.right,))),
-        )
-    if name == "BoxL":
-        (f,) = principal
-        if not isinstance(f, Box):
-            raise InvalidInstance("BoxL needs a boxed formula")
-        need_left(f)
-        return (h.replace(cid, s.adding(blocks=(Block.of((f.body,)),))),)
-    if name == "T":
-        (b,) = principal
-        need_blocks((b,))
-        return (h.replace(cid, s.adding(left=b.members)),)
-    if name == "C":
-        b1, b2 = principal
-        need_blocks((b1, b2))
-        return (h.replace(cid, s.adding(blocks=(b1.merged(b2),))),)
-    if name == "N":
-        if principal != ():
-            raise InvalidInstance("N has no principal")
-        return (h.replace(cid, s.adding(blocks=(Block.of((TOP,)),))),)
-    if name in ("BoxR", "BoxRm"):
-        b, f = principal
-        if not isinstance(f, Box):
-            raise InvalidInstance(f"{name} needs a boxed succedent formula")
-        need_blocks((b,))
-        need_right(f)
-        branch = h.replace(cid, s)
-        out = []
-        if name == "BoxR":
-            for a in sorted(b.member_set(), key=sort_key):
-                out.append(branch.with_new_component(Sequent.of((f.body,), (), (a,))))
-        out.append(branch.with_new_component(Sequent.of(b.members, (), (f.body,))))
-        return tuple(out)
-    if name == "P":
-        (b,) = principal
-        need_blocks((b,))
-        return (h.with_new_component(Sequent.of(b.members, (), ())),)
-    if name == "D1":
-        (b,) = principal
-        need_blocks((b,))
-        out = [h.with_new_component(Sequent.of(b.members, (), ()))]
-        for a in sorted(b.member_set(), key=sort_key):
-            out.append(h.with_new_component(Sequent.of((), (), (a,))))
-        return tuple(out)
-    if name == "D2":
-        b1, b2 = principal
-        need_blocks((b1, b2))
-        out = [h.with_new_component(Sequent.of(b1.members + b2.members, (), ()))]
-        for a in sorted(b1.member_set(), key=sort_key):
-            for c in sorted(b2.member_set(), key=sort_key):
-                out.append(h.with_new_component(Sequent.of((), (), (a, c))))
-        return tuple(out)
-    if name == "DnPlus":
-        blocks = principal
-        if len(blocks) != rule.arity:
-            raise InvalidInstance("graded rule arity mismatch")
-        need_blocks(blocks)
-        members: tuple[Formula, ...] = ()
-        for b in blocks:
-            members = members + b.members
-        return (h.with_new_component(Sequent.of(members, (), ())),)
-    raise InvalidInstance(f"unknown rule {rule!r}")
+def lean_premisses(h: Hypersequent, l: LogicSpec) -> Iterator[tuple[Hypersequent, ...]]:
+    """The premisses of every principal-deleting instance, none filtered,
+    in strategy order."""
+    fresh = (_TOP_BLOCK,) if l.has_n else ()
+    for rd, c, principal in _candidates(h, rule_groups(l, lean=True)):
+        base = _without_principal(rd, c.seq, principal)
+        yield _apply(h, c.cid, rd, base, rd.schema(*principal), fresh)
+
+
+def first_instance(h: Hypersequent, l: LogicSpec) -> RuleInstance | None:
+    return next(iter_instances(h, l), None)
+
+
+def applicable_instances(h: Hypersequent, l: LogicSpec) -> list[RuleInstance]:
+    return list(iter_instances(h, l))
+
+
+# --- the saturation oracle ------------------------------------------------------
 
 
 def _box_right_blocked(h: Hypersequent, bs: frozenset, body: Formula, monotonic: bool) -> bool:
@@ -263,143 +430,6 @@ def _right_hits(h: Hypersequent, candidates: frozenset) -> bool:
 def _right_pair_exists(h: Hypersequent, s1: frozenset, s2: frozenset) -> bool:
     # a pair (A, B) with A and B in the same succedent set; A = B is allowed
     return any(s1 & right_set(c.seq) and s2 & right_set(c.seq) for c in h.components)
-
-
-def iter_instances(h: Hypersequent, l: LogicSpec) -> Iterator[RuleInstance]:
-    """Applicable instances in the fixed strategy order.
-
-    Order: invertible single-premiss propositional rules, branching
-    propositional rules, then block creation and block bookkeeping, then
-    the modal right rule, then the deontic rules. Within one rule,
-    component order first, canonical principal order second.
-    """
-    rules = rule_set(l)
-
-    def make(rule, cid, principal):
-        return RuleInstance(rule, cid, principal, build_premisses(h, rule, cid, principal))
-
-    for group in (_group_one, _group_two):
-        for inst in group(h, make):
-            yield inst
-    for c in h.components:
-        bsets = block_sets(c.seq)
-        for f in _distinct_sorted(c.seq.left):
-            if isinstance(f, Box) and frozenset({f.body}) not in bsets:
-                yield make(BOX_L, c.cid, (f,))
-    if RULE_T in rules:
-        for c in h.components:
-            ls = left_set(c.seq)
-            for b in _distinct_blocks(c.seq.blocks):
-                if not b.member_set() <= ls:
-                    yield make(RULE_T, c.cid, (b,))
-    if RULE_C in rules:
-        for c in h.components:
-            blocks = c.seq.blocks
-            bsets = block_sets(c.seq)
-            seen = set()
-            for i in range(len(blocks)):
-                for j in range(i + 1, len(blocks)):
-                    pair = (blocks[i], blocks[j])
-                    if pair in seen:
-                        continue
-                    seen.add(pair)
-                    if blocks[i].member_set() | blocks[j].member_set() not in bsets:
-                        yield make(RULE_C, c.cid, pair)
-    if RULE_N in rules:
-        for c in h.components:
-            if _TOP_BLOCK_SET not in block_sets(c.seq):
-                yield make(RULE_N, c.cid, ())
-    box_right = BOX_RM if l.monotonic else BOX_R
-    if box_right in rules:
-        for c in h.components:
-            boxes = [f for f in _distinct_sorted(c.seq.right) if isinstance(f, Box)]
-            if not boxes:
-                continue
-            for b in _distinct_blocks(c.seq.blocks):
-                bs = b.member_set()
-                for f in boxes:
-                    if not _box_right_blocked(h, bs, f.body, l.monotonic):
-                        yield make(box_right, c.cid, (b, f))
-    if RULE_P in rules:
-        for c in h.components:
-            for b in _distinct_blocks(c.seq.blocks):
-                if not _left_superset_exists(h, b.member_set()):
-                    yield make(RULE_P, c.cid, (b,))
-    if RULE_D1 in rules:
-        for c in h.components:
-            for b in _distinct_blocks(c.seq.blocks):
-                bs = b.member_set()
-                if not (_left_superset_exists(h, bs) or _right_hits(h, bs)):
-                    yield make(RULE_D1, c.cid, (b,))
-    if RULE_D2 in rules:
-        for c in h.components:
-            blocks = c.seq.blocks
-            seen = set()
-            for i in range(len(blocks)):
-                for j in range(i + 1, len(blocks)):
-                    pair = (blocks[i], blocks[j])
-                    if pair in seen:
-                        continue
-                    seen.add(pair)
-                    s1 = blocks[i].member_set()
-                    s2 = blocks[j].member_set()
-                    if not (_left_superset_exists(h, s1 | s2) or _right_pair_exists(h, s1, s2)):
-                        yield make(RULE_D2, c.cid, pair)
-    arities = sorted(r.arity for r in rules if r.name == "DnPlus")
-    for arity in arities:
-        for c in h.components:
-            blocks = c.seq.blocks
-            if len(blocks) < arity:
-                continue
-            seen = set()
-            for idxs in combinations(range(len(blocks)), arity):
-                chosen = tuple(blocks[i] for i in idxs)
-                if chosen in seen:
-                    continue
-                seen.add(chosen)
-                union: frozenset = frozenset()
-                for b in chosen:
-                    union = union | b.member_set()
-                if not _left_superset_exists(h, union):
-                    yield make(dn_plus(arity), c.cid, chosen)
-
-
-def _group_one(h: Hypersequent, make) -> Iterator[RuleInstance]:
-    for c in h.components:
-        ls = left_set(c.seq)
-        rs = right_set(c.seq)
-        for f in _distinct_sorted(c.seq.left):
-            if isinstance(f, And) and not (f.left in ls and f.right in ls):
-                yield make(AND_L, c.cid, (f,))
-        for f in _distinct_sorted(c.seq.left):
-            if isinstance(f, Or) and not (f.left in ls or f.right in ls):
-                yield make(OR_L, c.cid, (f,))
-        for f in _distinct_sorted(c.seq.right):
-            if isinstance(f, Imp) and not (f.left in ls and f.right in rs):
-                yield make(IMP_R, c.cid, (f,))
-
-
-def _group_two(h: Hypersequent, make) -> Iterator[RuleInstance]:
-    for c in h.components:
-        ls = left_set(c.seq)
-        rs = right_set(c.seq)
-        for f in _distinct_sorted(c.seq.right):
-            if isinstance(f, And) and not (f.left in rs or f.right in rs):
-                yield make(AND_R, c.cid, (f,))
-        for f in _distinct_sorted(c.seq.right):
-            if isinstance(f, Or) and not (f.left in rs and f.right in rs):
-                yield make(OR_R, c.cid, (f,))
-        for f in _distinct_sorted(c.seq.left):
-            if isinstance(f, Imp) and not (f.left in rs or f.right in ls):
-                yield make(IMP_L, c.cid, (f,))
-
-
-def first_instance(h: Hypersequent, l: LogicSpec) -> RuleInstance | None:
-    return next(iter_instances(h, l), None)
-
-
-def applicable_instances(h: Hypersequent, l: LogicSpec) -> list[RuleInstance]:
-    return list(iter_instances(h, l))
 
 
 def is_saturated(h: Hypersequent, l: LogicSpec) -> bool:

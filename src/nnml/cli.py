@@ -1,5 +1,4 @@
-"""Command-line front-end for proving, model checking, translation, and
-benchmarking.
+"""Command-line front-end for proving, model checking and translation.
 
 Exit codes are a stable contract: 0 proved, 1 refuted, 2 usage or parse
 error, 3 internal verification failure, 4 budget exceeded. Every
@@ -12,13 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-import time
 from dataclasses import dataclass
+from functools import cache
 
 from .formula import Formula, parse, subformula_closure, to_text
-from .gen import random_formula
 from .hypersequent import Hypersequent, interpret, parse_input, render_hypersequent
 from .labelled import (
     TranslationError,
@@ -156,7 +153,10 @@ def _countermodels(leaf: Hypersequent, enumeration: dict[int, int], root: Hypers
             out.append((kind, bi))
             continue
         if kind == "standard-rough":
-            m = standard_from_bi_rough(bi, cap=cfg.rough_cap)
+            try:
+                m = standard_from_bi_rough(bi, cap=cfg.rough_cap)
+            except ValueError as e:
+                raise CliError(f"{kind} countermodel: {e}; --rough-cap sets the cap") from None
             _verify_countermodel(m, leaf, by_enum, cfg.logic)
             out.append((kind, m))
             continue
@@ -167,9 +167,12 @@ def _countermodels(leaf: Hypersequent, enumeration: dict[int, int], root: Hypers
                 pool.extend(c.seq.right)
                 for b in c.seq.blocks:
                     pool.extend(b.members)
-            m = standard_from_bi_fine(
-                bi, subformula_closure(pool), supplement=cfg.logic.monotonic, cap=cfg.rough_cap
-            )
+            try:
+                m = standard_from_bi_fine(
+                    bi, subformula_closure(pool), supplement=cfg.logic.monotonic, cap=cfg.rough_cap
+                )
+            except ValueError as e:
+                raise CliError(f"{kind} countermodel: {e}; --rough-cap sets the cap") from None
             _verify_countermodel(m, leaf, by_enum, cfg.logic)
             out.append((kind, m))
             continue
@@ -375,87 +378,16 @@ def cmd_translate(args) -> int:
     return EXIT_PROVED
 
 
-def cmd_bench(args) -> int:
-    cfg_output = args.output
-    budget = args.budget if args.budget is not None else int(os.environ.get("NNML_BUDGET", DEFAULT_BUDGET))
-    try:
-        logics = [parse_logic_name(n.strip()) for n in args.logics.split(",") if n.strip()]
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except (LogicNameError, ValueError) as e:
-        raise CliError(str(e))
-    rng = random.Random(args.seed)
-    rows = []
-    for l in logics:
-        for size in sizes:
-            formulas = [
-                random_formula(rng, max_nodes=size, max_modal_depth=3, max_boxes=5)
-                for _ in range(args.count)
-            ]
-            proved = refuted = blown = 0
-            max_components = max_nodes = visited = 0
-            t0 = time.perf_counter()
-            for f in formulas:
-                h = parse_input(to_text(f))
-                stats = SearchStats()
-                try:
-                    outcome = prove(h, l, budget=budget, stats=stats)
-                    if isinstance(outcome, Proved):
-                        proved += 1
-                    else:
-                        refuted += 1
-                except BudgetExceeded:
-                    blown += 1
-                visited += stats.visited
-                max_components = max(max_components, stats.max_components)
-                max_nodes = max(max_nodes, stats.max_nodes)
-            t_inv = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            agree = 0
-            for f in formulas:
-                h = parse_input(to_text(f))
-                try:
-                    prove_unkleened(h, l, budget=budget)
-                    agree += 1
-                except BudgetExceeded:
-                    pass
-            t_unk = time.perf_counter() - t0
-            rows.append(
-                {
-                    "logic": canonical_name(l),
-                    "size": size,
-                    "count": args.count,
-                    "proved": proved,
-                    "refuted": refuted,
-                    "budget_exceeded": blown,
-                    "visited": visited,
-                    "max_components": max_components,
-                    "max_hypersequent_size": max_nodes,
-                    "time_invertible_s": round(t_inv, 4),
-                    "time_unkleened_s": round(t_unk, 4),
-                    "unkleened_completed": agree,
-                }
-            )
-    if cfg_output == "json":
-        print(json.dumps(rows, indent=2))
-    else:
-        cols = [
-            "logic", "size", "count", "proved", "refuted", "budget_exceeded",
-            "visited", "max_components", "max_hypersequent_size",
-            "time_invertible_s", "time_unkleened_s",
-        ]
-        print("  ".join(f"{c:>20}" for c in cols))
-        for r in rows:
-            print("  ".join(f"{str(r[c]):>20}" for c in cols))
-    return EXIT_PROVED
-
-
 def _add_logic_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--logic", help="logic by name, e.g. E, MC, MCN, K, ET, ED3+")
     p.add_argument("--axioms", help="comma-separated axioms, e.g. M,C,N or C,D")
     p.add_argument("--dplus", type=int, help="grade for the iterated D axiom (with --axioms)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and building it costs more than most calls."""
     parser = argparse.ArgumentParser(
         prog="nnml",
         description="Decision procedures, countermodels, and labelled translations "
@@ -493,15 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", choices=["text", "json"], default="text")
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_translate)
-
-    p = sub.add_parser("bench", help="timing and size curves on random formulas")
-    p.add_argument("--logics", default="E,M,EC,MC,MCN")
-    p.add_argument("--sizes", default="5,10,15")
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", choices=["text", "json"], default="text")
-    p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -314,7 +314,10 @@ def parse_formula_tokens(tokens: list[Token]) -> Formula:
 
 
 def parse(text: str) -> Formula:
-    return parse_formula_tokens(tokenize(text))
+    try:
+        return parse_formula_tokens(tokenize(text))
+    except RecursionError:
+        raise ParseError("nested too deeply", 0) from None
 
 
 _PREC_IMP = 1

@@ -318,8 +318,11 @@ def parse_hypersequent(text: str) -> Hypersequent:
 def parse_input(text: str) -> Hypersequent:
     """Accept either hypersequent notation or a bare formula ``f``, the
     latter read as the single-component sequent ``=> f``."""
-    if "=>" in text:
-        return parse_hypersequent(text)
-    from .formula import parse
+    if "=>" not in text:
+        from .formula import parse
 
-    return Hypersequent.of([Sequent.of((), (), (parse(text),))])
+        return Hypersequent.of([Sequent.of((), (), (parse(text),))])
+    try:
+        return parse_hypersequent(text)
+    except RecursionError:
+        raise ParseError("nested too deeply", 0) from None

@@ -7,7 +7,9 @@ on the right, and the composite of the labels is paired with the
 component's world. Derivations translate rule by rule; the auxiliary
 unfoldings for the box right rule (one fresh world inside the term, one
 fresh world outside it) are generated on the fly, as are the closing
-steps for leaves whose shared formula is compound.
+steps for leaves whose shared formula is compound. Each labelled step
+takes its premisses from ``_rule_premisses``, the one schema of the
+labelled rules, which the checker audits derivations against.
 """
 
 from __future__ import annotations
@@ -321,6 +323,218 @@ def _translate_with_context(h: Hypersequent):
     return LabelledSequent.of(left, right), world_of, binfo, labels
 
 
+# --- labelled rules -------------------------------------------------------------
+
+
+def _labels_of_term(t: NbTerm) -> set[str]:
+    return set(t.labels) - {TAU}
+
+
+def _occurring(seq: LabelledSequent):
+    worlds: set[str] = set()
+    labels: set[str] = set()
+    for f in seq.left + seq.right:
+        match f:
+            case WorldAt(world, _):
+                worlds.add(world)
+            case MemberOf(world, term):
+                worlds.add(world)
+                labels |= _labels_of_term(term)
+            case PairOf(term, world):
+                worlds.add(world)
+                labels |= _labels_of_term(term)
+            case ForcesAll(term, _) | ForcesEx(term, _):
+                labels |= _labels_of_term(term)
+    return worlds, labels
+
+
+# The propositional rules: the side of the principal formula, its
+# connective, and for each premiss the immediate subformulas that it adds
+# on the left and on the right, in place of the principal.
+_PROPOSITIONAL_RULES = {
+    "L-and": ("left", And, lambda a, b: (((a, b), ()),)),
+    "R-and": ("right", And, lambda a, b: (((), (a,)), ((), (b,)))),
+    "L-or": ("left", Or, lambda a, b: (((a,), ()), ((b,), ()))),
+    "R-or": ("right", Or, lambda a, b: (((), (a, b)),)),
+    "L-imp": ("left", Imp, lambda a, b: (((), (a,)), ((b,), ()))),
+    "R-imp": ("right", Imp, lambda a, b: (((a,), (b,)),)),
+}
+_RULE_FOR = {(side, c): rule for rule, (side, c, _) in _PROPOSITIONAL_RULES.items()}
+_CONNECTIVE_NAMES = {And: "conjunction", Or: "disjunction", Imp: "implication"}
+
+
+def _rule_premisses(rule: str, p: tuple, seq: LabelledSequent, l: LogicSpec | None = None):
+    """Premisses of the labelled rule with principal p applied to seq, or a
+    string saying why that is not a legal instance.
+
+    The checker audits every node with it and the translation builds every
+    step with it. With a logic, structural rules it lacks are not legal.
+    """
+
+    def need_left(f, what):
+        return None if f in seq.left else f"{what} missing from the left side"
+
+    def need_right(f, what):
+        return None if f in seq.right else f"{what} missing from the right side"
+
+    if rule in _PROPOSITIONAL_RULES:
+        side, connective, schema = _PROPOSITIONAL_RULES[rule]
+        x, f = p
+        if not isinstance(f, connective):
+            return f"{_CONNECTIVE_NAMES[connective]} expected"
+        principal = WorldAt(x, f)
+        err = (need_left if side == "left" else need_right)(principal, "the principal formula")
+        if err:
+            return err
+        base = seq.removing(**{side: (principal,)})
+        return tuple(
+            base.adding(left=[WorldAt(x, g) for g in ls], right=[WorldAt(x, g) for g in rs])
+            for ls, rs in schema(f.left, f.right)
+        )
+    if rule == "init":
+        x, f = p
+        if not isinstance(f, Atom):
+            return "the initial axiom needs an atom"
+        return (
+            need_left(WorldAt(x, f), "the atom")
+            or need_right(WorldAt(x, f), "the atom")
+            or ()
+        )
+    if rule == "L-bot":
+        (x,) = p
+        return need_left(WorldAt(x, Bottom()), "falsum") or ()
+    if rule == "R-top":
+        (x,) = p
+        return need_right(WorldAt(x, TOP), "verum") or ()
+    if rule == "M":
+        if l is not None and not l.monotonic:
+            return "the monotonicity axiom is not in this logic"
+        t, x, y = p
+        return (
+            need_left(PairOf(t, x), "the term pairing")
+            or need_left(MemberOf(y, t.negated()), "the outside membership")
+            or ()
+        )
+    if rule == "tau-empty":
+        (x,) = p
+        return need_left(MemberOf(x, TAU_TERM.negated()), "the membership") or ()
+    if rule == "L-box":
+        x, f, a = p
+        if not isinstance(f, Box):
+            return "boxed formula expected"
+        err = need_left(WorldAt(x, f), "the principal formula")
+        if err:
+            return err
+        if a == TAU or a in _occurring(seq)[1]:
+            return f"label {a} is not fresh"
+        single = NbTerm.of((a,))
+        return (
+            seq.removing(left=(WorldAt(x, f),)).adding(
+                left=(PairOf(single, x), ForcesAll(single, f.body)),
+                right=(ForcesEx(single.negated(), f.body),),
+            ),
+        )
+    if rule == "R-box":
+        t, x, f = p
+        if not isinstance(f, Box):
+            return "boxed formula expected"
+        err = need_left(PairOf(t, x), "the term pairing") or need_right(
+            WorldAt(x, f), "the boxed formula"
+        )
+        if err:
+            return err
+        return (
+            seq.adding(right=(ForcesAll(t, f.body),)),
+            seq.adding(left=(ForcesEx(t.negated(), f.body),)),
+        )
+    if rule == "N":
+        if l is not None and not l.has_n:
+            return "the verum term rule is not in this logic"
+        (x,) = p
+        if x not in _occurring(seq)[0]:
+            return "the world of this rule must occur in the conclusion"
+        return (seq.adding(left=(PairOf(TAU_TERM, x),)),)
+    if rule == "C":
+        if l is not None and not l.has_c:
+            return "the term merge rule is not in this logic"
+        t, s, x = p
+        if t == s:
+            if sum(1 for lf in seq.left if lf == PairOf(t, x)) < 2:
+                return "merging one term with itself needs two pairings"
+        else:
+            err = need_left(PairOf(t, x), "the first pairing") or need_left(
+                PairOf(s, x), "the second pairing"
+            )
+            if err:
+                return err
+        return (seq.adding(left=(PairOf(t.merged(s), x),)),)
+    if rule == "L-forall":
+        x, t, f = p
+        err = need_left(MemberOf(x, t), "the membership") or need_left(
+            ForcesAll(t, f), "the universal forcing"
+        )
+        if err:
+            return err
+        return (seq.adding(left=(WorldAt(x, f),)),)
+    if rule == "R-forall":
+        t, f, y = p
+        err = need_right(ForcesAll(t, f), "the universal forcing")
+        if err:
+            return err
+        if y in _occurring(seq)[0]:
+            return f"world {y} is not fresh"
+        return (
+            seq.removing(right=(ForcesAll(t, f),)).adding(
+                left=(MemberOf(y, t),), right=(WorldAt(y, f),)
+            ),
+        )
+    if rule == "L-exists":
+        t, f, y = p
+        err = need_left(ForcesEx(t.negated(), f), "the existential forcing")
+        if err:
+            return err
+        if y in _occurring(seq)[0]:
+            return f"world {y} is not fresh"
+        return (
+            seq.removing(left=(ForcesEx(t.negated(), f),)).adding(
+                left=(MemberOf(y, t.negated()), WorldAt(y, f))
+            ),
+        )
+    if rule == "R-exists":
+        x, t, f = p
+        err = need_left(MemberOf(x, t.negated()), "the membership") or need_right(
+            ForcesEx(t.negated(), f), "the existential forcing"
+        )
+        if err:
+            return err
+        return (seq.adding(right=(WorldAt(x, f),)),)
+    if rule == "dec":
+        x, t, s = p
+        err = need_left(MemberOf(x, t.merged(s)), "the composite membership")
+        if err:
+            return err
+        return (seq.adding(left=(MemberOf(x, t), MemberOf(x, s))),)
+    if rule == "dec-bar":
+        x, t, s = p
+        err = need_left(MemberOf(x, t.merged(s).negated()), "the composite membership")
+        if err:
+            return err
+        return (
+            seq.adding(left=(MemberOf(x, t.negated()),)),
+            seq.adding(left=(MemberOf(x, s.negated()),)),
+        )
+    return f"unknown rule {rule}"
+
+
+def _apply_rule(rule: str, p: tuple, seq: LabelledSequent) -> tuple[LabelledSequent, ...]:
+    """The premisses of one translation step; a step that is not a legal
+    instance is a TranslationError."""
+    out = _rule_premisses(rule, p, seq)
+    if isinstance(out, str):
+        raise TranslationError(f"{rule}: {out}")
+    return out
+
+
 # --- derivation translation ---------------------------------------------------
 
 
@@ -357,6 +571,16 @@ def translate_derivation(d: Derivation, l: LogicSpec) -> LabelledDerivation:
     return _translate_node(d, root, world_of, binfo, labels, l)
 
 
+_PROPOSITIONAL = {
+    AND_L: "L-and",
+    AND_R: "R-and",
+    OR_L: "L-or",
+    OR_R: "R-or",
+    IMP_L: "L-imp",
+    IMP_R: "R-imp",
+}
+
+
 def _translate_node(
     d: Derivation,
     seq: LabelledSequent,
@@ -367,79 +591,30 @@ def _translate_node(
 ) -> LabelledDerivation:
     rule = d.rule
 
-    def into(child: Derivation, s: LabelledSequent, b: _BInfo | None = None):
-        return _translate_node(child, s, world_of, binfo if b is None else b, labels, l)
+    def step(name: str, principal: tuple, b: _BInfo) -> LabelledDerivation:
+        """The labelled rule for d; each premiss goes on with the child of d
+        in the same place."""
+        prems = _apply_rule(name, principal, seq)
+        children = tuple(
+            _translate_node(child, prem, world_of, b, labels, l)
+            for child, prem in zip(d.children, prems)
+        )
+        return LabelledDerivation(name, principal, seq, children)
 
     if rule in (BOT_L, TOP_R, INIT):
         return _close_leaf(d, seq, world_of, labels)
     x = world_of[d.cid]
-    if rule == AND_L:
+    if rule in _PROPOSITIONAL:
         (f,) = d.principal
-        prem = seq.removing(left=(WorldAt(x, f),)).adding(
-            left=(WorldAt(x, f.left), WorldAt(x, f.right))
-        )
-        return LabelledDerivation("L-and", (x, f), seq, (into(d.children[0], prem),))
-    if rule == OR_L:
-        (f,) = d.principal
-        base = seq.removing(left=(WorldAt(x, f),))
-        p1 = base.adding(left=(WorldAt(x, f.left),))
-        p2 = base.adding(left=(WorldAt(x, f.right),))
-        return LabelledDerivation(
-            "L-or", (x, f), seq, (into(d.children[0], p1), into(d.children[1], p2))
-        )
-    if rule == IMP_L:
-        (f,) = d.principal
-        base = seq.removing(left=(WorldAt(x, f),))
-        p1 = base.adding(right=(WorldAt(x, f.left),))
-        p2 = base.adding(left=(WorldAt(x, f.right),))
-        return LabelledDerivation(
-            "L-imp", (x, f), seq, (into(d.children[0], p1), into(d.children[1], p2))
-        )
-    if rule == AND_R:
-        (f,) = d.principal
-        base = seq.removing(right=(WorldAt(x, f),))
-        p1 = base.adding(right=(WorldAt(x, f.left),))
-        p2 = base.adding(right=(WorldAt(x, f.right),))
-        return LabelledDerivation(
-            "R-and", (x, f), seq, (into(d.children[0], p1), into(d.children[1], p2))
-        )
-    if rule == OR_R:
-        (f,) = d.principal
-        prem = seq.removing(right=(WorldAt(x, f),)).adding(
-            right=(WorldAt(x, f.left), WorldAt(x, f.right))
-        )
-        return LabelledDerivation("R-or", (x, f), seq, (into(d.children[0], prem),))
-    if rule == IMP_R:
-        (f,) = d.principal
-        prem = seq.removing(right=(WorldAt(x, f),)).adding(
-            left=(WorldAt(x, f.left),), right=(WorldAt(x, f.right),)
-        )
-        return LabelledDerivation("R-imp", (x, f), seq, (into(d.children[0], prem),))
+        return step(_PROPOSITIONAL[rule], (x, f), binfo)
     if rule == BOX_L:
         (f,) = d.principal
         a = labels.nb()
-        single = NbTerm.of((a,))
-        prem = seq.removing(left=(WorldAt(x, f),)).adding(
-            left=(PairOf(single, x), ForcesAll(single, f.body)),
-            right=(ForcesEx(single.negated(), f.body),),
-        )
-        binfo2 = _with_record(
-            binfo, d.cid, Block.of((f.body,)), _BlockInfo(single, ((f.body, a),))
-        )
-        return LabelledDerivation(
-            "L-box", (x, f, a), seq, (into(d.children[0], prem, binfo2),)
-        )
+        info = _BlockInfo(NbTerm.of((a,)), ((f.body, a),))
+        return step("L-box", (x, f, a), _with_record(binfo, d.cid, Block.of((f.body,)), info))
     if rule == RULE_N:
-        if not _world_occurs(seq, x):
-            raise TranslationError(
-                "the labelled N rule needs its world in the conclusion; "
-                "an empty component leaves no labelled trace"
-            )
-        prem = seq.adding(left=(PairOf(TAU_TERM, x),))
-        binfo2 = _with_record(
-            binfo, d.cid, Block.of((TOP,)), _BlockInfo(TAU_TERM, ((TOP, None),))
-        )
-        return LabelledDerivation("N", (x,), seq, (into(d.children[0], prem, binfo2),))
+        info = _BlockInfo(TAU_TERM, ((TOP, None),))
+        return step("N", (x,), _with_record(binfo, d.cid, Block.of((TOP,)), info))
     if rule == RULE_C:
         b1, b2 = d.principal
         if b1 == b2:
@@ -447,25 +622,37 @@ def _translate_node(
         else:
             info1 = _find_block(binfo, d.cid, b1)
             info2 = _find_block(binfo, d.cid, b2)
-        merged_term = info1.term.merged(info2.term)
-        merged = _BlockInfo(merged_term, info1.members + info2.members)
-        binfo2 = _with_record(binfo, d.cid, b1.merged(b2), merged)
-        prem = seq.adding(left=(PairOf(merged_term, x),))
-        return LabelledDerivation(
-            "C", (info1.term, info2.term, x), seq, (into(d.children[0], prem, binfo2),)
+        merged = _BlockInfo(info1.term.merged(info2.term), info1.members + info2.members)
+        return step(
+            "C", (info1.term, info2.term, x), _with_record(binfo, d.cid, b1.merged(b2), merged)
         )
     if rule in (BOX_R, BOX_RM):
         return _translate_box_right(d, seq, world_of, binfo, labels, l)
     raise TranslationError(f"rule {rule.render()} has no labelled counterpart")
 
 
-def _world_occurs(seq: LabelledSequent, x: str) -> bool:
-    for f in seq.left + seq.right:
-        match f:
-            case WorldAt(world, _) | MemberOf(world, _) | PairOf(_, world):
-                if world == x:
-                    return True
-    return False
+def _chain(steps, seq: LabelledSequent, last) -> LabelledDerivation:
+    """One-premiss rules, given as (rule, principal) pairs, applied in turn
+    from seq, then last(s) for the sequent s they leave."""
+    if not steps:
+        return last(seq)
+    (rule, principal), rest = steps[0], steps[1:]
+    (prem,) = _apply_rule(rule, principal, seq)
+    return LabelledDerivation(rule, principal, seq, (_chain(rest, prem, last),))
+
+
+def _box_right(seq: LabelledSequent, t: NbTerm, x: str, box: Box, labels: _Labels, inside, outside):
+    """R-box at x on the term t. Its first premiss goes on by R-forall
+    with a fresh world y inside t, its second by L-exists with a fresh
+    world z outside t; inside(y, s) and outside(z, s) derive the sequents
+    s those steps leave."""
+    body = box.body
+    s1, s2 = _apply_rule("R-box", (t, x, box), seq)
+    y = labels.world()
+    p1 = _chain([("R-forall", (t, body, y))], s1, lambda s: inside(y, s))
+    z = labels.world()
+    p2 = _chain([("L-exists", (t, body, z))], s2, lambda s: outside(z, s))
+    return LabelledDerivation("R-box", (t, x, box), seq, (p1, p2))
 
 
 def _translate_box_right(
@@ -480,7 +667,6 @@ def _translate_box_right(
     x = world_of[d.cid]
     info = _find_block(binfo, d.cid, block)
     t = info.term
-    body = box.body
     monotonic = d.rule == BOX_RM
     if monotonic:
         sigma_child = d.children[0]
@@ -490,54 +676,34 @@ def _translate_box_right(
         sigma_child = d.children[-1]
         child_for = dict(zip(member_values, d.children[:-1]))
 
-    # positive premiss: a fresh world inside the term must force the body
-    s1 = seq.adding(right=(ForcesAll(t, body),))
-    y = labels.world()
-    after = s1.removing(right=(ForcesAll(t, body),)).adding(
-        left=(MemberOf(y, t),), right=(WorldAt(y, body),)
-    )
-    dec_steps: list[tuple[NbTerm, NbTerm, LabelledSequent]] = []
-    current = after
-    rest = t
-    while len(rest.labels) > 1:
-        head = NbTerm.of((rest.labels[0],))
-        tail = NbTerm.of(rest.labels[1:])
-        dec_steps.append((head, tail, current))
-        current = current.adding(left=(MemberOf(y, head), MemberOf(y, tail)))
-        rest = tail
-    forall_steps: list[tuple[NbTerm, Formula, LabelledSequent]] = []
-    for member, label in info.members:
-        if label is None:
-            continue
-        single = NbTerm.of((label,))
-        forall_steps.append((single, member, current))
-        current = current.adding(left=(WorldAt(y, member),))
-
-    new_cid = sigma_child.conclusion.components[-1].cid
-    inner = _translate_node(
-        sigma_child, current, {**world_of, new_cid: y}, {**binfo, new_cid: ()}, labels, l
-    )
-    for single, member, concl in reversed(forall_steps):
-        inner = LabelledDerivation("L-forall", (y, single, member), concl, (inner,))
-    for head, tail, concl in reversed(dec_steps):
-        inner = LabelledDerivation("dec", (y, head, tail), concl, (inner,))
-    p1 = LabelledDerivation("R-forall", (t, body, y), s1, (inner,))
-
-    # negative premiss: a fresh world outside the term forces the body
-    s2 = seq.adding(left=(ForcesEx(t.negated(), body),))
-    z = labels.world()
-    after = s2.removing(left=(ForcesEx(t.negated(), body),)).adding(
-        left=(MemberOf(z, t.negated()), WorldAt(z, body))
-    )
-    if monotonic:
-        closed = LabelledDerivation("M", (t, x, z), after, ())
-    else:
-        closed = _negative_branches(
-            t, z, after, info, child_for, world_of, binfo, labels, l
+    def inside(y: str, s: LabelledSequent) -> LabelledDerivation:
+        # split membership in the composite term down to single labels,
+        # then read each member's universal formula at y
+        steps = []
+        rest = t
+        while len(rest.labels) > 1:
+            head, rest = NbTerm.of(rest.labels[:1]), NbTerm.of(rest.labels[1:])
+            steps.append(("dec", (y, head, rest)))
+        steps += [
+            ("L-forall", (y, NbTerm.of((label,)), member))
+            for member, label in info.members
+            if label is not None
+        ]
+        new_cid = sigma_child.conclusion.components[-1].cid
+        return _chain(
+            steps,
+            s,
+            lambda s2: _translate_node(
+                sigma_child, s2, {**world_of, new_cid: y}, {**binfo, new_cid: ()}, labels, l
+            ),
         )
-    p2 = LabelledDerivation("L-exists", (t, body, z), s2, (closed,))
 
-    return LabelledDerivation("R-box", (t, x, box), seq, (p1, p2))
+    def outside(z: str, s: LabelledSequent) -> LabelledDerivation:
+        if monotonic:
+            return LabelledDerivation("M", (t, x, z), s, ())
+        return _negative_branches(t, z, s, info, child_for, world_of, binfo, labels, l)
+
+    return _box_right(seq, t, x, box, labels, inside, outside)
 
 
 def _negative_branches(
@@ -561,22 +727,21 @@ def _negative_branches(
         if label == TAU:
             return LabelledDerivation("tau-empty", (z,), s, ())
         member = label_formula[label]
-        single = NbTerm.of((label,))
-        with_right = s.adding(right=(WorldAt(z, member),))
         child = child_for[member]
         new_cid = child.conclusion.components[-1].cid
-        inner = _translate_node(
-            child, with_right, {**world_of, new_cid: z}, {**binfo, new_cid: ()}, labels, l
+        return _chain(
+            [("R-exists", (z, NbTerm.of((label,)), member))],
+            s,
+            lambda s2: _translate_node(
+                child, s2, {**world_of, new_cid: z}, {**binfo, new_cid: ()}, labels, l
+            ),
         )
-        return LabelledDerivation("R-exists", (z, single, member), s, (inner,))
 
     def split(t: NbTerm, s: LabelledSequent) -> LabelledDerivation:
         if len(t.labels) == 1:
             return close_single(t.labels[0], s)
-        head = NbTerm.of((t.labels[0],))
-        tail = NbTerm.of(t.labels[1:])
-        s1 = s.adding(left=(MemberOf(z, head.negated()),))
-        s2 = s.adding(left=(MemberOf(z, tail.negated()),))
+        head, tail = NbTerm.of(t.labels[:1]), NbTerm.of(t.labels[1:])
+        s1, s2 = _apply_rule("dec-bar", (z, head, tail), s)
         return LabelledDerivation(
             "dec-bar", (z, head, tail), s, (split(head, s1), split(tail, s2))
         )
@@ -664,95 +829,36 @@ def _close(seq: LabelledSequent, x: str, f: Formula, labels: _Labels) -> Labelle
         if WorldAt(x, f) in seq.left:
             return LabelledDerivation("L-bot", (x,), seq, ())
         raise TranslationError("falsum support vanished")
-    if isinstance(f, And):
-        if WorldAt(x, f) in seq.left:
-            prem = seq.removing(left=(WorldAt(x, f),)).adding(
-                left=(WorldAt(x, f.left), WorldAt(x, f.right))
-            )
-            return LabelledDerivation("L-and", (x, f), seq, (_close(prem, x, f, labels),))
-        if WorldAt(x, f) in seq.right:
-            base = seq.removing(right=(WorldAt(x, f),))
-            p1 = base.adding(right=(WorldAt(x, f.left),))
-            p2 = base.adding(right=(WorldAt(x, f.right),))
-            return LabelledDerivation(
-                "R-and",
-                (x, f),
-                seq,
-                (_close(p1, x, f.left, labels), _close(p2, x, f.right, labels)),
-            )
-        side = f.left if _rsupp(seq, x, f.left) else f.right
-        return _close(seq, x, side, labels)
-    if isinstance(f, Or):
-        if WorldAt(x, f) in seq.right:
-            prem = seq.removing(right=(WorldAt(x, f),)).adding(
-                right=(WorldAt(x, f.left), WorldAt(x, f.right))
-            )
-            return LabelledDerivation("R-or", (x, f), seq, (_close(prem, x, f, labels),))
-        if WorldAt(x, f) in seq.left:
-            base = seq.removing(left=(WorldAt(x, f),))
-            p1 = base.adding(left=(WorldAt(x, f.left),))
-            p2 = base.adding(left=(WorldAt(x, f.right),))
-            return LabelledDerivation(
-                "L-or",
-                (x, f),
-                seq,
-                (_close(p1, x, f.left, labels), _close(p2, x, f.right, labels)),
-            )
-        side = f.left if _lsupp(seq, x, f.left) else f.right
-        return _close(seq, x, side, labels)
-    if isinstance(f, Imp):
-        if WorldAt(x, f) in seq.right:
-            prem = seq.removing(right=(WorldAt(x, f),)).adding(
-                left=(WorldAt(x, f.left),), right=(WorldAt(x, f.right),)
-            )
-            return LabelledDerivation("R-imp", (x, f), seq, (_close(prem, x, f, labels),))
-        if WorldAt(x, f) in seq.left:
-            base = seq.removing(left=(WorldAt(x, f),))
-            p1 = base.adding(right=(WorldAt(x, f.left),))
-            p2 = base.adding(left=(WorldAt(x, f.right),))
-            return LabelledDerivation(
-                "L-imp",
-                (x, f),
-                seq,
-                (_close(p1, x, f.left, labels), _close(p2, x, f.right, labels)),
-            )
-        if _rsupp(seq, x, f.left):
-            return _close(seq, x, f.left, labels)
-        return _close(seq, x, f.right, labels)
+    if isinstance(f, (And, Or, Imp)):
+        # Decompose f where it occurs, the side whose rule has one
+        # premiss first; that premiss still supports f on both sides,
+        # while the two premisses of the other rule each close one
+        # immediate subformula.
+        for side in ("left", "right") if isinstance(f, And) else ("right", "left"):
+            if WorldAt(x, f) in getattr(seq, side):
+                rule = _RULE_FOR[side, type(f)]
+                prems = _apply_rule(rule, (x, f), seq)
+                targets = (f,) if len(prems) == 1 else (f.left, f.right)
+                children = tuple(_close(p, x, g, labels) for p, g in zip(prems, targets))
+                return LabelledDerivation(rule, (x, f), seq, children)
+        supported = _lsupp if isinstance(f, Or) else _rsupp
+        return _close(seq, x, f.left if supported(seq, x, f.left) else f.right, labels)
     if isinstance(f, Box):
         if WorldAt(x, f) in seq.left:
             a = labels.nb()
-            single = NbTerm.of((a,))
-            prem = seq.removing(left=(WorldAt(x, f),)).adding(
-                left=(PairOf(single, x), ForcesAll(single, f.body)),
-                right=(ForcesEx(single.negated(), f.body),),
-            )
-            return LabelledDerivation("L-box", (x, f, a), seq, (_close(prem, x, f, labels),))
+            return _chain([("L-box", (x, f, a))], seq, lambda s: _close(s, x, f, labels))
         t = _box_support(seq, x, f.body)
         if t is None or WorldAt(x, f) not in seq.right:
             raise TranslationError("boxed leaf lost its labelled evidence")
         body = f.body
-        s1 = seq.adding(right=(ForcesAll(t, body),))
-        y = labels.world()
-        after = s1.removing(right=(ForcesAll(t, body),)).adding(
-            left=(MemberOf(y, t),), right=(WorldAt(y, body),)
-        )
-        with_left = after.adding(left=(WorldAt(y, body),))
-        p1_inner = LabelledDerivation(
-            "L-forall", (y, t, body), after, (_close(with_left, y, body, labels),)
-        )
-        p1 = LabelledDerivation("R-forall", (t, body, y), s1, (p1_inner,))
-        s2 = seq.adding(left=(ForcesEx(t.negated(), body),))
-        z = labels.world()
-        after = s2.removing(left=(ForcesEx(t.negated(), body),)).adding(
-            left=(MemberOf(z, t.negated()), WorldAt(z, body))
-        )
-        with_right = after.adding(right=(WorldAt(z, body),))
-        p2_inner = LabelledDerivation(
-            "R-exists", (z, t, body), after, (_close(with_right, z, body, labels),)
-        )
-        p2 = LabelledDerivation("L-exists", (t, body, z), s2, (p2_inner,))
-        return LabelledDerivation("R-box", (t, x, f), seq, (p1, p2))
+
+        def inside(y: str, s: LabelledSequent) -> LabelledDerivation:
+            return _chain([("L-forall", (y, t, body))], s, lambda s2: _close(s2, y, body, labels))
+
+        def outside(z: str, s: LabelledSequent) -> LabelledDerivation:
+            return _chain([("R-exists", (z, t, body))], s, lambda s2: _close(s2, z, body, labels))
+
+        return _box_right(seq, t, x, f, labels, inside, outside)
     raise TranslationError(f"cannot close a leaf on {f!r}")
 
 
@@ -767,249 +873,6 @@ class LabelledCheckReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _labels_of_term(t: NbTerm) -> set[str]:
-    return set(t.labels) - {TAU}
-
-
-def _occurring(seq: LabelledSequent):
-    worlds: set[str] = set()
-    labels: set[str] = set()
-    for f in seq.left + seq.right:
-        match f:
-            case WorldAt(world, _):
-                worlds.add(world)
-            case MemberOf(world, term):
-                worlds.add(world)
-                labels |= _labels_of_term(term)
-            case PairOf(term, world):
-                worlds.add(world)
-                labels |= _labels_of_term(term)
-            case ForcesAll(term, _) | ForcesEx(term, _):
-                labels |= _labels_of_term(term)
-    return worlds, labels
-
-
-def _expected_premisses(node: LabelledDerivation, l: LogicSpec | None):
-    """Premisses a legal instance of the node's rule would have, or a
-    string saying why the node is not such an instance."""
-    seq = node.conclusion
-    rule = node.rule
-    p = node.principal
-    worlds, labels = _occurring(seq)
-
-    def need_left(f, what):
-        return None if f in seq.left else f"{what} missing from the left side"
-
-    def need_right(f, what):
-        return None if f in seq.right else f"{what} missing from the right side"
-
-    if rule == "init":
-        x, f = p
-        if not isinstance(f, Atom):
-            return "the initial axiom needs an atom"
-        return (
-            need_left(WorldAt(x, f), "the atom")
-            or need_right(WorldAt(x, f), "the atom")
-            or ()
-        )
-    if rule == "L-bot":
-        (x,) = p
-        return need_left(WorldAt(x, Bottom()), "falsum") or ()
-    if rule == "R-top":
-        (x,) = p
-        return need_right(WorldAt(x, TOP), "verum") or ()
-    if rule == "M":
-        if l is not None and not l.monotonic:
-            return "the monotonicity axiom is not in this logic"
-        t, x, y = p
-        return (
-            need_left(PairOf(t, x), "the term pairing")
-            or need_left(MemberOf(y, t.negated()), "the outside membership")
-            or ()
-        )
-    if rule == "tau-empty":
-        (x,) = p
-        return need_left(MemberOf(x, TAU_TERM.negated()), "the membership") or ()
-    if rule == "L-and":
-        x, f = p
-        if not isinstance(f, And):
-            return "conjunction expected"
-        err = need_left(WorldAt(x, f), "the principal formula")
-        if err:
-            return err
-        return (
-            seq.removing(left=(WorldAt(x, f),)).adding(
-                left=(WorldAt(x, f.left), WorldAt(x, f.right))
-            ),
-        )
-    if rule == "R-and":
-        x, f = p
-        if not isinstance(f, And):
-            return "conjunction expected"
-        err = need_right(WorldAt(x, f), "the principal formula")
-        if err:
-            return err
-        base = seq.removing(right=(WorldAt(x, f),))
-        return (
-            base.adding(right=(WorldAt(x, f.left),)),
-            base.adding(right=(WorldAt(x, f.right),)),
-        )
-    if rule == "L-or":
-        x, f = p
-        if not isinstance(f, Or):
-            return "disjunction expected"
-        err = need_left(WorldAt(x, f), "the principal formula")
-        if err:
-            return err
-        base = seq.removing(left=(WorldAt(x, f),))
-        return (
-            base.adding(left=(WorldAt(x, f.left),)),
-            base.adding(left=(WorldAt(x, f.right),)),
-        )
-    if rule == "R-or":
-        x, f = p
-        if not isinstance(f, Or):
-            return "disjunction expected"
-        err = need_right(WorldAt(x, f), "the principal formula")
-        if err:
-            return err
-        return (
-            seq.removing(right=(WorldAt(x, f),)).adding(
-                right=(WorldAt(x, f.left), WorldAt(x, f.right))
-            ),
-        )
-    if rule == "L-imp":
-        x, f = p
-        if not isinstance(f, Imp):
-            return "implication expected"
-        err = need_left(WorldAt(x, f), "the principal formula")
-        if err:
-            return err
-        base = seq.removing(left=(WorldAt(x, f),))
-        return (
-            base.adding(right=(WorldAt(x, f.left),)),
-            base.adding(left=(WorldAt(x, f.right),)),
-        )
-    if rule == "R-imp":
-        x, f = p
-        if not isinstance(f, Imp):
-            return "implication expected"
-        err = need_right(WorldAt(x, f), "the principal formula")
-        if err:
-            return err
-        return (
-            seq.removing(right=(WorldAt(x, f),)).adding(
-                left=(WorldAt(x, f.left),), right=(WorldAt(x, f.right),)
-            ),
-        )
-    if rule == "L-box":
-        x, f, a = p
-        if not isinstance(f, Box):
-            return "boxed formula expected"
-        err = need_left(WorldAt(x, f), "the principal formula")
-        if err:
-            return err
-        if a == TAU or a in labels:
-            return f"label {a} is not fresh"
-        single = NbTerm.of((a,))
-        return (
-            seq.removing(left=(WorldAt(x, f),)).adding(
-                left=(PairOf(single, x), ForcesAll(single, f.body)),
-                right=(ForcesEx(single.negated(), f.body),),
-            ),
-        )
-    if rule == "R-box":
-        t, x, f = p
-        if not isinstance(f, Box):
-            return "boxed formula expected"
-        err = need_left(PairOf(t, x), "the term pairing") or need_right(
-            WorldAt(x, f), "the boxed formula"
-        )
-        if err:
-            return err
-        return (
-            seq.adding(right=(ForcesAll(t, f.body),)),
-            seq.adding(left=(ForcesEx(t.negated(), f.body),)),
-        )
-    if rule == "N":
-        if l is not None and not l.has_n:
-            return "the verum term rule is not in this logic"
-        (x,) = p
-        if x not in worlds:
-            return "the world of this rule must occur in the conclusion"
-        return (seq.adding(left=(PairOf(TAU_TERM, x),)),)
-    if rule == "C":
-        if l is not None and not l.has_c:
-            return "the term merge rule is not in this logic"
-        t, s, x = p
-        if t == s:
-            if sum(1 for lf in seq.left if lf == PairOf(t, x)) < 2:
-                return "merging one term with itself needs two pairings"
-        else:
-            err = need_left(PairOf(t, x), "the first pairing") or need_left(
-                PairOf(s, x), "the second pairing"
-            )
-            if err:
-                return err
-        return (seq.adding(left=(PairOf(t.merged(s), x),)),)
-    if rule == "L-forall":
-        x, t, f = p
-        err = need_left(MemberOf(x, t), "the membership") or need_left(
-            ForcesAll(t, f), "the universal forcing"
-        )
-        if err:
-            return err
-        return (seq.adding(left=(WorldAt(x, f),)),)
-    if rule == "R-forall":
-        t, f, y = p
-        err = need_right(ForcesAll(t, f), "the universal forcing")
-        if err:
-            return err
-        if y in worlds:
-            return f"world {y} is not fresh"
-        return (
-            seq.removing(right=(ForcesAll(t, f),)).adding(
-                left=(MemberOf(y, t),), right=(WorldAt(y, f),)
-            ),
-        )
-    if rule == "L-exists":
-        t, f, y = p
-        err = need_left(ForcesEx(t.negated(), f), "the existential forcing")
-        if err:
-            return err
-        if y in worlds:
-            return f"world {y} is not fresh"
-        return (
-            seq.removing(left=(ForcesEx(t.negated(), f),)).adding(
-                left=(MemberOf(y, t.negated()), WorldAt(y, f))
-            ),
-        )
-    if rule == "R-exists":
-        x, t, f = p
-        err = need_left(MemberOf(x, t.negated()), "the membership") or need_right(
-            ForcesEx(t.negated(), f), "the existential forcing"
-        )
-        if err:
-            return err
-        return (seq.adding(right=(WorldAt(x, f),)),)
-    if rule == "dec":
-        x, t, s = p
-        err = need_left(MemberOf(x, t.merged(s)), "the composite membership")
-        if err:
-            return err
-        return (seq.adding(left=(MemberOf(x, t), MemberOf(x, s))),)
-    if rule == "dec-bar":
-        x, t, s = p
-        err = need_left(MemberOf(x, t.merged(s).negated()), "the composite membership")
-        if err:
-            return err
-        return (
-            seq.adding(left=(MemberOf(x, t.negated()),)),
-            seq.adding(left=(MemberOf(x, s.negated()),)),
-        )
-    return f"unknown rule {rule}"
 
 
 _AXIOMS = frozenset({"init", "L-bot", "R-top", "M", "tau-empty"})
@@ -1028,7 +891,7 @@ def check_labelled(
     stack: list[tuple[LabelledDerivation, tuple[int, ...]]] = [(d, ())]
     while stack:
         node, path = stack.pop()
-        outcome = _expected_premisses(node, logic)
+        outcome = _rule_premisses(node.rule, node.principal, node.conclusion, logic)
         if isinstance(outcome, str):
             return LabelledCheckReport(False, path, outcome)
         if node.rule in _AXIOMS and node.children:

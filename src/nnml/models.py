@@ -173,208 +173,123 @@ def valid(m: Model, f: Formula) -> bool:
 # --- frame conditions -------------------------------------------------------
 
 
+def _verdict(witnesses) -> tuple[str, object]:
+    """("fail", the first witness) or ("pass", None)."""
+    witness = next(iter(witnesses), None)
+    return ("pass", None) if witness is None else ("fail", witness)
+
+
+def _graded_conditions(ws: frozenset[int], l: LogicSpec, nbhd: dict, inner) -> dict:
+    """RDk+ for each k up to the logic's n: no k neighbourhoods of one
+    world whose inner sets have an empty intersection. ``nbhd`` maps each
+    world, in order, to its neighbourhoods in order."""
+    return {
+        f"RD{k}+": _verdict(
+            (w, chosen)
+            for w, ns in nbhd.items()
+            for chosen in combinations(ns, k)
+            if not ws.intersection(*map(inner, chosen))
+        )
+        for k in range(1, (l.dplus or 0) + 1)
+    }
+
+
+# Each check reports the first witness of a failure in world order, then
+# in neighbourhood order.
+
+
 def _bi_conditions(m: BiModel, l: LogicSpec) -> dict:
     report = {}
     ws = m.worlds
+    nbhd = {w: sorted(m.nbhd[w], key=_pair_key) for w in sorted(ws)}
     if l.monotonic:
-        witness = next(
-            (
-                (w, (alpha, beta))
-                for w in sorted(ws)
-                for alpha, beta in sorted(m.nbhd[w], key=_pair_key)
-                if beta
-            ),
-            None,
-        )
-        report["M"] = ("fail", witness) if witness else ("pass", None)
+        report["M"] = _verdict((w, p) for w, ps in nbhd.items() for p in ps if p[1])
     if l.has_n:
-        shared = None
-        for alpha in sorted(
-            {a for w in ws for a, b in m.nbhd[w] if not b}, key=_set_key
-        ):
-            if all((alpha, frozenset()) in m.nbhd[w] for w in ws):
-                shared = alpha
-                break
-        report["N"] = ("pass", None) if shared is not None or not ws else ("fail", None)
+        outer_free = {a for w in ws for a, b in m.nbhd[w] if not b}
+        shared = any(all((a, frozenset()) in m.nbhd[w] for w in ws) for a in outer_free)
+        report["N"] = ("pass", None) if shared or not ws else ("fail", None)
     if l.has_c:
-        witness = None
-        for w in sorted(ws):
-            pairs = sorted(m.nbhd[w], key=_pair_key)
-            for p1 in pairs:
-                for p2 in pairs:
-                    merged = (p1[0] & p2[0], p1[1] | p2[1])
-                    if merged not in m.nbhd[w]:
-                        witness = (w, p1, p2)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        report["C"] = ("fail", witness) if witness else ("pass", None)
+        report["C"] = _verdict(
+            (w, p1, p2)
+            for w, ps in nbhd.items()
+            for p1 in ps
+            for p2 in ps
+            if (p1[0] & p2[0], p1[1] | p2[1]) not in m.nbhd[w]
+        )
     if l.has_t:
-        witness = next(
-            (
-                (w, (alpha, beta))
-                for w in sorted(ws)
-                for alpha, beta in sorted(m.nbhd[w], key=_pair_key)
-                if w not in alpha
-            ),
-            None,
-        )
-        report["T"] = ("fail", witness) if witness else ("pass", None)
+        report["T"] = _verdict((w, p) for w, ps in nbhd.items() for p in ps if w not in p[0])
     if l.has_p:
-        witness = next(
-            (
-                (w, (alpha, beta))
-                for w in sorted(ws)
-                for alpha, beta in sorted(m.nbhd[w], key=_pair_key)
-                if not alpha
-            ),
-            None,
-        )
-        report["P"] = ("fail", witness) if witness else ("pass", None)
+        report["P"] = _verdict((w, p) for w, ps in nbhd.items() for p in ps if not p[0])
     if l.has_d:
-        witness = None
-        for w in sorted(ws):
-            pairs = sorted(m.nbhd[w], key=_pair_key)
-            for p1 in pairs:
-                for p2 in pairs:
-                    if not (p1[0] & p2[0]) and not (p1[1] & p2[1]):
-                        witness = (w, p1, p2)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        report["D"] = ("fail", witness) if witness else ("pass", None)
-    if l.dplus is not None:
-        for arity in range(1, l.dplus + 1):
-            key = f"RD{arity}+"
-            witness = None
-            for w in sorted(ws):
-                pairs = sorted(m.nbhd[w], key=_pair_key)
-                for chosen in combinations(pairs, arity):
-                    inter = ws
-                    for alpha, _ in chosen:
-                        inter = inter & alpha
-                    if not inter:
-                        witness = (w, chosen)
-                        break
-                if witness:
-                    break
-            report[key] = ("fail", witness) if witness else ("pass", None)
+        report["D"] = _verdict(
+            (w, p1, p2)
+            for w, ps in nbhd.items()
+            for p1 in ps
+            for p2 in ps
+            if not (p1[0] & p2[0]) and not (p1[1] & p2[1])
+        )
+    report.update(_graded_conditions(ws, l, nbhd, lambda p: p[0]))
     return report
 
 
 def _standard_conditions(m: StandardModel, l: LogicSpec) -> dict:
     report = {}
     ws = m.worlds
+    nbhd = {w: sorted(m.nbhd[w], key=_set_key) for w in sorted(ws)}
     if l.monotonic:
-        witness = None
-        for w in sorted(ws):
-            for alpha in sorted(m.nbhd[w], key=_set_key):
-                for x in sorted(ws - alpha):
-                    if alpha | {x} not in m.nbhd[w]:
-                        witness = (w, alpha, x)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        report["M"] = ("fail", witness) if witness else ("pass", None)
+        report["M"] = _verdict(
+            (w, alpha, x)
+            for w, ns in nbhd.items()
+            for alpha in ns
+            for x in sorted(ws - alpha)
+            if alpha | {x} not in m.nbhd[w]
+        )
     if l.has_n:
-        witness = next((w for w in sorted(ws) if ws not in m.nbhd[w]), None)
-        report["N"] = ("fail", witness) if witness is not None else ("pass", None)
+        report["N"] = _verdict(w for w in nbhd if ws not in m.nbhd[w])
     if l.has_c:
-        witness = None
-        for w in sorted(ws):
-            sets = sorted(m.nbhd[w], key=_set_key)
-            for a1 in sets:
-                for a2 in sets:
-                    if a1 & a2 not in m.nbhd[w]:
-                        witness = (w, a1, a2)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        report["C"] = ("fail", witness) if witness else ("pass", None)
+        report["C"] = _verdict(
+            (w, a1, a2)
+            for w, ns in nbhd.items()
+            for a1 in ns
+            for a2 in ns
+            if a1 & a2 not in m.nbhd[w]
+        )
     if l.has_t:
-        witness = next(
-            (
-                (w, alpha)
-                for w in sorted(ws)
-                for alpha in sorted(m.nbhd[w], key=_set_key)
-                if w not in alpha
-            ),
-            None,
-        )
-        report["T"] = ("fail", witness) if witness else ("pass", None)
+        report["T"] = _verdict((w, alpha) for w, ns in nbhd.items() for alpha in ns if w not in alpha)
     if l.has_p:
-        witness = next(
-            (w for w in sorted(ws) if frozenset() in m.nbhd[w]), None
-        )
-        report["P"] = ("fail", witness) if witness is not None else ("pass", None)
+        report["P"] = _verdict(w for w in nbhd if frozenset() in m.nbhd[w])
     if l.has_d:
-        witness = next(
-            (
-                (w, alpha)
-                for w in sorted(ws)
-                for alpha in sorted(m.nbhd[w], key=_set_key)
-                if ws - alpha in m.nbhd[w]
-            ),
-            None,
+        report["D"] = _verdict(
+            (w, alpha) for w, ns in nbhd.items() for alpha in ns if ws - alpha in m.nbhd[w]
         )
-        report["D"] = ("fail", witness) if witness else ("pass", None)
-    if l.dplus is not None:
-        for arity in range(1, l.dplus + 1):
-            key = f"RD{arity}+"
-            witness = None
-            for w in sorted(ws):
-                sets = sorted(m.nbhd[w], key=_set_key)
-                for chosen in combinations(sets, arity):
-                    inter = ws
-                    for alpha in chosen:
-                        inter = inter & alpha
-                    if not inter:
-                        witness = (w, chosen)
-                        break
-                if witness:
-                    break
-            report[key] = ("fail", witness) if witness else ("pass", None)
+    report.update(_graded_conditions(ws, l, nbhd, lambda alpha: alpha))
     return report
 
 
 def _relational_conditions(m: RelationalModel, l: LogicSpec) -> dict:
+    """At a normal world a box holds when its body holds at every
+    successor; at a non-normal world no box holds. So N holds when no
+    world is non-normal, and P, D and every RDk+ hold when every normal
+    world has a successor."""
     report = {}
+    normal = sorted(m.worlds - m.non_normal)
     if l.has_t:
-        witness = next(
-            (
-                w
-                for w in sorted(m.worlds - m.non_normal)
-                if w not in m.relation.get(w, frozenset())
-            ),
-            None,
-        )
-        report["T"] = ("fail", witness) if witness is not None else ("pass", None)
-    for flag, key in (
-        (l.has_n, "N"),
-        (l.has_p, "P"),
-        (l.has_d, "D"),
-    ):
-        if flag:
-            report[key] = ("unchecked", None)
-    if l.dplus is not None:
-        report[f"RD{l.dplus}+"] = ("unchecked", None)
+        report["T"] = _verdict(w for w in normal if w not in m.relation.get(w, frozenset()))
+    if l.has_n:
+        report["N"] = _verdict(sorted(m.non_normal))
+    serial = _verdict(w for w in normal if not m.relation.get(w))
+    keys = [key for flag, key in ((l.has_p, "P"), (l.has_d, "D")) if flag]
+    keys += [f"RD{k}+" for k in range(1, (l.dplus or 0) + 1)]
+    report.update(dict.fromkeys(keys, serial))
     return report
 
 
 def check_conditions(m: Model, l: LogicSpec) -> dict:
-    """Frame conditions induced by the logic, each pass/fail plus witness.
-
-    Relational models only support the reflexivity check (restricted to
-    normal worlds, where the box clause makes it matter); conditions
-    with no implemented relational counterpart come back "unchecked".
+    """Frame conditions induced by the logic, each ("pass", None) or
+    ("fail", witness), where the witness is the first world, or world and
+    neighbourhoods, at which the condition fails. Every condition of the
+    logic is checked in all three semantics; relational models check T
+    on normal worlds, N and seriality as ``_relational_conditions`` says.
     """
     if isinstance(m, BiModel):
         return _bi_conditions(m, l)

@@ -1,21 +1,23 @@
 """Proof search in two modes, plus an independent derivation checker.
 
-The invertible mode applies cumulative rules under the local loop check
-and is deterministic: it keeps the first applicable instance, explores
-premisses depth-first, and the first saturated leaf it meets refutes
-the root (every rule is invertible, so no backtracking is needed).
+Both modes read the one rule table of the calculus module. The
+invertible mode takes its cumulative reading: principals stay in the
+premisses and instances pass a local loop check. It is deterministic:
+it keeps the first applicable instance, explores premisses depth-first,
+and the first saturated leaf it meets refutes the root (every rule is
+invertible, so no backtracking is needed).
 
-The lean mode deletes principal material from every premiss, which
-keeps hypersequents polynomially small but loses invertibility, so it
-backtracks over instances. It decides derivability only and produces
-no countermodel.
+The lean mode takes the deleting reading: principals leave the
+premisses, which keeps hypersequents polynomially small but loses
+invertibility, so it backtracks over every instance, in the same
+strategy order. It decides derivability only and produces no
+countermodel.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import combinations
 
 from .calculus import (
     InvalidInstance,
@@ -24,8 +26,9 @@ from .calculus import (
     first_instance,
     initial_evidence,
     is_initial,
+    lean_premisses,
 )
-from .formula import And, Bottom, Box, Formula, Imp, Or, TOP, sort_key
+from .formula import Bottom, TOP, sort_key
 from .hypersequent import (
     Block,
     Component,
@@ -36,20 +39,7 @@ from .hypersequent import (
     render_hypersequent,
     right_set,
 )
-from .logic import (
-    BOT_L,
-    INIT,
-    LogicSpec,
-    RULE_C,
-    RULE_D1,
-    RULE_D2,
-    RULE_N,
-    RULE_P,
-    RULE_T,
-    RuleId,
-    TOP_R,
-    rule_set,
-)
+from .logic import BOT_L, INIT, LogicSpec, RuleId, TOP_R, rule_set
 
 _INITIAL_TAGS = (INIT, BOT_L, TOP_R)
 
@@ -201,182 +191,6 @@ def _normalize(h: Hypersequent) -> Hypersequent:
     return Hypersequent.of(out)
 
 
-def _without_left(s: Sequent, f: Formula) -> Sequent:
-    items = list(s.left)
-    items.remove(f)
-    return Sequent(tuple(items), s.blocks, s.right)
-
-
-def _without_right(s: Sequent, f: Formula) -> Sequent:
-    items = list(s.right)
-    items.remove(f)
-    return Sequent(s.left, s.blocks, tuple(items))
-
-
-def _without_blocks(s: Sequent, blocks) -> Sequent:
-    items = list(s.blocks)
-    for b in blocks:
-        items.remove(b)
-    return Sequent(s.left, tuple(items), s.right)
-
-
-def _lean_candidates(h: Hypersequent, l: LogicSpec):
-    """All rule instances, principal data only; no loop-check filter."""
-    rules = rule_set(l)
-    for c in h.components:
-        for f in dict.fromkeys(c.seq.left):
-            if isinstance(f, (And, Or, Imp)):
-                yield (type(f).__name__ + "L", c.cid, (f,))
-            elif isinstance(f, Box):
-                yield ("BoxL", c.cid, (f,))
-        for f in dict.fromkeys(c.seq.right):
-            if isinstance(f, (And, Or, Imp)):
-                yield (type(f).__name__ + "R", c.cid, (f,))
-    if RULE_T in rules:
-        for c in h.components:
-            for b in dict.fromkeys(c.seq.blocks):
-                yield ("T", c.cid, (b,))
-    if RULE_C in rules:
-        for c in h.components:
-            blocks = c.seq.blocks
-            seen = set()
-            for i in range(len(blocks)):
-                for j in range(i + 1, len(blocks)):
-                    pair = (blocks[i], blocks[j])
-                    if pair not in seen:
-                        seen.add(pair)
-                        yield ("C", c.cid, pair)
-    box_rule = "BoxRm" if l.monotonic else "BoxR"
-    for c in h.components:
-        boxes = [f for f in dict.fromkeys(c.seq.right) if isinstance(f, Box)]
-        if not boxes:
-            continue
-        for b in dict.fromkeys(c.seq.blocks):
-            for f in boxes:
-                yield (box_rule, c.cid, (b, f))
-    if RULE_P in rules:
-        for c in h.components:
-            for b in dict.fromkeys(c.seq.blocks):
-                yield ("P", c.cid, (b,))
-    if RULE_D1 in rules:
-        for c in h.components:
-            for b in dict.fromkeys(c.seq.blocks):
-                yield ("D1", c.cid, (b,))
-    if RULE_D2 in rules:
-        for c in h.components:
-            blocks = c.seq.blocks
-            seen = set()
-            for i in range(len(blocks)):
-                for j in range(i + 1, len(blocks)):
-                    pair = (blocks[i], blocks[j])
-                    if pair not in seen:
-                        seen.add(pair)
-                        yield ("D2", c.cid, pair)
-    for arity in sorted(r.arity for r in rules if r.name == "DnPlus"):
-        for c in h.components:
-            blocks = c.seq.blocks
-            if len(blocks) < arity:
-                continue
-            seen = set()
-            for idxs in combinations(range(len(blocks)), arity):
-                chosen = tuple(blocks[i] for i in idxs)
-                if chosen not in seen:
-                    seen.add(chosen)
-                    yield ("Dn", c.cid, chosen)
-
-
-def _lean_premisses(
-    h: Hypersequent, name: str, cid: int, principal: tuple, has_n: bool
-) -> tuple[Hypersequent, ...]:
-    s = h.component(cid)
-
-    def fresh(left=(), right=()):
-        blocks = (Block.of((TOP,)),) if has_n else ()
-        return Sequent.of(left, blocks, right)
-
-    if name == "AndL":
-        (f,) = principal
-        return (h.replace(cid, _without_left(s, f).adding(left=(f.left, f.right))),)
-    if name == "OrL":
-        (f,) = principal
-        base = _without_left(s, f)
-        return (
-            h.replace(cid, base.adding(left=(f.left,))),
-            h.replace(cid, base.adding(left=(f.right,))),
-        )
-    if name == "ImpL":
-        (f,) = principal
-        base = _without_left(s, f)
-        return (
-            h.replace(cid, base.adding(right=(f.left,))),
-            h.replace(cid, base.adding(left=(f.right,))),
-        )
-    if name == "AndR":
-        (f,) = principal
-        base = _without_right(s, f)
-        return (
-            h.replace(cid, base.adding(right=(f.left,))),
-            h.replace(cid, base.adding(right=(f.right,))),
-        )
-    if name == "OrR":
-        (f,) = principal
-        return (h.replace(cid, _without_right(s, f).adding(right=(f.left, f.right))),)
-    if name == "ImpR":
-        (f,) = principal
-        return (
-            h.replace(cid, _without_right(s, f).adding(left=(f.left,), right=(f.right,))),
-        )
-    if name == "BoxL":
-        (f,) = principal
-        return (
-            h.replace(cid, _without_left(s, f).adding(blocks=(Block.of((f.body,)),))),
-        )
-    if name == "T":
-        (b,) = principal
-        return (h.replace(cid, _without_blocks(s, (b,)).adding(left=b.members)),)
-    if name == "C":
-        b1, b2 = principal
-        return (
-            h.replace(cid, _without_blocks(s, (b1, b2)).adding(blocks=(b1.merged(b2),))),
-        )
-    if name in ("BoxR", "BoxRm"):
-        b, f = principal
-        base = h.replace(cid, _without_blocks(_without_right(s, f), (b,)))
-        out = []
-        if name == "BoxR":
-            for a in sorted(b.member_set(), key=sort_key):
-                out.append(base.with_new_component(fresh(left=(f.body,), right=(a,))))
-        out.append(base.with_new_component(fresh(left=b.members, right=(f.body,))))
-        return tuple(out)
-    if name == "P":
-        (b,) = principal
-        base = h.replace(cid, _without_blocks(s, (b,)))
-        return (base.with_new_component(fresh(left=b.members)),)
-    if name == "D1":
-        (b,) = principal
-        base = h.replace(cid, _without_blocks(s, (b,)))
-        out = [base.with_new_component(fresh(left=b.members))]
-        for a in sorted(b.member_set(), key=sort_key):
-            out.append(base.with_new_component(fresh(right=(a,))))
-        return tuple(out)
-    if name == "D2":
-        b1, b2 = principal
-        base = h.replace(cid, _without_blocks(s, (b1, b2)))
-        out = [base.with_new_component(fresh(left=b1.members + b2.members))]
-        for a in sorted(b1.member_set(), key=sort_key):
-            for c2 in sorted(b2.member_set(), key=sort_key):
-                out.append(base.with_new_component(fresh(right=(a, c2))))
-        return tuple(out)
-    if name == "Dn":
-        blocks = principal
-        base = h.replace(cid, _without_blocks(s, blocks))
-        members: tuple[Formula, ...] = ()
-        for b in blocks:
-            members = members + b.members
-        return (base.with_new_component(fresh(left=members)),)
-    raise AssertionError(f"unknown lean rule {name}")
-
-
 def prove_unkleened(
     h: Hypersequent,
     l: LogicSpec,
@@ -399,8 +213,7 @@ def prove_unkleened(
     is cached. A failure still depending on a goal further up the stack
     propagates the depth of that goal instead of being cached.
     """
-    has_n = RULE_N in rule_set(l)
-    if has_n:
+    if l.has_n:
         top_block = Block.of((TOP,))
         h = Hypersequent(
             tuple(
@@ -436,8 +249,7 @@ def prove_unkleened(
         lowest = no_cut
         tried: set[tuple] = set()
         try:
-            for name, cid, principal in _lean_candidates(g, l):
-                prems = _lean_premisses(g, name, cid, principal, has_n)
+            for prems in lean_premisses(g, l):
                 key = tuple(sorted(map(_hyp_token, prems)))
                 if key in tried:
                     continue

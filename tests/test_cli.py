@@ -133,6 +133,21 @@ class TestProve:
         assert code == 3
         assert err.startswith("internal error:")
 
+    def test_world_cap_is_a_usage_error(self, capsys):
+        code, _, err = run(
+            capsys, "prove", AXIOM_M, "--logic", "E", "--model", "standard-rough",
+            "--rough-cap", "1",
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert "--rough-cap" in err
+
+    @pytest.mark.parametrize("depth, code", [(150, 1), (200, 2)])
+    def test_deep_nesting(self, capsys, default_recursion_limit, depth, code):
+        text = "(" * depth + "p" + ")" * depth
+        assert run(capsys, "prove", text, "--logic", "E")[0] == code
+        assert run(capsys, "prove", f"{text} => q", "--logic", "E")[0] == code
+
     def test_proved_json_carries_the_derivation(self, capsys):
         code, out, _ = run(
             capsys, "prove", "p -> p", "--logic", "E", "--output", "json"
@@ -198,10 +213,14 @@ class TestCheckModel:
         code, _, _ = run(capsys, "check-model", path, "p", "--logic", "E")
         assert code == 2
 
-    def test_bad_formula(self, capsys, tmp_path):
+    def test_bad_formula(self, capsys, tmp_path, default_recursion_limit):
         path = self.write_model(tmp_path, PAPER_MODEL)
         code, _, _ = run(capsys, "check-model", path, "p &", "--logic", "E")
         assert code == 2
+        deep = "(" * 200 + "p" + ")" * 200
+        code, _, err = run(capsys, "check-model", path, deep, "--logic", "E")
+        assert code == 2
+        assert "nested too deeply" in err
 
 
 class TestTranslate:
@@ -239,30 +258,25 @@ class TestTranslate:
         assert code == 2
 
 
-class TestBench:
-    def test_json_smoke(self, capsys):
-        argv = (
-            "bench", "--logics", "E,MC", "--sizes", "3", "--count", "2",
-            "--seed", "7", "--output", "json",
-        )
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        rows = json.loads(out)
-        assert len(rows) == 2
-        for row in rows:
-            assert row["count"] == 2
-            assert row["proved"] + row["refuted"] + row["budget_exceeded"] == 2
-            assert row["max_components"] >= 1
+class TestRepeatedCalls:
+    """One process, many calls: no call may see another's flags."""
 
-        def stable(r):
-            return {k: v for k, v in r.items() if not k.startswith("time_")}
-
-        code, out2, _ = run(capsys, *argv)
-        assert [stable(r) for r in json.loads(out2)] == [stable(r) for r in rows]
-
-    def test_text_smoke(self, capsys):
+    def test_countermodel_kinds_do_not_carry_over(self, capsys):
         code, out, _ = run(
-            capsys, "bench", "--logics", "E", "--sizes", "2", "--count", "1"
+            capsys, "prove", AXIOM_M, "--logic", "E", "--model", "standard-rough",
+            "--output", "json",
         )
+        assert code == 1
+        assert set(json.loads(out)["countermodels"]) == {"bi", "standard-rough"}
+        code, out, _ = run(capsys, "prove", AXIOM_M, "--logic", "E", "--output", "json")
+        assert code == 1
+        assert set(json.loads(out)["countermodels"]) == {"bi"}
+
+    def test_a_usage_error_leaves_the_next_call_alone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["prove", "p", "--logic", "E", "--mode", "sideways"])
+        assert exc.value.code == 2
+        assert run(capsys, "prove", "p", "--logic", "QX")[0] == 2
+        code, out, _ = run(capsys, "prove", "p -> p", "--logic", "E")
         assert code == 0
-        assert "max_hypersequent_size" in out
+        assert out.startswith("proved (E")

@@ -83,6 +83,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("box & p")
 
+    def test_deep_nesting(self, default_recursion_limit):
+        assert parse("(" * 150 + "p" + ")" * 150) == p
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("(" * 200 + "p" + ")" * 200)
+
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError) as err:
             parse("p & ?")

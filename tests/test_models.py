@@ -160,12 +160,29 @@ class TestRelationalConditions:
         bad = RelationalModel.make([1, 2], [], {1: [1]}, {})
         assert check_conditions(bad, parse_logic_name("MCT"))["T"][0] == "fail"
 
-    def test_other_conditions_are_reported_unchecked(self):
+    def test_n_and_seriality_are_checked(self):
         m = RelationalModel.make([1], [], {}, {})
         report = check_conditions(m, parse_logic_name("MCNP"))
-        assert report["N"] == ("unchecked", None)
-        assert report["P"] == ("unchecked", None)
-        assert conditions_ok(report)
+        assert report["N"] == ("pass", None)
+        assert report["P"] == ("fail", 1)
+        assert not conditions_ok(report)
+
+    def test_n_fails_at_the_first_non_normal_world(self):
+        m = RelationalModel.make([1, 2, 3], [3, 2], {1: [2]}, {})
+        assert check_conditions(m, parse_logic_name("MCN"))["N"] == ("fail", 2)
+
+    @pytest.mark.parametrize("name, keys", [
+        ("MCP", ["P"]),
+        ("MCD", ["D"]),
+        ("MCD3+", ["RD1+", "RD2+", "RD3+"]),
+    ])
+    def test_seriality_on_normal_worlds(self, name, keys):
+        # world 3 is non-normal, so it needs no successor
+        serial = RelationalModel.make([1, 2, 3], [3], {1: [2], 2: [2]}, {})
+        stuck = RelationalModel.make([1, 2, 3], [3], {1: [2]}, {})
+        logic = parse_logic_name(name)
+        assert check_conditions(serial, logic) == {k: ("pass", None) for k in keys}
+        assert check_conditions(stuck, logic) == {k: ("fail", 2) for k in keys}
 
 
 class TestExtraction:
