@@ -37,7 +37,7 @@ from functools import cache
 from itertools import combinations
 from typing import Callable, Iterator, NamedTuple
 
-from .formula import And, Bottom, Box, Formula, Imp, Or, TOP, sort_key
+from .formula import And, BOTTOM, Box, Formula, Imp, Or, TOP, sort_key
 from .hypersequent import (
     Block,
     Component,
@@ -94,7 +94,7 @@ def initial_evidence(h: Hypersequent) -> tuple[RuleId, int, Formula | None] | No
     for c in h.components:
         ls = left_set(c.seq)
         rs = right_set(c.seq)
-        if Bottom() in ls:
+        if BOTTOM in ls:
             return (BOT_L, c.cid, None)
         if TOP in rs:
             return (TOP_R, c.cid, None)
@@ -328,37 +328,21 @@ def _apply(
     )
 
 
-class _Sides(dict):
-    """Component id -> antecedent set, succedent set and block sets of that
-    component of h, each looked up once, when first needed."""
-
-    def __init__(self, h: Hypersequent):
-        self.h = h
-
-    def __missing__(self, cid: int):
-        s = self.h.component(cid)
-        out = self[cid] = (left_set(s), right_set(s), block_sets(s))
-        return out
-
-
-def _adds_nothing(sides: _Sides, rd: RuleDef, cid: int, schema: tuple[Premiss, ...]) -> bool:
+def _adds_nothing(h: Hypersequent, rd: RuleDef, s: Sequent, schema: tuple[Premiss, ...]) -> bool:
     """The local loop check of the cumulative reading (see the module
-    docstring); cid is the principal's component."""
+    docstring); s is the principal's component."""
     for p in schema:
         if rd.spawns:
             left, right = frozenset(p.left), frozenset(p.right)
-            for c in sides.h.components:
-                ls, rs, _ = sides[c.cid]
-                if left <= ls and right <= rs:
+            for c in h.components:
+                if left <= left_set(c.seq) and right <= right_set(c.seq):
                     return True
-        else:
-            ls, rs, bsets = sides[cid]
-            if (
-                ls.issuperset(p.left)
-                and rs.issuperset(p.right)
-                and all(frozenset(b) in bsets for b in p.blocks)
-            ):
-                return True
+        elif (
+            left_set(s).issuperset(p.left)
+            and right_set(s).issuperset(p.right)
+            and all(frozenset(b) in block_sets(s) for b in p.blocks)
+        ):
+            return True
     return False
 
 
@@ -380,10 +364,9 @@ def build_premisses(h: Hypersequent, rule: RuleId, cid: int, principal: tuple) -
 
 def iter_instances(h: Hypersequent, l: LogicSpec) -> Iterator[RuleInstance]:
     """Cumulative instances that pass the loop check, in strategy order."""
-    sides = _Sides(h)
     for rd, c, principal in _candidates(h, rule_groups(l)):
         schema = rd.schema(*principal)
-        if not _adds_nothing(sides, rd, c.cid, schema):
+        if not _adds_nothing(h, rd, c.seq, schema):
             yield RuleInstance(rd.rule, c.cid, principal, _apply(h, c.cid, rd, c.seq, schema, ()))
 
 
@@ -443,7 +426,7 @@ def is_saturated(h: Hypersequent, l: LogicSpec) -> bool:
     all_left = [left_set(s) for s in comps]
     all_right = [right_set(s) for s in comps]
     for s, ls, rs in zip(comps, all_left, all_right):
-        if Bottom() in ls or TOP in rs or ls & rs:
+        if BOTTOM in ls or TOP in rs or ls & rs:
             return False
         for f in ls:
             match f:

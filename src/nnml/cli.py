@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 
-from .formula import Formula, parse, subformula_closure, to_text
+from .formula import Box, Formula, TOP, parse, subformula_closure, to_text
 from .hypersequent import Hypersequent, interpret, parse_input, render_hypersequent
 from .labelled import (
     TranslationError,
@@ -94,7 +94,7 @@ def _resolve_logic(args) -> LogicSpec:
 
 
 def _build_config(args) -> Config:
-    budget = args.budget
+    budget = getattr(args, "budget", DEFAULT_BUDGET)  # check-model never searches
     if budget is None:
         env = os.environ.get("NNML_BUDGET")
         if env is not None:
@@ -167,6 +167,10 @@ def _countermodels(leaf: Hypersequent, enumeration: dict[int, int], root: Hypers
                 pool.extend(c.seq.right)
                 for b in c.seq.blocks:
                     pool.extend(b.members)
+            if cfg.logic.has_n:
+                # box true holds everywhere in the bi model, which has N,
+                # so every world's neighbourhoods then hold the world set.
+                pool.append(Box(TOP))
             try:
                 m = standard_from_bi_fine(
                     bi, subformula_closure(pool), supplement=cfg.logic.monotonic, cap=cfg.rough_cap
@@ -415,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula", help="formula text")
     _add_logic_flags(p)
     p.add_argument("--output", choices=["text", "json"], default="text")
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_check_model)
 
     p = sub.add_parser("translate", help="translate into a labelled sequent or derivation")

@@ -6,59 +6,149 @@ modality ``box`` (also spelled ``[]``) with its dual ``dia`` (``<>``).
 Negation, biconditional, and the diamond are sugar and are eliminated at
 parse time: ``~A`` becomes ``A -> false``, ``A <-> B`` becomes the
 conjunction of both implications, and ``dia A`` becomes ``~box ~A``.
+
+Formulas, and the blocks, sequents and hypersequents made of them, are
+interned: building one returns the one live value of that structure, so
+``==`` and ``hash`` are identity. The intern table holds values weakly,
+and what is derived from a value is kept on it (``derived``), so both go
+when the value does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
+from operator import attrgetter
+from weakref import ref
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+_LIVE: dict[tuple, ref] = {}
+
+
+class Interned(type):
+    """Metaclass of ``Syntax``: calling a class returns the live value with
+    those fields, and builds one only when there is none."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:  # fields by keyword, as dataclasses.replace passes them
+            args = super().__call__(*args, **kwargs).__reduce__()[1]
+        key = (cls, *args)
+        r = _LIVE.get(key)
+        obj = None if r is None else r()
+        if obj is None:
+            obj = super().__call__(*args)
+            # The entry goes when obj does, unless a new value holds it by then.
+            _LIVE[key] = ref(obj, lambda r, key=key: _LIVE.get(key) is r and _LIVE.pop(key))
+        return obj
+
+
+class Syntax(metaclass=Interned):
+    """Base of the interned classes, frozen dataclasses made by ``syntax``
+    that keep the identity ``==`` and ``hash`` of ``object``."""
+
+    __slots__ = ("__weakref__",)
+
+    def __getattr__(self, name: str):
+        # Reached only for a missing attribute, as a derived field is until first use.
+        f = type(self).__dataclass_fields__.get(name)
+        if f is None or "compute" not in f.metadata:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = f.metadata["compute"](self)
+        object.__setattr__(self, name, value)
+        return value
+
+    def __reduce__(self):  # copy and pickle rebuild through the class, so find the live value
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+syntax = dataclass(frozen=True, slots=True, eq=False)
+
+
+def derived(compute=None):
+    """A field for a value derived from the others: ``compute(value)`` on
+    first use, or else set by ``__post_init__``."""
+    return field(init=False, repr=False, metadata={"compute": compute} if compute else {})
+
+
+# The total structural order used to canonicalize every multiset downstream.
+sort_key = attrgetter("_sort_key")
+
+# The number of syntax-tree nodes; the size measure for complexity bounds.
+node_count = attrgetter("_node_count")
+
+
+def operands(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas."""
+    return () if isinstance(f, Atom) else tuple(map(f.__getattribute__, f.__match_args__))
+
+
+@syntax
+class Formula(Syntax):
+    """Base of the formula classes, with the values kept on each formula.
+
+    The sort key puts atoms first (alphabetically), then the constants,
+    then box, then the binary connectives (by ``_rank``); a compound key
+    holds the keys of the operands.
+    """
+
+    _sort_key: tuple = derived()
+    _node_count: int = derived()
+    # The formula itself is left out: a value kept on a formula that
+    # refers back to it would keep it alive after its last use.
+    _proper_subformulas: frozenset[Formula] = derived(
+        lambda f: frozenset().union(*map(subformulas, operands(f)))
+    )
+
+    def __post_init__(self):
+        parts = operands(self)
+        key = (0, self.name) if isinstance(self, Atom) else (self._rank, *map(sort_key, parts))
+        object.__setattr__(self, "_sort_key", key)
+        object.__setattr__(self, "_node_count", 1 + sum(map(node_count, parts)))
+
+
+@syntax
+class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class Bottom:
-    pass
+@syntax
+class Bottom(Formula):
+    _rank = 1
 
 
-@dataclass(frozen=True, slots=True)
-class Top:
-    pass
+@syntax
+class Top(Formula):
+    _rank = 2
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+@syntax
+class And(Formula):
+    left: Formula
+    right: Formula
+    _rank = 4
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+@syntax
+class Or(Formula):
+    left: Formula
+    right: Formula
+    _rank = 5
 
 
-@dataclass(frozen=True, slots=True)
-class Imp:
-    left: "Formula"
-    right: "Formula"
+@syntax
+class Imp(Formula):
+    left: Formula
+    right: Formula
+    _rank = 6
 
 
-@dataclass(frozen=True, slots=True)
-class Box:
-    body: "Formula"
+@syntax
+class Box(Formula):
+    body: Formula
+    _rank = 3
 
-
-Formula = Atom | Bottom | Top | And | Or | Imp | Box
 
 BOTTOM = Bottom()
 TOP = Top()
-
-RESERVED = frozenset({"true", "false", "box", "dia"})
-
 
 def neg(f: Formula) -> Formula:
     """Negation as implication into falsum."""
@@ -70,32 +160,11 @@ def dia(f: Formula) -> Formula:
     return neg(Box(neg(f)))
 
 
-@cache
-def sort_key(f: Formula) -> tuple:
-    """Total structural order used to canonicalize every multiset downstream.
-
-    Atoms come first (alphabetically), then the constants, then box, then
-    the binary connectives; compound keys recurse on the operands.
-    """
-    match f:
-        case Atom(name):
-            return (0, name)
-        case Bottom():
-            return (1,)
-        case Top():
-            return (2,)
-        case Box(body):
-            return (3, sort_key(body))
-        case And(left, right):
-            return (4, sort_key(left), sort_key(right))
-        case Or(left, right):
-            return (5, sort_key(left), sort_key(right))
-        case Imp(left, right):
-            return (6, sort_key(left), sort_key(right))
-    raise TypeError(f"not a formula: {f!r}")
+def subformulas(f: Formula) -> frozenset[Formula]:
+    """The subformula-closed set generated by ``f``, including ``f``."""
+    return f._proper_subformulas | {f}
 
 
-@cache
 def weight(f: Formula) -> int:
     """Termination measure: connectives count 1, box counts 2, leaves 0."""
     match f:
@@ -108,20 +177,6 @@ def weight(f: Formula) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-@cache
-def node_count(f: Formula) -> int:
-    """Number of syntax-tree nodes; the size measure for complexity bounds."""
-    match f:
-        case Atom() | Bottom() | Top():
-            return 1
-        case Box(body):
-            return node_count(body) + 1
-        case And(left, right) | Or(left, right) | Imp(left, right):
-            return node_count(left) + node_count(right) + 1
-    raise TypeError(f"not a formula: {f!r}")
-
-
-@cache
 def modal_depth(f: Formula) -> int:
     match f:
         case Atom() | Bottom() | Top():
@@ -130,19 +185,6 @@ def modal_depth(f: Formula) -> int:
             return modal_depth(body) + 1
         case And(left, right) | Or(left, right) | Imp(left, right):
             return max(modal_depth(left), modal_depth(right))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-@cache
-def subformulas(f: Formula) -> frozenset[Formula]:
-    """The subformula-closed set generated by ``f``, including ``f``."""
-    match f:
-        case Atom() | Bottom() | Top():
-            return frozenset({f})
-        case Box(body):
-            return subformulas(body) | {f}
-        case And(left, right) | Or(left, right) | Imp(left, right):
-            return subformulas(left) | subformulas(right) | {f}
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -11,12 +11,17 @@ Text syntax: components are separated by ``|``, antecedent items by
 commas, blocks written ``<A, B>``, and the two sides split by ``=>``.
 Disjunctions rendered inside a sequent are parenthesized so that the
 component separator stays unambiguous.
+
+Blocks, sequents, components and hypersequents are interned like
+formulas (see ``formula.Syntax``), so equal ones are one object. What
+is derived from a block or sequent is kept on it, computed on first use:
+a block's sort key, and a sequent's antecedent, succedent and block
+member sets and its sort key, which orders components in lean search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
+from operator import attrgetter
 
 from .formula import (
     And,
@@ -26,19 +31,23 @@ from .formula import (
     Or,
     ParseError,
     Box,
+    Syntax,
     Token,
     TOP,
+    derived,
+    node_count,
     parse_formula_tokens,
     sort_key,
+    syntax,
     to_text,
     tokenize,
-    weight,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Block:
+@syntax
+class Block(Syntax):
     members: tuple[Formula, ...]
+    _key: tuple = derived(lambda b: tuple(map(sort_key, b.members)))
 
     @staticmethod
     def of(items) -> "Block":
@@ -54,20 +63,20 @@ class Block:
         return Block.of(self.members + other.members)
 
 
-@cache
-def block_key(b: Block) -> tuple:
-    return tuple(sort_key(m) for m in b.members)
+block_key = attrgetter("_key")
 
 
-def block_weight(b: Block) -> int:
-    return max(weight(m) for m in b.members) + 1
-
-
-@dataclass(frozen=True, slots=True)
-class Sequent:
+@syntax
+class Sequent(Syntax):
     left: tuple[Formula, ...]
     blocks: tuple[Block, ...]
     right: tuple[Formula, ...]
+    _left_set: frozenset[Formula] = derived(lambda s: frozenset(s.left))
+    _right_set: frozenset[Formula] = derived(lambda s: frozenset(s.right))
+    _block_sets: tuple[frozenset[Formula], ...] = derived(lambda s: tuple(map(Block.member_set, s.blocks)))
+    _key: tuple = derived(
+        lambda s: (tuple(map(sort_key, s.left)), tuple(map(block_key, s.blocks)), tuple(map(sort_key, s.right)))
+    )
 
     @staticmethod
     def of(left=(), blocks=(), right=()) -> "Sequent":
@@ -84,25 +93,14 @@ class Sequent:
         return not (self.left or self.blocks or self.right)
 
 
-@cache
-def left_set(s: Sequent) -> frozenset[Formula]:
-    return frozenset(s.left)
-
-
-@cache
-def right_set(s: Sequent) -> frozenset[Formula]:
-    return frozenset(s.right)
-
-
-@cache
-def block_sets(s: Sequent) -> tuple[frozenset[Formula], ...]:
-    return tuple(b.member_set() for b in s.blocks)
+left_set = attrgetter("_left_set")
+right_set = attrgetter("_right_set")
+block_sets = attrgetter("_block_sets")
+sequent_key = attrgetter("_key")
 
 
 def sequent_nodes(s: Sequent) -> int:
     """Total formula-node count, the size measure for complexity bounds."""
-    from .formula import node_count
-
     total = sum(node_count(f) for f in s.left)
     total += sum(node_count(f) for f in s.right)
     for b in s.blocks:
@@ -110,20 +108,14 @@ def sequent_nodes(s: Sequent) -> int:
     return total
 
 
-def sequent_weight(s: Sequent) -> int:
-    total = sum(weight(f) for f in s.left) + sum(weight(f) for f in s.right)
-    total += sum(block_weight(b) for b in s.blocks)
-    return total
-
-
-@dataclass(frozen=True, slots=True)
-class Component:
+@syntax
+class Component(Syntax):
     cid: int
     seq: Sequent
 
 
-@dataclass(frozen=True, slots=True)
-class Hypersequent:
+@syntax
+class Hypersequent(Syntax):
     components: tuple[Component, ...]
 
     @staticmethod

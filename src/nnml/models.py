@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .calculus import is_saturated
-from .formula import And, Atom, Bottom, Box, Formula, Imp, Or, Top
+from .formula import And, Atom, Bottom, Box, Formula, Imp, Or, Top, operands, sort_key
 from .hypersequent import Hypersequent, block_sets, left_set, right_set
 from .logic import LogicSpec
 
@@ -455,12 +455,12 @@ def standard_from_bi_fine(
     """
     fs = frozenset(s)
     for f in fs:
-        missing = _direct_subformulas(f) - fs
+        missing = frozenset(operands(f)) - fs
         if missing:
             raise ValueError(
                 f"formula set is not closed under subformulas: missing {next(iter(missing))!r}"
             )
-    boxed = sorted((f for f in fs if isinstance(f, Box)), key=_formula_order)
+    boxed = sorted((f for f in fs if isinstance(f, Box)), key=sort_key)
     if supplement and boxed and len(m.worlds) > cap:
         raise ValueError(
             f"supplemented transformation needs at most {cap} worlds, got {len(m.worlds)}"
@@ -474,21 +474,6 @@ def standard_from_bi_fine(
             else:
                 nbhd[w].add(body_ts)
     return StandardModel.make(m.worlds, m.valuation, nbhd)
-
-
-def _direct_subformulas(f: Formula) -> frozenset[Formula]:
-    match f:
-        case And(a, b) | Or(a, b) | Imp(a, b):
-            return frozenset((a, b))
-        case Box(a):
-            return frozenset((a,))
-    return frozenset()
-
-
-def _formula_order(f: Formula):
-    from .formula import sort_key
-
-    return sort_key(f)
 
 
 def model_size(m: Model) -> int:

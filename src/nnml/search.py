@@ -28,16 +28,15 @@ from .calculus import (
     is_initial,
     lean_premisses,
 )
-from .formula import Bottom, TOP, sort_key
+from .formula import BOTTOM, TOP
 from .hypersequent import (
     Block,
     Component,
     Hypersequent,
-    Sequent,
-    block_key,
     left_set,
     render_hypersequent,
     right_set,
+    sequent_key,
 )
 from .logic import BOT_L, INIT, LogicSpec, RuleId, TOP_R, rule_set
 
@@ -168,14 +167,6 @@ def prove(
 # --- lean (principal-deleting) mode ---------------------------------------
 
 
-def _seq_sort_token(s: Sequent):
-    return (
-        tuple(sort_key(f) for f in s.left),
-        tuple(block_key(b) for b in s.blocks),
-        tuple(sort_key(f) for f in s.right),
-    )
-
-
 def _normalize(h: Hypersequent) -> Hypersequent:
     """Canonical form: components sorted, exact duplicates collapsed.
 
@@ -183,7 +174,7 @@ def _normalize(h: Hypersequent) -> Hypersequent:
     weakening read backwards; both are admissible, so derivability is
     unchanged and the reachable state space becomes finite.
     """
-    seqs = sorted((c.seq for c in h.components), key=_seq_sort_token)
+    seqs = sorted((c.seq for c in h.components), key=sequent_key)
     out = []
     for s in seqs:
         if not out or out[-1] != s:
@@ -221,8 +212,6 @@ def prove_unkleened(
                 for c in h.components
             )
         )
-    if sys.getrecursionlimit() < 20000:
-        sys.setrecursionlimit(20000)
     memo: dict[Hypersequent, bool] = {}
     visited = 0
     no_cut = sys.maxsize
@@ -250,7 +239,9 @@ def prove_unkleened(
         tried: set[tuple] = set()
         try:
             for prems in lean_premisses(g, l):
-                key = tuple(sorted(map(_hyp_token, prems)))
+                # Premisses of g number their components as g does, so ones with
+                # equal sequents are one object; sorting by id ignores their order.
+                key = tuple(sorted(prems, key=id))
                 if key in tried:
                     continue
                 tried.add(key)
@@ -275,12 +266,15 @@ def prove_unkleened(
             return False, no_cut
         return False, lowest
 
-    result, _ = run(h, {}, 0)
+    # The search recurses once per goal on a branch; the limit is the
+    # caller's again on return.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20000))
+    try:
+        result, _ = run(h, {}, 0)
+    finally:
+        sys.setrecursionlimit(limit)
     return result
-
-
-def _hyp_token(h: Hypersequent):
-    return tuple(_seq_sort_token(c.seq) for c in h.components)
 
 
 # --- derivation checking ---------------------------------------------------
@@ -302,7 +296,7 @@ def _check_leaf(d: Derivation) -> str | None:
     except KeyError:
         return "leaf names a component that is not in its conclusion"
     if d.rule == BOT_L:
-        if Bottom() in left_set(s):
+        if BOTTOM in left_set(s):
             return None
         return "claimed falsum axiom but no falsum in the antecedent"
     if d.rule == TOP_R:

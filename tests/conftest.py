@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -42,14 +41,3 @@ rngs = st.integers(min_value=0, max_value=2**32 - 1).map(random.Random)
 @pytest.fixture(scope="session")
 def rng():
     return random.Random(20240817)
-
-
-@pytest.fixture
-def default_recursion_limit():
-    """The interpreter's default recursion limit for one test. The lean
-    prover raises the limit for the whole process, and how deep a formula
-    may nest before parsing gives up depends on it."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(old)

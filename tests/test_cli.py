@@ -133,6 +133,16 @@ class TestProve:
         assert code == 3
         assert err.startswith("internal error:")
 
+    @pytest.mark.parametrize("logic", ["EN", "MN", "ECND2+", "MCNP"])
+    def test_standard_fine_keeps_n(self, capsys, logic):
+        code, out, _ = run(
+            capsys, "prove", "p", "--logic", logic, "--model", "standard-fine",
+            "--output", "json",
+        )
+        assert code == 1
+        fine = model_from_dict(json.loads(out)["countermodels"]["standard-fine"])
+        assert all(fine.worlds in fine.nbhd[w] for w in fine.worlds)
+
     def test_world_cap_is_a_usage_error(self, capsys):
         code, _, err = run(
             capsys, "prove", AXIOM_M, "--logic", "E", "--model", "standard-rough",
@@ -143,7 +153,7 @@ class TestProve:
         assert "--rough-cap" in err
 
     @pytest.mark.parametrize("depth, code", [(150, 1), (200, 2)])
-    def test_deep_nesting(self, capsys, default_recursion_limit, depth, code):
+    def test_deep_nesting(self, capsys, depth, code):
         text = "(" * depth + "p" + ")" * depth
         assert run(capsys, "prove", text, "--logic", "E")[0] == code
         assert run(capsys, "prove", f"{text} => q", "--logic", "E")[0] == code
@@ -202,6 +212,14 @@ class TestCheckModel:
         assert payload["false_at"] == [2]
         assert payload["conditions"] == {}
 
+    def test_takes_no_budget(self, capsys, tmp_path, monkeypatch):
+        path = self.write_model(tmp_path, PAPER_MODEL)
+        monkeypatch.setenv("NNML_BUDGET", "lots")
+        assert run(capsys, "check-model", path, "p", "--logic", "E")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["check-model", path, "p", "--logic", "E", "--budget", "0"])
+        assert exc.value.code == 2
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "check-model", str(tmp_path / "nope.json"), "p", "--logic", "E"
@@ -213,7 +231,7 @@ class TestCheckModel:
         code, _, _ = run(capsys, "check-model", path, "p", "--logic", "E")
         assert code == 2
 
-    def test_bad_formula(self, capsys, tmp_path, default_recursion_limit):
+    def test_bad_formula(self, capsys, tmp_path):
         path = self.write_model(tmp_path, PAPER_MODEL)
         code, _, _ = run(capsys, "check-model", path, "p &", "--logic", "E")
         assert code == 2
@@ -280,3 +298,9 @@ class TestRepeatedCalls:
         code, out, _ = run(capsys, "prove", "p -> p", "--logic", "E")
         assert code == 0
         assert out.startswith("proved (E")
+
+    def test_lean_mode_leaves_the_recursion_limit_alone(self, capsys):
+        deep = "(" * 200 + "p" + ")" * 200
+        assert run(capsys, "prove", deep, "--logic", "E")[0] == 2
+        assert run(capsys, "prove", "p -> p", "--logic", "E", "--mode", "unkleened")[0] == 0
+        assert run(capsys, "prove", deep, "--logic", "E")[0] == 2

@@ -83,7 +83,7 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("box & p")
 
-    def test_deep_nesting(self, default_recursion_limit):
+    def test_deep_nesting(self):
         assert parse("(" * 150 + "p" + ")" * 150) == p
         with pytest.raises(ParseError, match="nested too deeply"):
             parse("(" * 200 + "p" + ")" * 200)

@@ -1,10 +1,14 @@
-"""Blocks, sequents, hypersequents: canonical order, notation, subsumption."""
+"""Blocks, sequents, hypersequents: canonical order, notation, subsumption,
+and the interning they share with formulas."""
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import given
 
 from conftest import rngs, small_formulas
-from nnml.formula import And, Atom, BOTTOM, Box, Imp, Or, ParseError, TOP
+from nnml.formula import And, Atom, BOTTOM, Box, Imp, Or, ParseError, TOP, node_count, parse, sort_key, subformulas
 from nnml.gen import random_hypersequent
 from nnml.hypersequent import (
     Block,
@@ -64,6 +68,23 @@ class TestSequents:
     def test_node_measure(self):
         s = Sequent.of([And(p, q)], [Block.of([p])], [Box(p)])
         assert sequent_nodes(s) == 3 + 1 + 2
+
+
+class TestInterning:
+    def test_equal_values_are_one_object(self):
+        assert And(p, q) is And(p, q)
+        assert And(left=p, right=q) is And(p, q)
+        s = Sequent.of([q, p], [Block.of([r])], [Box(p)])
+        assert Sequent.of([p, q], [Block.of([r])], [Box(Atom("p"))]) is s
+
+    def test_unused_values_are_freed(self):
+        f = parse("fresh1 & box fresh2")
+        s = Sequent.of([f], [], [f])
+        sort_key(f), node_count(f), subformulas(f), left_set(s)
+        ref = weakref.ref(f)
+        del f, s
+        gc.collect()
+        assert ref() is None
 
 
 class TestHypersequents:
