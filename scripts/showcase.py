@@ -1,36 +1,30 @@
-"""Walk the classic separation examples end to end.
+"""Walk the classic separation examples end to end through ``nnml``.
 
-For each gallery entry the script proves or refutes the formula, then
-shows what falls out: a rule-by-rule derivation (and its labelled
-translation for cube logics) when proved, or a verified countermodel in
-every semantics the logic supports when refuted. The same formula under
-two logics makes the separation visible, e.g. the two-obligation
-dilemma is consistent in ED but inconsistent once joint obligations or
-a three-way bound enter.
+Each gallery entry is decided by ``nnml prove``, with the countermodel
+the logic supports best (relational for regular logics, standard
+otherwise); a proved entry in the classical cube is also shown as a
+labelled derivation by ``nnml translate --derive``. Every call goes
+through ``nnml.cli.main``, so each derivation and countermodel shown has
+passed the CLI's audit. The same formula under two logics makes the
+separation visible, e.g. the two-obligation dilemma is consistent in ED
+but inconsistent once joint obligations or a three-way bound enter.
 
 Usage:
     python3 scripts/showcase.py
     python3 scripts/showcase.py --case hansson-ecd --output json
+
+Exits 0 when every call proved or refuted its goal, and otherwise with
+the first other exit code of ``nnml``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import shlex
 import sys
 
-from nnml.formula import parse, subformula_closure
-from nnml.hypersequent import parse_input, render_hypersequent
-from nnml.labelled import render_labelled_sequent, translate_derivation
-from nnml.logic import canonical_name, parse_logic_name
-from nnml.models import (
-    check_conditions,
-    extract_bi_countermodel,
-    extract_relational_countermodel,
-    model_to_dict,
-    standard_from_bi_fine,
-)
-from nnml.search import Proved, prove
+from nnml.cli import EXIT_PROVED, EXIT_REFUTED, main as nnml
+from nnml.logic import parse_logic_name
 
 HANSSON = "~(box a1 & box a2 & box ~(a1 & a2))"
 
@@ -47,65 +41,22 @@ GALLERY = [
 ]
 
 
-def derivation_lines(d, depth=0):
-    lines = [f"{'  ' * depth}[{d.rule.name}] {render_hypersequent(d.conclusion)}"]
-    for child in d.children:
-        lines.extend(derivation_lines(child, depth + 1))
-    return lines
-
-
-def labelled_lines(d, depth=0):
-    lines = [f"{'  ' * depth}[{d.rule}] {render_labelled_sequent(d.conclusion)}"]
-    for child in d.children:
-        lines.extend(labelled_lines(child, depth + 1))
-    return lines
-
-
-def run_case(name: str, text: str, logic_name: str) -> dict:
-    l = parse_logic_name(logic_name)
-    h = parse_input(text)
-    outcome = prove(h, l)
-    entry: dict = {"case": name, "formula": text, "logic": canonical_name(l)}
-    if isinstance(outcome, Proved):
-        entry["outcome"] = "proved"
-        entry["derivation"] = derivation_lines(outcome.derivation)
-        if l.cube:
-            entry["labelled"] = labelled_lines(translate_derivation(outcome.derivation, l))
-        return entry
-    entry["outcome"] = "refuted"
-    entry["saturated"] = render_hypersequent(outcome.leaf)
-    m = extract_bi_countermodel(outcome.leaf, outcome.enumeration, l)
-    entry["bi_model"] = model_to_dict(m)
-    entry["conditions"] = {
-        k: status for k, (status, _) in sorted(check_conditions(m, l).items())
-    }
-    if l.monotonic and l.has_c:
-        r = extract_relational_countermodel(outcome.leaf, l)
-        entry["relational_model"] = model_to_dict(r)
-    else:
-        fine = standard_from_bi_fine(
-            m, subformula_closure([parse(text)]), supplement=l.monotonic
-        )
-        entry["standard_model"] = model_to_dict(fine)
-    return entry
-
-
-def print_text(entry: dict) -> None:
-    print(f"=== {entry['case']}: {entry['formula']} in {entry['logic']}")
-    print(f"outcome: {entry['outcome']}")
-    if entry["outcome"] == "proved":
-        print("derivation:")
-        print("\n".join("  " + line for line in entry["derivation"]))
-        if "labelled" in entry:
-            print("labelled translation:")
-            print("\n".join("  " + line for line in entry["labelled"]))
-    else:
-        print(f"saturated leaf: {entry['saturated']}")
-        for key in ("bi_model", "relational_model", "standard_model"):
-            if key in entry:
-                print(f"{key}: {json.dumps(entry[key])}")
-        print(f"frame conditions: {entry['conditions']}")
+def run(argv: list[str]) -> int:
+    print(f"$ nnml {shlex.join(argv)}")
+    code = nnml(argv)
     print()
+    return code
+
+
+def run_case(name: str, text: str, logic_name: str, output: str) -> int:
+    logic = parse_logic_name(logic_name)
+    kind = "relational" if logic.regular else "standard-fine"
+    print(f"=== {name}: {text} in {logic_name}")
+    flags = ["--logic", logic_name, "--output", output]
+    code = run(["prove", text, *flags, "--model", kind])
+    if code == EXIT_PROVED and logic.cube:
+        code = run(["translate", text, *flags, "--derive"])
+    return code
 
 
 def main(argv=None) -> int:
@@ -114,13 +65,11 @@ def main(argv=None) -> int:
     ap.add_argument("--output", choices=("text", "json"), default="text")
     args = ap.parse_args(argv)
 
-    cases = [c for c in GALLERY if args.case in (None, c[0])]
-    entries = [run_case(*case) for case in cases]
-    if args.output == "json":
-        print(json.dumps(entries, indent=2))
-    else:
-        for entry in entries:
-            print_text(entry)
+    for case in GALLERY:
+        if args.case in (None, case[0]):
+            code = run_case(*case, args.output)
+            if code not in (EXIT_PROVED, EXIT_REFUTED):
+                return code
     return 0
 
 

@@ -42,7 +42,6 @@ from .logic import (
     LogicSpec,
     RuleId,
     canonical_name,
-    logic_from_axioms,
     parse_logic_name,
     rule_set,
 )
@@ -92,7 +91,6 @@ from .models import (
 from .labelled import (
     ForcesAll,
     ForcesEx,
-    LabelledCheckReport,
     LabelledDerivation,
     LabelledSequent,
     MemberOf,

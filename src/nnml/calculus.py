@@ -227,7 +227,7 @@ def _graded(arity: int) -> RuleDef:
     )
 
 
-def _rule_def(rule: RuleId) -> RuleDef:
+def rule_def(rule: RuleId) -> RuleDef:
     if rule.name == "DnPlus" and rule.arity >= 1:
         return _graded(rule.arity)
     try:
@@ -352,7 +352,7 @@ def build_premisses(h: Hypersequent, rule: RuleId, cid: int, principal: tuple) -
     Principal data that does not fit the rule or does not occur in the
     target component raises InvalidInstance.
     """
-    rd = _rule_def(rule)
+    rd = rule_def(rule)
     shape = (Block,) * rd.blocks + ((rd.connective,) if rd.connective else ())
     if len(principal) != len(shape) or not all(map(isinstance, principal, shape)):
         names = ", ".join(t.__name__ for t in shape) or "nothing"

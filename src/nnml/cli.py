@@ -1,22 +1,32 @@
-"""Command-line front-end for proving, model checking and translation.
+"""Command-line front end: the one path from a goal to printed output.
+
+``prove`` decides a formula or hypersequent. A proof is printed only
+after ``check_derivation`` accepts it; a refutation prints the saturated
+leaf and countermodels, each re-verified first: its frame conditions
+hold, and at each component's world every antecedent formula and every
+block's boxed conjunction holds while no succedent formula does.
+``translate`` gives the labelled sequent of a goal in the classical
+cube, or with ``--derive`` the labelled derivation of its proof, printed
+only after ``check_labelled`` accepts it. ``check-model`` evaluates a
+formula in a JSON model and reports the logic's frame conditions.
+
+``--logic`` names the logic, ``--budget`` bounds the hypersequents a
+search may visit. Each command builds one payload, which ``--output
+json`` prints as JSON and ``--output text`` as lines read off it.
 
 Exit codes are a stable contract: 0 proved, 1 refuted, 2 usage or parse
-error, 3 internal verification failure, 4 budget exceeded. Every
-countermodel is re-verified in process (frame conditions plus
-falsification of each component at its world) before it is printed.
+error, 3 internal verification failure, 4 budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from functools import cache
 
-from .formula import Box, Formula, TOP, parse, subformula_closure, to_text
-from .hypersequent import Hypersequent, interpret, parse_input, render_hypersequent
+from .formula import Box, TOP, parse, subformula_closure, to_text
+from .hypersequent import Hypersequent, conjunction, parse_input, render_hypersequent
 from .labelled import (
     TranslationError,
     check_labelled,
@@ -25,7 +35,7 @@ from .labelled import (
     translate_derivation,
     translate_hypersequent,
 )
-from .logic import LogicNameError, LogicSpec, canonical_name, logic_from_axioms, parse_logic_name
+from .logic import LogicNameError, LogicSpec, canonical_name, parse_logic_name
 from .models import (
     check_conditions,
     conditions_ok,
@@ -40,7 +50,6 @@ from .models import (
 )
 from .search import (
     BudgetExceeded,
-    Derivation,
     Proved,
     Refuted,
     SearchStats,
@@ -67,52 +76,19 @@ class InternalError(Exception):
     """A result failed its in-process verification: exit status 3."""
 
 
-@dataclass(frozen=True, slots=True)
-class Config:
-    logic: LogicSpec
-    mode: str = "invertible"
-    output: str = "text"
-    budget: int = DEFAULT_BUDGET
-    rough_cap: int = 20
-
-
-def _resolve_logic(args) -> LogicSpec:
-    if getattr(args, "axioms", None):
-        names = [a.strip() for a in args.axioms.split(",") if a.strip()]
-        try:
-            return logic_from_axioms(names, getattr(args, "dplus", None))
-        except LogicNameError as e:
-            raise CliError(str(e))
-    if getattr(args, "logic", None):
-        if getattr(args, "dplus", None) is not None:
-            raise CliError("--dplus only combines with --axioms; name the graded logic instead (e.g. ED3+)")
-        try:
-            return parse_logic_name(args.logic)
-        except LogicNameError as e:
-            raise CliError(str(e))
-    raise CliError("one of --logic or --axioms is required")
-
-
-def _build_config(args) -> Config:
-    budget = getattr(args, "budget", DEFAULT_BUDGET)  # check-model never searches
-    if budget is None:
-        env = os.environ.get("NNML_BUDGET")
-        if env is not None:
-            try:
-                budget = int(env)
-            except ValueError:
-                raise CliError(f"NNML_BUDGET is not a number: {env!r}")
-        else:
-            budget = DEFAULT_BUDGET
-    if budget <= 0:
+def _budget(args) -> int:
+    if args.budget <= 0:
         raise CliError("budget must be positive")
-    return Config(
-        logic=_resolve_logic(args),
-        mode=getattr(args, "mode", "invertible"),
-        output=args.output,
-        budget=budget,
-        rough_cap=getattr(args, "rough_cap", 20),
-    )
+    return args.budget
+
+
+def _logic(args) -> LogicSpec:
+    if args.logic is None:
+        raise CliError("--logic is required")
+    try:
+        return parse_logic_name(args.logic)
+    except LogicNameError as e:
+        raise CliError(str(e))
 
 
 def _parse_goal(text: str) -> Hypersequent:
@@ -122,11 +98,24 @@ def _parse_goal(text: str) -> Hypersequent:
         raise CliError(f"cannot parse input: {e}")
 
 
-def _render_derivation_text(d: Derivation, depth: int = 0) -> list[str]:
-    lines = [f"{'  ' * depth}[{d.rule.render()}] {render_hypersequent(d.conclusion)}"]
-    for c in d.children:
-        lines.extend(_render_derivation_text(c, depth + 1))
-    return lines
+def _emit(args, payload: dict, text) -> None:
+    """Print the payload as JSON, or as the text that text(payload) gives."""
+    if args.output == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        print(text(payload))
+
+
+def _tree_text(tree: dict) -> str:
+    """A tree from ``derivation_to_dict`` or ``labelled_derivation_to_dict``,
+    one ``[rule] conclusion`` line per node, indented two spaces a level."""
+    lines = []
+    stack = [(tree, 0)]
+    while stack:
+        t, depth = stack.pop()
+        lines.append(f"{'  ' * depth}[{t['rule']}] {t['conclusion']}")
+        stack.extend((c, depth + 1) for c in reversed(t["premisses"]))
+    return "\n".join(lines)
 
 
 def _verify_countermodel(m, leaf: Hypersequent, world_for, l: LogicSpec) -> None:
@@ -134,150 +123,119 @@ def _verify_countermodel(m, leaf: Hypersequent, world_for, l: LogicSpec) -> None
     if not conditions_ok(report):
         bad = [k for k, (status, _) in report.items() if status == "fail"]
         raise InternalError(f"extracted model fails frame conditions: {', '.join(bad)}")
+    # Formula by formula: the one formula a wide sequent asserts nests as
+    # deep as the sequent is wide.
     for c in leaf.components:
         w = world_for(c.cid)
-        if force(m, w, interpret(c.seq)):
+        s = c.seq
+        holds = [*s.left, *(Box(conjunction(b.members)) for b in s.blocks)]
+        if not all(force(m, w, f) for f in holds) or any(force(m, w, f) for f in s.right):
             raise InternalError(
                 f"extracted model does not falsify component {c.cid} at world {w}"
             )
 
 
-def _countermodels(leaf: Hypersequent, enumeration: dict[int, int], root: Hypersequent, cfg: Config, kinds: list[str]):
-    """Build, verify, and serialize every requested countermodel kind."""
-    out = []
-    bi = extract_bi_countermodel(leaf, enumeration, cfg.logic)
+def _fine_formulas(root: Hypersequent, l: LogicSpec):
+    """The formulas the fine standard model must agree on: the subformulas
+    of the goal."""
+    pool = []
+    for c in root.components:
+        pool.extend(c.seq.left)
+        pool.extend(c.seq.right)
+        for b in c.seq.blocks:
+            pool.extend(b.members)
+    if l.has_n:
+        # box true holds everywhere in the bi model, which has N,
+        # so every world's neighbourhoods then hold the world set.
+        pool.append(Box(TOP))
+    return subformula_closure(pool)
+
+
+def _countermodels(outcome: Refuted, root: Hypersequent, l: LogicSpec, kinds, rough_cap: int) -> dict:
+    """Build and verify the bi countermodel and every other requested kind;
+    each goes out as its dict."""
+    leaf, enumeration = outcome.leaf, outcome.enumeration
     by_enum = lambda cid: enumeration[cid]
-    _verify_countermodel(bi, leaf, by_enum, cfg.logic)
-    for kind in kinds:
+    bi = extract_bi_countermodel(leaf, enumeration, l)
+    _verify_countermodel(bi, leaf, by_enum, l)
+    out = {}
+    for kind in dict.fromkeys(kinds if "bi" in kinds else ["bi", *kinds]):
         if kind == "bi":
-            out.append((kind, bi))
-            continue
-        if kind == "standard-rough":
-            try:
-                m = standard_from_bi_rough(bi, cap=cfg.rough_cap)
-            except ValueError as e:
-                raise CliError(f"{kind} countermodel: {e}; --rough-cap sets the cap") from None
-            _verify_countermodel(m, leaf, by_enum, cfg.logic)
-            out.append((kind, m))
-            continue
-        if kind == "standard-fine":
-            pool = []
-            for c in root.components:
-                pool.extend(c.seq.left)
-                pool.extend(c.seq.right)
-                for b in c.seq.blocks:
-                    pool.extend(b.members)
-            if cfg.logic.has_n:
-                # box true holds everywhere in the bi model, which has N,
-                # so every world's neighbourhoods then hold the world set.
-                pool.append(Box(TOP))
-            try:
-                m = standard_from_bi_fine(
-                    bi, subformula_closure(pool), supplement=cfg.logic.monotonic, cap=cfg.rough_cap
-                )
-            except ValueError as e:
-                raise CliError(f"{kind} countermodel: {e}; --rough-cap sets the cap") from None
-            _verify_countermodel(m, leaf, by_enum, cfg.logic)
-            out.append((kind, m))
+            out[kind] = model_to_dict(bi)
             continue
         if kind == "relational":
-            if not cfg.logic.regular:
+            if not l.regular:
                 raise CliError("relational countermodels need a regular logic (M and C)")
-            m = extract_relational_countermodel(leaf, cfg.logic)
-            _verify_countermodel(m, leaf, lambda cid: cid, cfg.logic)
-            out.append((kind, m))
+            m = extract_relational_countermodel(leaf, l)
+            _verify_countermodel(m, leaf, lambda cid: cid, l)
+            out[kind] = model_to_dict(m)
             continue
-        raise CliError(f"unknown countermodel kind: {kind}")
+        try:
+            if kind == "standard-rough":
+                m = standard_from_bi_rough(bi, cap=rough_cap)
+            else:
+                m = standard_from_bi_fine(
+                    bi, _fine_formulas(root, l), supplement=l.monotonic, cap=rough_cap
+                )
+        except ValueError as e:
+            raise CliError(f"{kind} countermodel: {e}; --rough-cap sets the cap") from None
+        _verify_countermodel(m, leaf, by_enum, l)
+        out[kind] = model_to_dict(m)
     return out
 
 
+def _refuted_text(p: dict) -> str:
+    lines = [
+        f"refuted ({p['logic']}, {p['visited']} nodes visited)",
+        f"saturated leaf: {p['saturated_leaf']}",
+    ]
+    for kind, m in p["countermodels"].items():
+        lines += [f"countermodel [{kind}]:", json.dumps(m, indent=2)]
+    return "\n".join(lines)
+
+
 def cmd_prove(args) -> int:
-    cfg = _build_config(args)
+    budget, l = _budget(args), _logic(args)
     h = _parse_goal(args.input)
-    kinds = list(dict.fromkeys(args.model or []))
-    if cfg.mode == "unkleened":
-        if kinds:
+    if args.mode == "unkleened":
+        if args.model:
             raise CliError("countermodels are only available in invertible mode")
-        try:
-            ok = prove_unkleened(h, cfg.logic, budget=cfg.budget)
-        except BudgetExceeded as e:
-            _emit_budget(cfg, e)
-            return EXIT_BUDGET
+        ok = prove_unkleened(h, l, budget=budget)
         payload = {
-            "logic": canonical_name(cfg.logic),
-            "mode": cfg.mode,
+            "logic": canonical_name(l),
+            "mode": args.mode,
             "input": render_hypersequent(h),
             "outcome": "proved" if ok else "refuted",
         }
-        if cfg.output == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"{payload['outcome']} ({canonical_name(cfg.logic)}, unkleened mode)")
+        _emit(args, payload, lambda p: f"{p['outcome']} ({p['logic']}, unkleened mode)")
         return EXIT_PROVED if ok else EXIT_REFUTED
 
-    if "bi" not in kinds:
-        kinds.insert(0, "bi")
     stats = SearchStats()
-    try:
-        outcome = prove(h, cfg.logic, budget=cfg.budget, stats=stats)
-    except BudgetExceeded as e:
-        _emit_budget(cfg, e)
-        return EXIT_BUDGET
-
+    outcome = prove(h, l, budget=budget, stats=stats)
+    payload = {"logic": canonical_name(l), "input": render_hypersequent(h)}
     if isinstance(outcome, Proved):
-        report = check_derivation(outcome.derivation, cfg.logic)
+        report = check_derivation(outcome.derivation, l)
         if not report:
             raise InternalError(f"derivation failed its audit: {report.reason}")
-        if cfg.output == "json":
-            print(
-                json.dumps(
-                    {
-                        "logic": canonical_name(cfg.logic),
-                        "input": render_hypersequent(h),
-                        "outcome": "proved",
-                        "visited": stats.visited,
-                        "derivation": derivation_to_dict(outcome.derivation),
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            print(f"proved ({canonical_name(cfg.logic)}, {stats.visited} nodes visited)")
-            print("\n".join(_render_derivation_text(outcome.derivation)))
+        payload.update(
+            outcome="proved", visited=stats.visited, derivation=derivation_to_dict(outcome.derivation)
+        )
+        _emit(
+            args,
+            payload,
+            lambda p: f"proved ({p['logic']}, {p['visited']} nodes visited)\n{_tree_text(p['derivation'])}",
+        )
         return EXIT_PROVED
 
-    leaf, enumeration = outcome.leaf, outcome.enumeration
-    models = _countermodels(leaf, enumeration, h, cfg, kinds)
-    if cfg.output == "json":
-        print(
-            json.dumps(
-                {
-                    "logic": canonical_name(cfg.logic),
-                    "input": render_hypersequent(h),
-                    "outcome": "refuted",
-                    "visited": stats.visited,
-                    "saturated_leaf": render_hypersequent(leaf),
-                    "enumeration": {str(cid): n for cid, n in sorted(enumeration.items())},
-                    "countermodels": {kind: model_to_dict(m) for kind, m in models},
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"refuted ({canonical_name(cfg.logic)}, {stats.visited} nodes visited)")
-        print(f"saturated leaf: {render_hypersequent(leaf)}")
-        for kind, m in models:
-            print(f"countermodel [{kind}]:")
-            print(json.dumps(model_to_dict(m), indent=2))
+    payload.update(
+        outcome="refuted",
+        visited=stats.visited,
+        saturated_leaf=render_hypersequent(outcome.leaf),
+        enumeration={str(cid): n for cid, n in sorted(outcome.enumeration.items())},
+        countermodels=_countermodels(outcome, h, l, args.model or [], args.rough_cap),
+    )
+    _emit(args, payload, _refuted_text)
     return EXIT_REFUTED
-
-
-def _emit_budget(cfg: Config, e: BudgetExceeded) -> None:
-    msg = {"outcome": "budget-exceeded", "visited": e.visited, "budget": e.budget}
-    if cfg.output == "json":
-        print(json.dumps(msg, indent=2))
-    else:
-        print(f"budget exceeded after {e.visited} nodes (budget {e.budget})")
 
 
 def _witness_text(w):
@@ -289,7 +247,7 @@ def _witness_text(w):
 
 
 def cmd_check_model(args) -> int:
-    cfg = _build_config(args)
+    l = _logic(args)
     try:
         with open(args.model_file) as fh:
             data = json.load(fh)
@@ -301,91 +259,49 @@ def cmd_check_model(args) -> int:
     except ValueError as e:
         raise CliError(f"cannot parse formula: {e}")
     ts = truth_set(m, f)
-    report = check_conditions(m, cfg.logic)
-    if cfg.output == "json":
-        print(
-            json.dumps(
-                {
-                    "logic": canonical_name(cfg.logic),
-                    "formula": to_text(f),
-                    "true_at": sorted(ts),
-                    "false_at": sorted(m.worlds - ts),
-                    "conditions": {k: status for k, (status, _) in sorted(report.items())},
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"formula: {to_text(f)}")
-        for w in sorted(m.worlds):
-            print(f"  world {w}: {'true' if w in ts else 'false'}")
-        print("frame conditions:")
+    report = check_conditions(m, l)
+    payload = {
+        "logic": canonical_name(l),
+        "formula": to_text(f),
+        "true_at": sorted(ts),
+        "false_at": sorted(m.worlds - ts),
+        "conditions": {k: status for k, (status, _) in sorted(report.items())},
+    }
+
+    def text(p: dict) -> str:
+        lines = [f"formula: {p['formula']}"]
+        lines += [f"  world {w}: {'true' if w in ts else 'false'}" for w in sorted(m.worlds)]
+        lines.append("frame conditions:")
         for k, (status, witness) in sorted(report.items()):
             extra = f"  (witness: {_witness_text(witness)})" if witness is not None else ""
-            print(f"  {k}: {status}{extra}")
+            lines.append(f"  {k}: {status}{extra}")
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
     return EXIT_PROVED
 
 
 def cmd_translate(args) -> int:
-    cfg = _build_config(args)
-    if not cfg.logic.cube:
+    budget, l = _budget(args), _logic(args)
+    if not l.cube:
         raise CliError("translation covers the classical cube only")
     h = _parse_goal(args.input)
+    payload = {"logic": canonical_name(l), "input": render_hypersequent(h)}
     if not args.derive:
-        s = translate_hypersequent(h, cfg.logic)
-        if cfg.output == "json":
-            print(
-                json.dumps(
-                    {
-                        "logic": canonical_name(cfg.logic),
-                        "input": render_hypersequent(h),
-                        "labelled": render_labelled_sequent(s),
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            print(render_labelled_sequent(s))
+        payload["labelled"] = render_labelled_sequent(translate_hypersequent(h, l))
+        _emit(args, payload, lambda p: p["labelled"])
         return EXIT_PROVED
-    try:
-        outcome = prove(h, cfg.logic, budget=cfg.budget)
-    except BudgetExceeded as e:
-        _emit_budget(cfg, e)
-        return EXIT_BUDGET
+    outcome = prove(h, l, budget=budget)
     if isinstance(outcome, Refuted):
         print("refuted: no derivation to translate")
         return EXIT_REFUTED
-    ld = translate_derivation(outcome.derivation, cfg.logic)
-    report = check_labelled(ld, cfg.logic)
+    ld = translate_derivation(outcome.derivation, l)
+    report = check_labelled(ld, l)
     if not report:
         raise InternalError(f"translated derivation failed its audit: {report.reason}")
-    if cfg.output == "json":
-        print(
-            json.dumps(
-                {
-                    "logic": canonical_name(cfg.logic),
-                    "input": render_hypersequent(h),
-                    "outcome": "proved",
-                    "derivation": labelled_derivation_to_dict(ld),
-                },
-                indent=2,
-            )
-        )
-    else:
-        def walk(node, depth):
-            lines = [f"{'  ' * depth}[{node.rule}] {render_labelled_sequent(node.conclusion)}"]
-            for c in node.children:
-                lines.extend(walk(c, depth + 1))
-            return lines
-
-        print("\n".join(walk(ld, 0)))
+    payload.update(outcome="proved", derivation=labelled_derivation_to_dict(ld))
+    _emit(args, payload, lambda p: _tree_text(p["derivation"]))
     return EXIT_PROVED
-
-
-def _add_logic_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--logic", help="logic by name, e.g. E, MC, MCN, K, ET, ED3+")
-    p.add_argument("--axioms", help="comma-separated axioms, e.g. M,C,N or C,D")
-    p.add_argument("--dplus", type=int, help="grade for the iterated D axiom (with --axioms)")
 
 
 @cache
@@ -395,52 +311,67 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nnml",
         description="Decision procedures, countermodels, and labelled translations "
-        "for non-normal modal logics.",
+        "for non-normal modal logics. Exit codes: 0 proved, 1 refuted, "
+        "2 usage or parse error, 3 internal verification failure, 4 budget exceeded.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    prove_p = sub.add_parser("prove", help="decide a formula or hypersequent")
+    prove_p.add_argument("input", help="formula or hypersequent text")
+    check_p = sub.add_parser("check-model", help="evaluate a formula in a JSON model")
+    check_p.add_argument("model_file", help="path to a serialized model")
+    check_p.add_argument("formula", help="formula text")
+    translate_p = sub.add_parser("translate", help="translate into a labelled sequent or derivation")
+    translate_p.add_argument("input", help="formula or hypersequent text")
 
-    p = sub.add_parser("prove", help="decide a formula or hypersequent")
-    p.add_argument("input", help="formula or hypersequent text")
-    _add_logic_flags(p)
-    p.add_argument("--mode", choices=["invertible", "unkleened"], default="invertible")
-    p.add_argument(
+    for p, func in ((prove_p, cmd_prove), (check_p, cmd_check_model), (translate_p, cmd_translate)):
+        p.add_argument(
+            "--logic",
+            help="the logic: a base E, M, EC, MC, EN, MN, ECN, MCN or K, then any of "
+            "the suffixes T, P, D and Dn+ (e.g. MCNT, ED3+)",
+        )
+        p.add_argument(
+            "--output", choices=["text", "json"], default="text",
+            help="print the result as JSON, or as text read off the same payload",
+        )
+        if p is not check_p:
+            p.add_argument(
+                "--budget",
+                type=int,
+                default=DEFAULT_BUDGET,
+                help="most hypersequents a search may visit before exit 4 (default: %(default)s)",
+            )
+        p.set_defaults(func=func)
+    prove_p.add_argument(
+        "--mode", choices=["invertible", "unkleened"], default="invertible",
+        help="invertible: a derivation or countermodels; unkleened: the "
+        "principal-deleting search, verdict only",
+    )
+    prove_p.add_argument(
         "--model",
         action="append",
         choices=["bi", "standard-fine", "standard-rough", "relational"],
         help="countermodel kinds to emit on refutation (bi is always included)",
     )
-    p.add_argument("--output", choices=["text", "json"], default="text")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--rough-cap", dest="rough_cap", type=int, default=20)
-    p.set_defaults(func=cmd_prove)
-
-    p = sub.add_parser("check-model", help="evaluate a formula in a JSON model")
-    p.add_argument("model_file", help="path to a serialized model")
-    p.add_argument("formula", help="formula text")
-    _add_logic_flags(p)
-    p.add_argument("--output", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_check_model)
-
-    p = sub.add_parser("translate", help="translate into a labelled sequent or derivation")
-    p.add_argument("input", help="formula or hypersequent text")
-    _add_logic_flags(p)
-    p.add_argument("--derive", action="store_true", help="prove first, then translate the derivation")
-    p.add_argument("--output", choices=["text", "json"], default="text")
-    p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=cmd_translate)
-
+    prove_p.add_argument(
+        "--rough-cap", dest="rough_cap", type=int, default=20,
+        help="most worlds a standard model may be built from (default: %(default)s)",
+    )
+    translate_p.add_argument("--derive", action="store_true", help="prove first, then translate the derivation")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except TranslationError as e:
+    except BudgetExceeded as e:
+        _emit(
+            args,
+            {"outcome": "budget-exceeded", "visited": e.visited, "budget": e.budget},
+            lambda p: f"budget exceeded after {p['visited']} nodes (budget {p['budget']})",
+        )
+        return EXIT_BUDGET
+    except (CliError, TranslationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except InternalError as e:

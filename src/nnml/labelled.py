@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .calculus import rule_def
 from .formula import And, Atom, Bottom, Box, Formula, Imp, Or, TOP, Top, sort_key, to_text
 from .hypersequent import Block, Hypersequent
 from .logic import (
@@ -35,7 +36,7 @@ from .logic import (
     RULE_N,
     TOP_R,
 )
-from .search import Derivation, check_derivation
+from .search import CheckReport, Derivation, audit, check_derivation, tree_to_dict
 
 TAU = "tau"
 
@@ -200,11 +201,7 @@ def render_labelled_sequent(s: LabelledSequent) -> str:
 
 
 def labelled_derivation_to_dict(d: LabelledDerivation) -> dict:
-    return {
-        "rule": d.rule,
-        "conclusion": render_labelled_sequent(d.conclusion),
-        "premisses": [labelled_derivation_to_dict(c) for c in d.children],
-    }
+    return tree_to_dict(d, str, render_labelled_sequent)
 
 
 # --- label supply -----------------------------------------------------------
@@ -348,18 +345,19 @@ def _occurring(seq: LabelledSequent):
     return worlds, labels
 
 
-# The propositional rules: the side of the principal formula, its
-# connective, and for each premiss the immediate subformulas that it adds
-# on the left and on the right, in place of the principal.
-_PROPOSITIONAL_RULES = {
-    "L-and": ("left", And, lambda a, b: (((a, b), ()),)),
-    "R-and": ("right", And, lambda a, b: (((), (a,)), ((), (b,)))),
-    "L-or": ("left", Or, lambda a, b: (((a,), ()), ((b,), ()))),
-    "R-or": ("right", Or, lambda a, b: (((), (a, b)),)),
-    "L-imp": ("left", Imp, lambda a, b: (((), (a,)), ((b,), ()))),
-    "R-imp": ("right", Imp, lambda a, b: (((a,), (b,)),)),
+# The labelled name of each propositional rule. Its side, connective and
+# premisses are those of the hypersequent rule in the calculus table,
+# read at the principal's world in place of its component.
+_PROPOSITIONAL = {
+    AND_L: "L-and",
+    AND_R: "R-and",
+    OR_L: "L-or",
+    OR_R: "R-or",
+    IMP_L: "L-imp",
+    IMP_R: "R-imp",
 }
-_RULE_FOR = {(side, c): rule for rule, (side, c, _) in _PROPOSITIONAL_RULES.items()}
+_PROPOSITIONAL_DEFS = {name: rule_def(rule) for rule, name in _PROPOSITIONAL.items()}
+_RULE_FOR = {(rd.side, rd.connective): name for name, rd in _PROPOSITIONAL_DEFS.items()}
 _CONNECTIVE_NAMES = {And: "conjunction", Or: "disjunction", Imp: "implication"}
 
 
@@ -377,19 +375,19 @@ def _rule_premisses(rule: str, p: tuple, seq: LabelledSequent, l: LogicSpec | No
     def need_right(f, what):
         return None if f in seq.right else f"{what} missing from the right side"
 
-    if rule in _PROPOSITIONAL_RULES:
-        side, connective, schema = _PROPOSITIONAL_RULES[rule]
+    if rule in _PROPOSITIONAL_DEFS:
+        rd = _PROPOSITIONAL_DEFS[rule]
         x, f = p
-        if not isinstance(f, connective):
-            return f"{_CONNECTIVE_NAMES[connective]} expected"
+        if not isinstance(f, rd.connective):
+            return f"{_CONNECTIVE_NAMES[rd.connective]} expected"
         principal = WorldAt(x, f)
-        err = (need_left if side == "left" else need_right)(principal, "the principal formula")
+        err = (need_left if rd.side == "left" else need_right)(principal, "the principal formula")
         if err:
             return err
-        base = seq.removing(**{side: (principal,)})
+        base = seq.removing(**{rd.side: (principal,)})
         return tuple(
-            base.adding(left=[WorldAt(x, g) for g in ls], right=[WorldAt(x, g) for g in rs])
-            for ls, rs in schema(f.left, f.right)
+            base.adding(left=[WorldAt(x, g) for g in prem.left], right=[WorldAt(x, g) for g in prem.right])
+            for prem in rd.schema(f)
         )
     if rule == "init":
         x, f = p
@@ -571,16 +569,6 @@ def translate_derivation(d: Derivation, l: LogicSpec) -> LabelledDerivation:
     return _translate_node(d, root, world_of, binfo, labels, l)
 
 
-_PROPOSITIONAL = {
-    AND_L: "L-and",
-    AND_R: "R-and",
-    OR_L: "L-or",
-    OR_R: "R-or",
-    IMP_L: "L-imp",
-    IMP_R: "R-imp",
-}
-
-
 def _translate_node(
     d: Derivation,
     seq: LabelledSequent,
@@ -667,14 +655,11 @@ def _translate_box_right(
     x = world_of[d.cid]
     info = _find_block(binfo, d.cid, block)
     t = info.term
-    monotonic = d.rule == BOX_RM
-    if monotonic:
-        sigma_child = d.children[0]
-        child_for: dict[Formula, Derivation] = {}
-    else:
-        member_values = sorted(block.member_set(), key=sort_key)
-        sigma_child = d.children[-1]
-        child_for = dict(zip(member_values, d.children[:-1]))
+    # The last premiss is the one with the block on the left; without
+    # monotonicity, each one before it tests one member on the right.
+    *member_premisses, _ = rule_def(d.rule).schema(block, box)
+    child_for = {prem.right[0]: child for prem, child in zip(member_premisses, d.children)}
+    sigma_child = d.children[-1]
 
     def inside(y: str, s: LabelledSequent) -> LabelledDerivation:
         # split membership in the composite term down to single labels,
@@ -699,7 +684,7 @@ def _translate_box_right(
         )
 
     def outside(z: str, s: LabelledSequent) -> LabelledDerivation:
-        if monotonic:
+        if d.rule == BOX_RM:
             return LabelledDerivation("M", (t, x, z), s, ())
         return _negative_branches(t, z, s, info, child_for, world_of, binfo, labels, l)
 
@@ -865,42 +850,22 @@ def _close(seq: LabelledSequent, x: str, f: Formula, labels: _Labels) -> Labelle
 # --- checking ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class LabelledCheckReport:
-    ok: bool
-    path: tuple[int, ...] = ()
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 _AXIOMS = frozenset({"init", "L-bot", "R-top", "M", "tau-empty"})
 
 
-def check_labelled(
-    d: LabelledDerivation, logic: LogicSpec | None = None
-) -> LabelledCheckReport:
+def _labelled_premisses(node: LabelledDerivation, logic: LogicSpec | None):
+    out = _rule_premisses(node.rule, node.principal, node.conclusion, logic)
+    if node.rule in _AXIOMS and node.children and not isinstance(out, str):
+        return "axioms take no premisses"
+    return out
+
+
+def check_labelled(d: LabelledDerivation, logic: LogicSpec | None = None) -> CheckReport:
     """Audit a labelled derivation node by node.
 
     When a logic is given, structural rules it does not contain are
     rejected; with none, any rule of any cube calculus is accepted.
     """
     if logic is not None and not logic.cube:
-        return LabelledCheckReport(False, (), "labelled calculi cover the cube only")
-    stack: list[tuple[LabelledDerivation, tuple[int, ...]]] = [(d, ())]
-    while stack:
-        node, path = stack.pop()
-        outcome = _rule_premisses(node.rule, node.principal, node.conclusion, logic)
-        if isinstance(outcome, str):
-            return LabelledCheckReport(False, path, outcome)
-        if node.rule in _AXIOMS and node.children:
-            return LabelledCheckReport(False, path, "axioms take no premisses")
-        got = tuple(c.conclusion for c in node.children)
-        if got != tuple(outcome):
-            return LabelledCheckReport(
-                False, path, "children do not match the premisses of the rule"
-            )
-        for i, child in enumerate(node.children):
-            stack.append((child, path + (i,)))
-    return LabelledCheckReport(True)
+        return CheckReport(False, (), "labelled calculi cover the cube only")
+    return audit(d, lambda node: _labelled_premisses(node, logic))

@@ -151,27 +151,6 @@ def parse_logic_name(text: str) -> LogicSpec:
     )
 
 
-def logic_from_axioms(axioms, dplus: int | None = None) -> LogicSpec:
-    """Build a LogicSpec from axiom letters, e.g. ["M", "C", "N"]."""
-    flags = {"M": False, "C": False, "N": False, "T": False, "P": False, "D": False}
-    for a in axioms:
-        key = a.strip().upper()
-        if key not in flags:
-            raise LogicNameError(f"unknown axiom {a!r}")
-        if flags[key]:
-            raise LogicNameError(f"duplicate axiom {a!r}")
-        flags[key] = True
-    return LogicSpec(
-        monotonic=flags["M"],
-        has_c=flags["C"],
-        has_n=flags["N"],
-        has_t=flags["T"],
-        has_p=flags["P"],
-        has_d=flags["D"],
-        dplus=dplus,
-    )
-
-
 def canonical_name(l: LogicSpec) -> str:
     if l.monotonic and l.has_c and l.has_n:
         base = "K"

@@ -179,18 +179,33 @@ def _verdict(witnesses) -> tuple[str, object]:
     return ("pass", None) if witness is None else ("fail", witness)
 
 
-def _graded_conditions(ws: frozenset[int], l: LogicSpec, nbhd: dict, inner) -> dict:
+def _graded_conditions(l: LogicSpec, nbhd: dict, inner) -> dict:
     """RDk+ for each k up to the logic's n: no k neighbourhoods of one
-    world whose inner sets have an empty intersection. ``nbhd`` maps each
-    world, in order, to its neighbourhoods in order."""
+    world whose inner sets have an empty intersection. Only the inner sets
+    with no other one below them matter: a world fails RDk+ exactly when
+    it has at least k neighbourhoods and at most k of those minimal sets
+    have an empty intersection, and the witness is the world and those
+    sets. ``nbhd`` maps each world, in order, to its neighbourhoods in
+    order of their inner sets' size."""
+    if not l.dplus:
+        return {}
+    minimal = {}
+    for w, ns in nbhd.items():
+        found: list[frozenset[int]] = []
+        for alpha in map(inner, ns):
+            if not any(low <= alpha for low in found):
+                found.append(alpha)
+        minimal[w] = found
     return {
         f"RD{k}+": _verdict(
             (w, chosen)
             for w, ns in nbhd.items()
-            for chosen in combinations(ns, k)
-            if not ws.intersection(*map(inner, chosen))
+            if len(ns) >= k
+            for j in range(1, k + 1)
+            for chosen in combinations(minimal[w], j)
+            if not frozenset.intersection(*chosen)
         )
-        for k in range(1, (l.dplus or 0) + 1)
+        for k in range(1, l.dplus + 1)
     }
 
 
@@ -228,7 +243,7 @@ def _bi_conditions(m: BiModel, l: LogicSpec) -> dict:
             for p2 in ps
             if not (p1[0] & p2[0]) and not (p1[1] & p2[1])
         )
-    report.update(_graded_conditions(ws, l, nbhd, lambda p: p[0]))
+    report.update(_graded_conditions(l, nbhd, lambda p: p[0]))
     return report
 
 
@@ -262,7 +277,7 @@ def _standard_conditions(m: StandardModel, l: LogicSpec) -> dict:
         report["D"] = _verdict(
             (w, alpha) for w, ns in nbhd.items() for alpha in ns if ws - alpha in m.nbhd[w]
         )
-    report.update(_graded_conditions(ws, l, nbhd, lambda alpha: alpha))
+    report.update(_graded_conditions(l, nbhd, lambda alpha: alpha))
     return report
 
 

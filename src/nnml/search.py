@@ -290,7 +290,27 @@ class CheckReport:
         return self.ok
 
 
-def _check_leaf(d: Derivation) -> str | None:
+def audit(root, premisses) -> CheckReport:
+    """Audit a proof tree of either calculus node by node.
+
+    ``premisses(node)`` gives the conclusions the node's children must
+    have, in order, or a string saying why the node is not a legal step.
+    The report's path leads from the root to the first node rejected.
+    """
+    stack = [(root, ())]
+    while stack:
+        node, path = stack.pop()
+        expected = premisses(node)
+        if isinstance(expected, str):
+            return CheckReport(False, path, expected)
+        if tuple(c.conclusion for c in node.children) != expected:
+            return CheckReport(False, path, "children do not match the premisses of the rule")
+        for i, child in enumerate(node.children):
+            stack.append((child, path + (i,)))
+    return CheckReport(True)
+
+
+def _leaf_error(d: Derivation) -> str | None:
     try:
         s = d.conclusion.component(d.cid)
     except KeyError:
@@ -303,14 +323,25 @@ def _check_leaf(d: Derivation) -> str | None:
         if TOP in right_set(s):
             return None
         return "claimed verum axiom but no verum in the succedent"
-    if d.rule == INIT:
-        if len(d.principal) != 1:
-            return "initial leaf must name the shared formula"
-        (f,) = d.principal
-        if f in left_set(s) and f in right_set(s):
-            return None
-        return "claimed initial leaf but formula is not on both sides"
-    return f"leaf tagged with non-initial rule {d.rule.render()}"
+    if len(d.principal) != 1:
+        return "initial leaf must name the shared formula"
+    (f,) = d.principal
+    if f in left_set(s) and f in right_set(s):
+        return None
+    return "claimed initial leaf but formula is not on both sides"
+
+
+def _derivation_premisses(d: Derivation, rules) -> tuple[Hypersequent, ...] | str:
+    if d.rule in _INITIAL_TAGS:
+        if d.children:
+            return "initial tag on an internal node"
+        return _leaf_error(d) or ()
+    if d.rule not in rules:
+        return f"rule {d.rule.render()} is not in this calculus"
+    try:
+        return build_premisses(d.conclusion, d.rule, d.cid, d.principal)
+    except (InvalidInstance, KeyError) as exc:
+        return f"bad instance: {exc}"
 
 
 def check_derivation(d: Derivation, l: LogicSpec) -> CheckReport:
@@ -322,37 +353,26 @@ def check_derivation(d: Derivation, l: LogicSpec) -> CheckReport:
     initial.
     """
     rules = rule_set(l)
-    stack: list[tuple[Derivation, tuple[int, ...]]] = [(d, ())]
+    return audit(d, lambda node: _derivation_premisses(node, rules))
+
+
+def tree_to_dict(root, rule_text, conclusion_text) -> dict:
+    """A proof tree of either calculus as nested ``rule``, ``conclusion``
+    and ``premisses`` entries, built without recursion."""
+
+    def entry(d) -> dict:
+        return {"rule": rule_text(d.rule), "conclusion": conclusion_text(d.conclusion), "premisses": []}
+
+    out = entry(root)
+    stack = [(root, out)]
     while stack:
-        node, path = stack.pop()
-        if not node.children:
-            reason = _check_leaf(node)
-            if reason is not None:
-                return CheckReport(False, path, reason)
-            continue
-        if node.rule in _INITIAL_TAGS:
-            return CheckReport(False, path, "initial tag on an internal node")
-        if node.rule not in rules:
-            return CheckReport(
-                False, path, f"rule {node.rule.render()} is not in this calculus"
-            )
-        try:
-            prems = build_premisses(node.conclusion, node.rule, node.cid, node.principal)
-        except (InvalidInstance, KeyError) as exc:
-            return CheckReport(False, path, f"bad instance: {exc}")
-        got = tuple(c.conclusion for c in node.children)
-        if prems != got:
-            return CheckReport(
-                False, path, "children do not match the premisses of the instance"
-            )
-        for i, child in enumerate(node.children):
-            stack.append((child, path + (i,)))
-    return CheckReport(True)
+        d, e = stack.pop()
+        for child in d.children:
+            c = entry(child)
+            e["premisses"].append(c)
+            stack.append((child, c))
+    return out
 
 
 def derivation_to_dict(d: Derivation) -> dict:
-    return {
-        "rule": d.rule.render(),
-        "conclusion": render_hypersequent(d.conclusion),
-        "premisses": [derivation_to_dict(c) for c in d.children],
-    }
+    return tree_to_dict(d, RuleId.render, render_hypersequent)

@@ -1,6 +1,10 @@
 """Command-line behaviour: exit codes, output schemas, verification."""
 
 import json
+import runpy
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -44,17 +48,12 @@ class TestProve:
         )
         assert payload["countermodels"]["bi"] == PAPER_MODEL
 
-    def test_axioms_flag(self, capsys):
-        code, _, _ = run(capsys, "prove", AXIOM_K, "--axioms", "M,C,N")
-        assert code == 0
-
     @pytest.mark.parametrize(
         "argv",
         [
             ("prove", "p &&", "--logic", "E"),
             ("prove", "p", "--logic", "QX"),
             ("prove", "p"),
-            ("prove", "p", "--logic", "ED3+", "--dplus", "2"),
         ],
     )
     def test_usage_errors(self, capsys, argv):
@@ -69,16 +68,6 @@ class TestProve:
         )
         assert code == 4
         assert json.loads(out)["outcome"] == "budget-exceeded"
-
-    def test_budget_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("NNML_BUDGET", "1")
-        code, _, _ = run(capsys, "prove", AXIOM_M, "--logic", "E")
-        assert code == 4
-
-    def test_budget_env_must_be_numeric(self, capsys, monkeypatch):
-        monkeypatch.setenv("NNML_BUDGET", "lots")
-        code, _, _ = run(capsys, "prove", AXIOM_M, "--logic", "E")
-        assert code == 2
 
     def test_unkleened_mode(self, capsys):
         code, out, _ = run(
@@ -157,6 +146,26 @@ class TestProve:
         text = "(" * depth + "p" + ")" * depth
         assert run(capsys, "prove", text, "--logic", "E")[0] == code
         assert run(capsys, "prove", f"{text} => q", "--logic", "E")[0] == code
+
+    def test_wide_sequent_countermodel_is_verified(self, capsys):
+        # The one formula this sequent asserts nests 600 conjunctions deep.
+        wide = ", ".join(f"a{i} & b{i}" for i in range(600)) + " => c"
+        code, out, err = run(capsys, "prove", wide, "--logic", "E", "--output", "json")
+        assert (code, err) == (1, "")
+        bi = json.loads(out)["countermodels"]["bi"]
+        assert bi["valuation"]["a599"] == [1] and "c" not in bi["valuation"]
+
+    def test_graded_rough_model_is_checked_on_minimal_sets(self, capsys):
+        # Its rough model has up to 528 neighbourhoods at a world, so RD3+
+        # over every 3 of them would take tens of seconds.
+        t0 = time.perf_counter()
+        code, out, _ = run(
+            capsys, "prove", "box ((box p -> q | p) | box q) -> box box r",
+            "--logic", "ECND3+", "--model", "standard-rough", "--output", "json",
+        )
+        assert code == 1
+        assert "standard-rough" in json.loads(out)["countermodels"]
+        assert time.perf_counter() - t0 < 20
 
     def test_proved_json_carries_the_derivation(self, capsys):
         code, out, _ = run(
@@ -304,3 +313,15 @@ class TestRepeatedCalls:
         assert run(capsys, "prove", deep, "--logic", "E")[0] == 2
         assert run(capsys, "prove", "p -> p", "--logic", "E", "--mode", "unkleened")[0] == 0
         assert run(capsys, "prove", deep, "--logic", "E")[0] == 2
+
+
+class TestShowcase:
+    def test_every_case_runs_through_the_cli(self, capsys, monkeypatch):
+        script = Path(__file__).parent.parent / "scripts" / "showcase.py"
+        monkeypatch.setattr(sys, "argv", [str(script)])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.count("$ nnml prove ") == 9
+        assert "[R-box]" in out and "countermodel [relational]:" in out

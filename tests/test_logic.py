@@ -17,7 +17,6 @@ from nnml.logic import (
     RULE_T,
     canonical_name,
     dn_plus,
-    logic_from_axioms,
     parse_logic_name,
     rule_set,
 )
@@ -69,20 +68,6 @@ class TestNames:
 
 
 class TestFromAxioms:
-    def test_letters_build_the_spec(self):
-        assert logic_from_axioms(["M", "C", "N"]) == parse_logic_name("K")
-        assert logic_from_axioms(["C", "T"]) == parse_logic_name("ECT")
-        assert logic_from_axioms([], dplus=2) == parse_logic_name("ED2+")
-
-    def test_case_insensitive(self):
-        assert logic_from_axioms(["m", "c"]) == parse_logic_name("MC")
-
-    def test_unknown_or_duplicate_axiom_raises(self):
-        with pytest.raises(LogicNameError):
-            logic_from_axioms(["Q"])
-        with pytest.raises(LogicNameError):
-            logic_from_axioms(["M", "M"])
-
     def test_dplus_validation(self):
         with pytest.raises(ValueError):
             LogicSpec(dplus=0)

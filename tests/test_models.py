@@ -1,5 +1,8 @@
 """Forcing, frame conditions, countermodel extraction, transformations."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -126,6 +129,38 @@ class TestBiConditions:
         assert report["RD1+"][0] == "pass"
         assert report["RD2+"][0] == "fail"
         assert not conditions_ok(report)
+
+
+def _rd_fails_exhaustively(m, k: int) -> bool:
+    """RDk+ by its definition: some k neighbourhoods of one world whose
+    inner sets have an empty intersection."""
+    inner = (lambda n: n[0]) if isinstance(m, BiModel) else (lambda n: n)
+    return any(
+        not m.worlds.intersection(*map(inner, chosen))
+        for w in m.worlds
+        for chosen in combinations(m.nbhd[w], k)
+    )
+
+
+class TestGradedConditions:
+    def test_minimal_sets_decide_as_every_k_neighbourhoods_do(self):
+        rng = random.Random(5)
+        logic = parse_logic_name("ED4+")
+        verdicts = set()
+        for i in range(4000):
+            m = random_bi_model(rng) if i % 2 else random_standard_model(rng)
+            report = check_conditions(m, logic)
+            for k in range(1, 5):
+                status, witness = report[f"RD{k}+"]
+                fails = _rd_fails_exhaustively(m, k)
+                assert (status == "fail") == fails, (m, k)
+                verdicts.add(fails)
+                if fails:
+                    w, sets = witness
+                    inner = {n[0] if isinstance(m, BiModel) else n for n in m.nbhd[w]}
+                    assert len(m.nbhd[w]) >= k and len(sets) <= k
+                    assert set(sets) <= inner and not frozenset.intersection(*sets)
+        assert verdicts == {True, False}
 
 
 class TestStandardConditions:
