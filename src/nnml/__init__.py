@@ -30,7 +30,6 @@ from .hypersequent import (
     Component,
     Hypersequent,
     Sequent,
-    interpret,
     parse_hypersequent,
     parse_input,
     render_hypersequent,
@@ -48,10 +47,8 @@ from .logic import (
 from .calculus import (
     InvalidInstance,
     RuleInstance,
-    applicable_instances,
     build_premisses,
     initial_evidence,
-    is_initial,
     is_saturated,
 )
 from .search import (
@@ -73,14 +70,12 @@ from .models import (
     RelationalModel,
     StandardModel,
     UnknownWorldError,
-    bi_from_standard,
     check_conditions,
     conditions_ok,
     extract_bi_countermodel,
     extract_relational_countermodel,
     force,
     model_from_dict,
-    model_size,
     model_to_dict,
     standard_from_bi_fine,
     standard_from_bi_rough,

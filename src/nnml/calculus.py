@@ -8,7 +8,8 @@ premiss schema: for each premiss, what it adds to the principal's
 component, or the component it creates. The rest is read off the entry:
 
 - ``_candidates`` enumerates each rule's distinct principals in each
-  component: block choices by position, then formulas in sequent order;
+  component: block choices by position, then formulas in sequent order,
+  as the sequent groups them by side and connective;
 - ``rule_groups`` puts a logic's rules in strategy order;
 - the cumulative reading, ``iter_instances``, keeps the principal in
   every premiss, which makes every rule invertible. It filters instances
@@ -18,7 +19,10 @@ component, or the component it creates. The rest is read off the entry:
   (set-wise, as in ``subsumes``) the component the premiss creates;
 - the deleting reading, ``lean_premisses``, takes the principal out of
   the premisses, gives every new component the verum block when the
-  logic has N (so N itself is never applied), and filters nothing;
+  logic has N (so N itself is never applied), and filters nothing. It
+  yields each instance's premisses as a bare tuple, with no rule
+  instance around it: lean search backtracks over them and needs only
+  the premisses;
 - ``build_premisses`` gives the cumulative premisses of one instance
   and rejects principal data that does not fit; the derivation checker
   audits proofs with it.
@@ -44,6 +48,7 @@ from .hypersequent import (
     Hypersequent,
     Sequent,
     block_sets,
+    by_connective,
     left_set,
     right_set,
 )
@@ -102,10 +107,6 @@ def initial_evidence(h: Hypersequent) -> tuple[RuleId, int, Formula | None] | No
         if shared:
             return (INIT, c.cid, min(shared, key=sort_key))
     return None
-
-
-def is_initial(h: Hypersequent) -> bool:
-    return initial_evidence(h) is not None
 
 
 # --- the rule table -----------------------------------------------------------
@@ -270,29 +271,16 @@ def rule_groups(l: LogicSpec, lean: bool = False) -> tuple[tuple[RuleDef, ...], 
     return tuple(g for g in groups if g)
 
 
-def _by_connective(s: Sequent) -> dict[tuple[str, type], list[tuple[Formula]]]:
-    """(side, connective) -> the distinct formulas of s there, in sequent
-    order, each as a one-item principal."""
-    out: dict[tuple[str, type], list[tuple[Formula]]] = {}
-    for side, formulas in (("left", s.left), ("right", s.right)):
-        for f in dict.fromkeys(formulas):
-            out.setdefault((side, type(f)), []).append((f,))
-    return out
-
-
 def _candidates(h: Hypersequent, groups) -> Iterator[tuple[RuleDef, Component, tuple]]:
     """Every rule, component and distinct principal, in strategy order;
     within one rule, component order first, then block choices by
     position, then formulas in sequent order."""
-    formulas: dict[int, dict] = {}
     for group in groups:
         for c in h.components:
             for rd in group:
                 fs: list[tuple] = [()]
                 if rd.connective is not None:
-                    if c.cid not in formulas:
-                        formulas[c.cid] = _by_connective(c.seq)
-                    fs = formulas[c.cid].get((rd.side, rd.connective))
+                    fs = by_connective(c.seq).get((rd.side, rd.connective))
                     if not fs:
                         continue
                 choices = dict.fromkeys(combinations(c.seq.blocks, rd.blocks)) if rd.blocks else [()]
@@ -381,10 +369,6 @@ def lean_premisses(h: Hypersequent, l: LogicSpec) -> Iterator[tuple[Hypersequent
 
 def first_instance(h: Hypersequent, l: LogicSpec) -> RuleInstance | None:
     return next(iter_instances(h, l), None)
-
-
-def applicable_instances(h: Hypersequent, l: LogicSpec) -> list[RuleInstance]:
-    return list(iter_instances(h, l))
 
 
 # --- the saturation oracle ------------------------------------------------------

@@ -52,7 +52,6 @@ from .search import (
     BudgetExceeded,
     Proved,
     Refuted,
-    SearchStats,
     check_derivation,
     derivation_to_dict,
     prove,
@@ -210,15 +209,14 @@ def cmd_prove(args) -> int:
         _emit(args, payload, lambda p: f"{p['outcome']} ({p['logic']}, unkleened mode)")
         return EXIT_PROVED if ok else EXIT_REFUTED
 
-    stats = SearchStats()
-    outcome = prove(h, l, budget=budget, stats=stats)
+    outcome = prove(h, l, budget=budget)
     payload = {"logic": canonical_name(l), "input": render_hypersequent(h)}
     if isinstance(outcome, Proved):
         report = check_derivation(outcome.derivation, l)
         if not report:
             raise InternalError(f"derivation failed its audit: {report.reason}")
         payload.update(
-            outcome="proved", visited=stats.visited, derivation=derivation_to_dict(outcome.derivation)
+            outcome="proved", visited=outcome.visited, derivation=derivation_to_dict(outcome.derivation)
         )
         _emit(
             args,
@@ -229,7 +227,7 @@ def cmd_prove(args) -> int:
 
     payload.update(
         outcome="refuted",
-        visited=stats.visited,
+        visited=outcome.visited,
         saturated_leaf=render_hypersequent(outcome.leaf),
         enumeration={str(cid): n for cid, n in sorted(outcome.enumeration.items())},
         countermodels=_countermodels(outcome, h, l, args.model or [], args.rough_cap),

@@ -16,7 +16,9 @@ Blocks, sequents, components and hypersequents are interned like
 formulas (see ``formula.Syntax``), so equal ones are one object. What
 is derived from a block or sequent is kept on it, computed on first use:
 a block's sort key, and a sequent's antecedent, succedent and block
-member sets and its sort key, which orders components in lean search.
+member sets, its formulas grouped by side and connective, which give
+the principals of rule instances, and its sort key, which orders
+components in lean search.
 """
 
 from __future__ import annotations
@@ -66,6 +68,16 @@ class Block(Syntax):
 block_key = attrgetter("_key")
 
 
+def _group_by_connective(s: Sequent) -> dict[tuple[str, type], list[tuple[Formula]]]:
+    """(side, connective) -> the distinct formulas of s there, in sequent
+    order, each as a one-item principal. Callers only read it."""
+    out: dict[tuple[str, type], list[tuple[Formula]]] = {}
+    for side, formulas in (("left", s.left), ("right", s.right)):
+        for f in dict.fromkeys(formulas):
+            out.setdefault((side, type(f)), []).append((f,))
+    return out
+
+
 @syntax
 class Sequent(Syntax):
     left: tuple[Formula, ...]
@@ -77,6 +89,7 @@ class Sequent(Syntax):
     _key: tuple = derived(
         lambda s: (tuple(map(sort_key, s.left)), tuple(map(block_key, s.blocks)), tuple(map(sort_key, s.right)))
     )
+    _by_connective: dict = derived(_group_by_connective)
 
     @staticmethod
     def of(left=(), blocks=(), right=()) -> "Sequent":
@@ -97,6 +110,7 @@ left_set = attrgetter("_left_set")
 right_set = attrgetter("_right_set")
 block_sets = attrgetter("_block_sets")
 sequent_key = attrgetter("_key")
+by_connective = attrgetter("_by_connective")
 
 
 def sequent_nodes(s: Sequent) -> int:

@@ -1,17 +1,23 @@
-"""Proof search in two modes, plus an independent derivation checker.
+"""Proof search in two modes, one loop, plus an independent derivation checker.
 
-Both modes read the one rule table of the calculus module. The
-invertible mode takes its cumulative reading: principals stay in the
-premisses and instances pass a local loop check. It is deterministic:
-it keeps the first applicable instance, explores premisses depth-first,
-and the first saturated leaf it meets refutes the root (every rule is
-invertible, so no backtracking is needed).
+Both modes run ``_search``, one depth-first loop over an explicit stack
+of goals, and read the one rule table of the calculus module, each in
+its own way.
+
+The invertible mode takes the cumulative reading: principals stay in the
+premisses and instances pass a local loop check. Every rule is then
+invertible, so the loop keeps the first applicable instance of each goal,
+explores its premisses in order, and returns at the first saturated goal,
+which refutes the root; no backtracking is needed. A proved root yields
+its proof tree.
 
 The lean mode takes the deleting reading: principals leave the
 premisses, which keeps hypersequents polynomially small but loses
-invertibility, so it backtracks over every instance, in the same
-strategy order. It decides derivability only and produces no
-countermodel.
+invertibility, so the loop backtracks over every instance of a goal, in
+the same strategy order, and skips instances whose premisses it has
+already tried. It works on normalized goals, remembers decided ones and
+cuts cycles at their ancestors (see ``prove_unkleened``). It decides
+derivability only and produces no countermodel.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .calculus import (
     build_premisses,
     first_instance,
     initial_evidence,
-    is_initial,
     lean_premisses,
 )
 from .formula import BOTTOM, TOP
@@ -56,13 +61,20 @@ class Derivation:
 
 @dataclass(frozen=True, slots=True)
 class Proved:
+    """A proof tree, and the number of hypersequents the search visited."""
+
     derivation: Derivation
+    visited: int
 
 
 @dataclass(frozen=True, slots=True)
 class Refuted:
+    """The first saturated leaf, its components numbered as worlds, and the
+    number of hypersequents the search visited."""
+
     leaf: Hypersequent
     enumeration: dict[int, int]
+    visited: int
 
 
 SearchOutcome = Proved | Refuted
@@ -102,15 +114,122 @@ class SearchStats:
                 self.max_component_size = occ
 
 
-class _Frame:
-    __slots__ = ("h", "inst", "children", "result", "seen")
+_NO_CUT = sys.maxsize
 
-    def __init__(self, h: Hypersequent):
-        self.h = h
-        self.inst: RuleInstance | None = None
-        self.children: list[Derivation] = []
-        self.result: Derivation | None = None
-        self.seen = False
+
+def _normalize(h: Hypersequent) -> Hypersequent:
+    """Canonical form: components sorted, exact duplicates collapsed.
+
+    Duplicate collapsing is external contraction, merging is external
+    weakening read backwards; both are admissible, so derivability is
+    unchanged and the reachable state space becomes finite.
+    """
+    return Hypersequent.of(dict.fromkeys(sorted((c.seq for c in h.components), key=sequent_key)))
+
+
+class _Frame:
+    """A goal on the stack: the premisses of the instance being tried
+    (None in lean mode between instances) and the results of those
+    decided so far. In lean mode ``rest`` yields the instances not yet
+    tried, ``tried`` holds their premiss sets, and ``lowest`` is the
+    lowest stack depth a cycle cut under the goal pointed at."""
+
+    __slots__ = ("h", "inst", "premisses", "proved", "rest", "tried", "lowest")
+
+    def __init__(self, h: Hypersequent, inst: RuleInstance | None, rest):
+        self.h, self.inst, self.rest = h, inst, rest
+        self.premisses = None if inst is None else inst.premisses
+        self.proved: list = []
+        self.tried: set[tuple] = set()
+        self.lowest = _NO_CUT
+
+
+def _search(
+    h: Hypersequent, l: LogicSpec, lean: bool, budget: int, stats: SearchStats | None
+) -> tuple[Derivation | Hypersequent | bool, int]:
+    """Depth-first search from h in the invertible or the lean reading
+    (see the module docstring), and the number of goals it visited.
+
+    The invertible result is the root's proof tree, or the first saturated
+    goal; the lean result is whether the root is derivable.
+    """
+    visited = 0
+    memo: dict[Hypersequent, bool] = {}
+    ancestors: dict[Hypersequent, int] = {}
+    stack: list[_Frame] = []
+    goal = h
+    while True:
+        # Enter the goal: decide it at once, or open a frame for it.
+        result = None
+        low = _NO_CUT
+        if lean:
+            goal = _normalize(goal)
+            result = memo.get(goal)
+            if result is None and goal in ancestors:
+                result, low = False, ancestors[goal]
+        if result is None:
+            visited += 1
+            if stats is not None:
+                stats.record(goal)
+            if visited > budget:
+                raise BudgetExceeded(visited, budget)
+            ev = initial_evidence(goal)
+            if ev is None:
+                if lean:
+                    ancestors[goal] = len(stack)
+                    stack.append(_Frame(goal, None, lean_premisses(goal, l)))
+                else:
+                    inst = first_instance(goal, l)
+                    if inst is None:
+                        return goal, visited
+                    stack.append(_Frame(goal, inst, None))
+            elif lean:
+                result = memo[goal] = True
+            else:
+                tag, cid, f = ev
+                result = Derivation(goal, tag, cid, () if f is None else (f,), ())
+        # Unwind: hand each decided goal to its parent, until a frame has a
+        # premiss to explore next.
+        while True:
+            if not stack:
+                return result, visited
+            fr = stack[-1]
+            if result:  # a proof tree, or True in lean mode
+                fr.proved.append(result)
+            elif result is not None:
+                fr.premisses = None
+                if low < fr.lowest:
+                    fr.lowest = low
+            if fr.premisses is not None:
+                if len(fr.proved) < len(fr.premisses):
+                    goal = fr.premisses[len(fr.proved)]
+                    break
+            else:
+                for prems in fr.rest:
+                    # Premisses of one goal number their components as it does,
+                    # so ones with equal sequents are one object; sorting by id
+                    # ignores their order.
+                    key = tuple(sorted(prems, key=id))
+                    if key not in fr.tried:
+                        fr.tried.add(key)
+                        fr.premisses, fr.proved = prems, []
+                        break
+                if fr.premisses is not None:
+                    goal = fr.premisses[0]
+                    break
+            # Every premiss is proved, or (lean) every instance failed.
+            stack.pop()
+            low = _NO_CUT
+            if not lean:
+                inst = fr.inst
+                result = Derivation(fr.h, inst.rule, inst.cid, inst.principal, tuple(fr.proved))
+                continue
+            del ancestors[fr.h]
+            result = fr.premisses is not None
+            if result or fr.lowest >= len(stack):
+                memo[fr.h] = result
+            else:
+                low = fr.lowest
 
 
 def prove(
@@ -124,62 +243,10 @@ def prove(
     Deterministic: the leaf reported on refutation is the first
     saturated hypersequent in depth-first instance order.
     """
-    visited = 0
-    stack = [_Frame(h)]
-    while stack:
-        fr = stack[-1]
-        if not fr.seen:
-            fr.seen = True
-            visited += 1
-            if stats is not None:
-                stats.record(fr.h)
-            if visited > budget:
-                raise BudgetExceeded(visited, budget)
-            ev = initial_evidence(fr.h)
-            if ev is not None:
-                tag, cid, f = ev
-                principal = () if f is None else (f,)
-                fr.result = Derivation(fr.h, tag, cid, principal, ())
-            else:
-                inst = first_instance(fr.h, l)
-                if inst is None:
-                    enumeration = {
-                        c.cid: i + 1 for i, c in enumerate(fr.h.components)
-                    }
-                    return Refuted(fr.h, enumeration)
-                fr.inst = inst
-        if fr.result is not None:
-            stack.pop()
-            if not stack:
-                return Proved(fr.result)
-            stack[-1].children.append(fr.result)
-            continue
-        assert fr.inst is not None
-        if len(fr.children) < len(fr.inst.premisses):
-            stack.append(_Frame(fr.inst.premisses[len(fr.children)]))
-        else:
-            fr.result = Derivation(
-                fr.h, fr.inst.rule, fr.inst.cid, fr.inst.principal, tuple(fr.children)
-            )
-    raise AssertionError("search stack drained without a result")
-
-
-# --- lean (principal-deleting) mode ---------------------------------------
-
-
-def _normalize(h: Hypersequent) -> Hypersequent:
-    """Canonical form: components sorted, exact duplicates collapsed.
-
-    Duplicate collapsing is external contraction, merging is external
-    weakening read backwards; both are admissible, so derivability is
-    unchanged and the reachable state space becomes finite.
-    """
-    seqs = sorted((c.seq for c in h.components), key=sequent_key)
-    out = []
-    for s in seqs:
-        if not out or out[-1] != s:
-            out.append(s)
-    return Hypersequent.of(out)
+    result, visited = _search(h, l, False, budget, stats)
+    if isinstance(result, Derivation):
+        return Proved(result, visited)
+    return Refuted(result, {c.cid: i + 1 for i, c in enumerate(result.components)}, visited)
 
 
 def prove_unkleened(
@@ -194,7 +261,7 @@ def prove_unkleened(
     component up front and to every component a rule creates, so N never
     needs to be guessed. Deleting principals makes most loops impossible;
     the one exception is a block spawning a component that immediately
-    regrows the same block, which the ancestor check below cuts off.
+    regrows the same block, which the ancestor check cuts off.
 
     Cutting a cycle assumes the revisited goal is unprovable, so a
     failure computed under a cut is definitive only once the goal the
@@ -205,76 +272,9 @@ def prove_unkleened(
     propagates the depth of that goal instead of being cached.
     """
     if l.has_n:
-        top_block = Block.of((TOP,))
-        h = Hypersequent(
-            tuple(
-                Component(c.cid, c.seq.adding(blocks=(top_block,)))
-                for c in h.components
-            )
-        )
-    memo: dict[Hypersequent, bool] = {}
-    visited = 0
-    no_cut = sys.maxsize
-
-    def run(g: Hypersequent, ancestors: dict[Hypersequent, int], depth: int):
-        nonlocal visited
-        g = _normalize(g)
-        cached = memo.get(g)
-        if cached is not None:
-            return cached, no_cut
-        back = ancestors.get(g)
-        if back is not None:
-            return False, back
-        visited += 1
-        if stats is not None:
-            stats.record(g)
-        if visited > budget:
-            raise BudgetExceeded(visited, budget)
-        if is_initial(g):
-            memo[g] = True
-            return True, no_cut
-        ancestors[g] = depth
-        proved = False
-        lowest = no_cut
-        tried: set[tuple] = set()
-        try:
-            for prems in lean_premisses(g, l):
-                # Premisses of g number their components as g does, so ones with
-                # equal sequents are one object; sorting by id ignores their order.
-                key = tuple(sorted(prems, key=id))
-                if key in tried:
-                    continue
-                tried.add(key)
-                ok = True
-                for p in prems:
-                    r, low = run(p, ancestors, depth + 1)
-                    if not r:
-                        ok = False
-                        if low < lowest:
-                            lowest = low
-                        break
-                if ok:
-                    proved = True
-                    break
-        finally:
-            del ancestors[g]
-        if proved:
-            memo[g] = True
-            return True, no_cut
-        if lowest >= depth:
-            memo[g] = False
-            return False, no_cut
-        return False, lowest
-
-    # The search recurses once per goal on a branch; the limit is the
-    # caller's again on return.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 20000))
-    try:
-        result, _ = run(h, {}, 0)
-    finally:
-        sys.setrecursionlimit(limit)
-    return result
+        top = (Block.of((TOP,)),)
+        h = Hypersequent(tuple(Component(c.cid, c.seq.adding(blocks=top)) for c in h.components))
+    return _search(h, l, True, budget, stats)[0]
 
 
 # --- derivation checking ---------------------------------------------------

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from nnml.calculus import applicable_instances
+from nnml.calculus import iter_instances
 from nnml.formula import Box, node_count, parse, subformula_closure
 from nnml.gen import (
     random_bi_model,
@@ -541,7 +541,7 @@ def _run_invertibility(pool) -> list[str]:
         if done >= TARGET or failures:
             break
         l = parse_logic_name(name)
-        instances = applicable_instances(conclusion, l)
+        instances = list(iter_instances(conclusion, l))
         if not instances:
             continue
         inst = rng.choice(instances)

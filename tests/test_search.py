@@ -1,5 +1,7 @@
 """Proof search in both modes, plus the independent derivation checker."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -41,6 +43,18 @@ K = parse_logic_name("K")
 
 def outcome(text, logic):
     return prove(parse_input(text), logic)
+
+
+def hansson(n):
+    """~(box p1 & ... & box pn & box ~(p1 & ... & pn))"""
+    ps = [f"p{i}" for i in range(1, n + 1)]
+    return "~(" + " & ".join([f"box {a}" for a in ps] + [f"box ~({' & '.join(ps)})"]) + ")"
+
+
+def agglomeration(n):
+    """box p1 & ... & box pn -> box (p1 & ... & pn)"""
+    ps = [f"p{i}" for i in range(1, n + 1)]
+    return " & ".join(f"box {a}" for a in ps) + f" -> box ({' & '.join(ps)})"
 
 
 class TestDerivability:
@@ -123,6 +137,21 @@ class TestBudget:
             prove(h, E, budget=2)
         assert err.value.visited == 3
         assert err.value.budget == 2
+
+    @pytest.mark.parametrize(
+        "text,logic",
+        [
+            (hansson(3), ED),
+            (hansson(2), parse_logic_name("ED3+")),
+            (agglomeration(4), E),
+            (agglomeration(4), EC),
+            ("box (p & q) -> box p", E),
+        ],
+    )
+    def test_outcome_carries_the_visited_count(self, text, logic):
+        st = SearchStats()
+        out = prove(parse_input(text), logic, stats=st)
+        assert out.visited == st.visited
 
     def test_stats_are_recorded(self):
         st = SearchStats()
@@ -221,6 +250,34 @@ class TestLeanMode:
     def test_handles_verum_blocks_without_guessing(self):
         assert prove_unkleened(parse_input("box true"), EN)
         assert prove_unkleened(parse_input("box (true & true)"), parse_logic_name("ECN"))
+
+    @pytest.mark.parametrize(
+        "family,logic,counts",
+        [
+            (hansson, ED, {2: 78, 3: 376, 4: 1857}),
+            (hansson, EP, {2: 52, 3: 188, 4: 660}),
+            (agglomeration, E, {2: 24, 4: 289, 6: 2455}),
+            (agglomeration, M, {2: 16, 4: 180, 6: 1574}),
+        ],
+    )
+    def test_search_order_on_the_separation_families(self, family, logic, counts):
+        # The visited count of a refuted goal pins the order in which the
+        # lean search backtracks over every instance.
+        for n, visited in counts.items():
+            st = SearchStats()
+            assert not prove_unkleened(parse_input(family(n)), logic, stats=st)
+            assert st.visited == visited
+
+    def test_search_runs_under_the_callers_recursion_limit(self):
+        limits = set()
+
+        class LimitStats(SearchStats):
+            def record(self, h):
+                limits.add(sys.getrecursionlimit())
+                super().record(h)
+
+        assert not prove_unkleened(parse_input(hansson(3)), ED, stats=LimitStats())
+        assert limits == {sys.getrecursionlimit()}
 
     @given(rngs)
     @settings(max_examples=80)
