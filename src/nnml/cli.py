@@ -12,7 +12,10 @@ formula in a JSON model and reports the logic's frame conditions.
 
 ``--logic`` names the logic, ``--budget`` bounds the hypersequents a
 search may visit. Each command builds one payload, which ``--output
-json`` prints as JSON and ``--output text`` as lines read off it.
+json`` prints as JSON and ``--output text`` as lines read off it. The
+JSON is indented two spaces a level, as ``json.dumps(payload, indent=2)``
+would print it, but written without recursion, so a proof tree of any
+depth prints; every formula and sequent text in it was made once.
 
 Exit codes are a stable contract: 0 proved, 1 refuted, 2 usage or parse
 error, 3 internal verification failure, 4 budget exceeded.
@@ -97,10 +100,86 @@ def _parse_goal(text: str) -> Hypersequent:
         raise CliError(f"cannot parse input: {e}")
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_SCALARS = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2)`` for dicts with str keys, lists, str,
+    int, bool and None, written without recursion.
+
+    A stack holds the open containers. The scalar items of a container are
+    written in one inner loop, and a list of only ints or only strings in
+    one join, since payloads are mostly proof trees and models.
+    """
+    out: list[str] = []
+    # Each open container: its items not yet written, whether it is a dict,
+    # the text before each later item, and its closing text.
+    stack: list[tuple] = []
+    value, pad = obj, "\n"
+    while True:
+        t = type(value)
+        if t is dict and value:
+            items = iter(value.items())
+            key, value = next(items)
+            out.append("{" + pad + "  " + _ESCAPE(key) + ": ")
+            stack.append((items, True, "," + pad + "  ", pad + "}"))
+            pad += "  "
+            continue
+        if t is list and value:
+            inner = pad + "  "
+            head = type(value[0])
+            if (head is int or head is str) and all(type(v) is head for v in value):
+                out.append("[" + inner + ("," + inner).join(map(_SCALARS[head], value)) + pad + "]")
+            else:
+                items = iter(value)
+                value = next(items)
+                out.append("[" + inner)
+                stack.append((items, False, "," + inner, pad + "]"))
+                pad = inner
+                continue
+        elif t is dict:
+            out.append("{}")
+        elif t is list:
+            out.append("[]")
+        elif t in _SCALARS:
+            out.append(_SCALARS[t](value))
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+        # The value is written: write the scalars that follow it, up to the
+        # next container to open.
+        while stack:
+            items, is_dict, sep, close = stack[-1]
+            for value in items:
+                if is_dict:
+                    key, value = value
+                    text = sep + _ESCAPE(key) + ": "
+                else:
+                    text = sep
+                write = _SCALARS.get(type(value))
+                if write is None:
+                    out.append(text)
+                    pad = sep[1:]
+                    break
+                out.append(text + write(value))
+            else:
+                stack.pop()
+                out.append(close)
+                continue
+            break
+        else:
+            return "".join(out)
+
+
 def _emit(args, payload: dict, text) -> None:
     """Print the payload as JSON, or as the text that text(payload) gives."""
     if args.output == "json":
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print(text(payload))
 
@@ -189,7 +268,7 @@ def _refuted_text(p: dict) -> str:
         f"saturated leaf: {p['saturated_leaf']}",
     ]
     for kind, m in p["countermodels"].items():
-        lines += [f"countermodel [{kind}]:", json.dumps(m, indent=2)]
+        lines += [f"countermodel [{kind}]:", _dumps(m)]
     return "\n".join(lines)
 
 

@@ -12,6 +12,10 @@ interned: building one returns the one live value of that structure, so
 ``==`` and ``hash`` are identity. The intern table holds values weakly,
 and what is derived from a value is kept on it (``derived``), so both go
 when the value does.
+
+A formula's text is one of those derived values. It is set when the
+formula is built, from its operands' texts, so printing a formula reads
+a field, and no formula is rendered twice or by recursion.
 """
 
 from __future__ import annotations
@@ -81,28 +85,45 @@ def operands(f: Formula) -> tuple[Formula, ...]:
     return () if isinstance(f, Atom) else tuple(map(f.__getattribute__, f.__match_args__))
 
 
+# Binding strengths: an operand that binds more loosely than its place
+# asks is parenthesized.
+_PREC_IMP = 1
+_PREC_OR = 2
+_PREC_AND = 3
+_PREC_UNARY = 4
+_PREC_ATOM = 5
+
+
 @syntax
 class Formula(Syntax):
     """Base of the formula classes, with the values kept on each formula.
 
     The sort key puts atoms first (alphabetically), then the constants,
     then box, then the binary connectives (by ``_rank``); a compound key
-    holds the keys of the operands.
+    holds the keys of the operands. The text (``to_text``) has the fewest
+    parentheses the binding strengths (``_prec``) allow; ``_top_bar``
+    says whether a ``|`` stands in it outside parentheses.
     """
 
     _sort_key: tuple = derived()
     _node_count: int = derived()
+    _text: str = derived()
+    _top_bar: bool = derived()
     # The formula itself is left out: a value kept on a formula that
     # refers back to it would keep it alive after its last use.
     _proper_subformulas: frozenset[Formula] = derived(
         lambda f: frozenset().union(*map(subformulas, operands(f)))
     )
+    _prec = _PREC_ATOM  # atoms and the constants; each connective sets its own
 
     def __post_init__(self):
         parts = operands(self)
         key = (0, self.name) if isinstance(self, Atom) else (self._rank, *map(sort_key, parts))
         object.__setattr__(self, "_sort_key", key)
         object.__setattr__(self, "_node_count", 1 + sum(map(node_count, parts)))
+        text, top_bar = _show(self, parts)
+        object.__setattr__(self, "_text", text)
+        object.__setattr__(self, "_top_bar", top_bar)
 
 
 @syntax
@@ -113,11 +134,13 @@ class Atom(Formula):
 @syntax
 class Bottom(Formula):
     _rank = 1
+    _word = "false"
 
 
 @syntax
 class Top(Formula):
     _rank = 2
+    _word = "true"
 
 
 @syntax
@@ -125,6 +148,8 @@ class And(Formula):
     left: Formula
     right: Formula
     _rank = 4
+    _prec = _PREC_AND
+    _infix = " & "
 
 
 @syntax
@@ -132,6 +157,8 @@ class Or(Formula):
     left: Formula
     right: Formula
     _rank = 5
+    _prec = _PREC_OR
+    _infix = " | "
 
 
 @syntax
@@ -139,12 +166,47 @@ class Imp(Formula):
     left: Formula
     right: Formula
     _rank = 6
+    _prec = _PREC_IMP  # a negation, ``A -> false``, binds as unary: see _binding
+    _infix = " -> "
 
 
 @syntax
 class Box(Formula):
     body: Formula
     _rank = 3
+    _prec = _PREC_UNARY
+
+
+def _binding(f: Formula) -> int:
+    return _PREC_UNARY if isinstance(f, Imp) and isinstance(f.right, Bottom) else f._prec
+
+
+def _operand(f: Formula, level: int) -> tuple[str, bool]:
+    """The text of f in a place that asks for binding strength ``level``,
+    and whether a ``|`` stands in it outside parentheses."""
+    if _binding(f) >= level:
+        return f._text, f._top_bar
+    return f"({f._text})", False
+
+
+def _show(f: Formula, parts: tuple[Formula, ...]) -> tuple[str, bool]:
+    """The text of f from its operands' texts, and whether a ``|`` stands
+    in it outside parentheses. ``&`` and ``|`` group to the left, ``->``
+    to the right."""
+    if isinstance(f, Atom):
+        return f.name, False
+    if not parts:
+        return f._word, False
+    if isinstance(f, Box):
+        return "box " + _operand(parts[0], _PREC_UNARY)[0], False
+    left, right = parts
+    if isinstance(f, Imp):
+        if isinstance(right, Bottom):
+            return "~" + _operand(left, _PREC_UNARY)[0], False
+        (lt, lbar), (rt, rbar) = _operand(left, _PREC_IMP + 1), _operand(right, _PREC_IMP)
+    else:
+        (lt, lbar), (rt, rbar) = _operand(left, f._prec), _operand(right, f._prec + 1)
+    return lt + f._infix + rt, lbar or rbar or isinstance(f, Or)
 
 
 BOTTOM = Bottom()
@@ -362,38 +424,6 @@ def parse(text: str) -> Formula:
         raise ParseError("nested too deeply", 0) from None
 
 
-_PREC_IMP = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNARY = 4
-
-
-def _render(f: Formula, level: int) -> str:
-    match f:
-        case Atom(name):
-            return name
-        case Bottom():
-            return "false"
-        case Top():
-            return "true"
-        case Imp(left, Bottom()):
-            s = "~" + _render(left, _PREC_UNARY)
-            return s if level <= _PREC_UNARY else f"({s})"
-        case Box(body):
-            s = "box " + _render(body, _PREC_UNARY)
-            return s if level <= _PREC_UNARY else f"({s})"
-        case And(left, right):
-            s = _render(left, _PREC_AND) + " & " + _render(right, _PREC_AND + 1)
-            return s if level <= _PREC_AND else f"({s})"
-        case Or(left, right):
-            s = _render(left, _PREC_OR) + " | " + _render(right, _PREC_OR + 1)
-            return s if level <= _PREC_OR else f"({s})"
-        case Imp(left, right):
-            s = _render(left, _PREC_IMP + 1) + " -> " + _render(right, _PREC_IMP)
-            return s if level <= _PREC_IMP else f"({s})"
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def to_text(f: Formula) -> str:
     """Minimal-parentheses rendering; ``parse(to_text(f)) == f``."""
-    return _render(f, 0)
+    return f._text

@@ -17,8 +17,10 @@ formulas (see ``formula.Syntax``), so equal ones are one object. What
 is derived from a block or sequent is kept on it, computed on first use:
 a block's sort key, and a sequent's antecedent, succedent and block
 member sets, its formulas grouped by side and connective, which give
-the principals of rule instances, and its sort key, which orders
-components in lean search.
+the principals of rule instances, its sort key, which orders components
+in lean search, its node count and number of formula occurrences, which
+search statistics read, and its text. So a hypersequent's text joins
+texts made once per sequent, from texts made once per formula.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .formula import (
     parse_formula_tokens,
     sort_key,
     syntax,
-    to_text,
     tokenize,
 )
 
@@ -90,6 +91,12 @@ class Sequent(Syntax):
         lambda s: (tuple(map(sort_key, s.left)), tuple(map(block_key, s.blocks)), tuple(map(sort_key, s.right)))
     )
     _by_connective: dict = derived(_group_by_connective)
+    _nodes: int = derived(
+        lambda s: sum(map(node_count, s.left)) + sum(map(node_count, s.right))
+        + sum(node_count(f) for b in s.blocks for f in b.members)
+    )
+    _size: int = derived(lambda s: len(s.left) + len(s.right) + sum(len(b.members) for b in s.blocks))
+    _text: str = derived(lambda s: _sequent_text(s))
 
     @staticmethod
     def of(left=(), blocks=(), right=()) -> "Sequent":
@@ -112,14 +119,11 @@ block_sets = attrgetter("_block_sets")
 sequent_key = attrgetter("_key")
 by_connective = attrgetter("_by_connective")
 
+# Total formula-node count, the size measure for complexity bounds.
+sequent_nodes = attrgetter("_nodes")
 
-def sequent_nodes(s: Sequent) -> int:
-    """Total formula-node count, the size measure for complexity bounds."""
-    total = sum(node_count(f) for f in s.left)
-    total += sum(node_count(f) for f in s.right)
-    for b in s.blocks:
-        total += sum(node_count(f) for f in b.members)
-    return total
+# The number of formula occurrences, block members included.
+sequent_size = attrgetter("_size")
 
 
 @syntax
@@ -199,35 +203,31 @@ def subsumes(candidate: Sequent, reference: Sequent) -> bool:
     return all(any(bs == rs for rs in refs) for bs in block_sets(candidate))
 
 
-def _fmla_text(f: Formula) -> str:
-    text = to_text(f)
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "|" and depth == 0:
-            return f"({text})"
-    return text
+def _item_text(f: Formula) -> str:
+    """A formula's text as a sequent item, parenthesized when a ``|`` in it
+    would read as the component separator."""
+    return f"({f._text})" if f._top_bar else f._text
 
 
 def render_block(b: Block) -> str:
-    return "<" + ", ".join(_fmla_text(m) for m in b.members) + ">"
+    return "<" + ", ".join(map(_item_text, b.members)) + ">"
 
 
-def render_sequent(s: Sequent) -> str:
-    ante = [_fmla_text(f) for f in s.left] + [render_block(b) for b in s.blocks]
-    succ = [_fmla_text(f) for f in s.right]
+def _sequent_text(s: Sequent) -> str:
+    ante = [*map(_item_text, s.left), *map(render_block, s.blocks)]
     left = ", ".join(ante)
-    right = ", ".join(succ)
+    right = ", ".join(map(_item_text, s.right))
     if left:
         return f"{left} => {right}" if right else f"{left} =>"
     return f"=> {right}" if right else "=>"
 
 
+def render_sequent(s: Sequent) -> str:
+    return s._text
+
+
 def render_hypersequent(h: Hypersequent) -> str:
-    return " | ".join(render_sequent(c.seq) for c in h.components)
+    return " | ".join([c.seq._text for c in h.components])
 
 
 def _split_top_level(tokens: list[Token], kind: str) -> list[list[Token]]:

@@ -189,8 +189,12 @@ def render_labelled_formula(f: LabelledFormula) -> str:
 
 
 def render_labelled_sequent(s: LabelledSequent) -> str:
-    left = ", ".join(render_labelled_formula(f) for f in s.left)
-    right = ", ".join(render_labelled_formula(f) for f in s.right)
+    return _sequent_text(s, render_labelled_formula)
+
+
+def _sequent_text(s: LabelledSequent, render) -> str:
+    left = ", ".join(map(render, s.left))
+    right = ", ".join(map(render, s.right))
     if left and right:
         return f"{left} => {right}"
     if left:
@@ -201,7 +205,19 @@ def render_labelled_sequent(s: LabelledSequent) -> str:
 
 
 def labelled_derivation_to_dict(d: LabelledDerivation) -> dict:
-    return tree_to_dict(d, str, render_labelled_sequent)
+    """The tree of ``search.tree_to_dict``. Premisses share most of their
+    conclusion's labelled formulas, so each is rendered once per tree."""
+    # Keyed by id, which costs less to hash than the formula: the tree
+    # keeps every labelled formula alive until the walk ends.
+    texts: dict[int, str] = {}
+
+    def render(f: LabelledFormula) -> str:
+        text = texts.get(id(f))
+        if text is None:
+            text = texts[id(f)] = render_labelled_formula(f)
+        return text
+
+    return tree_to_dict(d, str, lambda s: _sequent_text(s, render))
 
 
 # --- label supply -----------------------------------------------------------

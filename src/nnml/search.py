@@ -42,6 +42,8 @@ from .hypersequent import (
     render_hypersequent,
     right_set,
     sequent_key,
+    sequent_nodes,
+    sequent_size,
 )
 from .logic import BOT_L, INIT, LogicSpec, RuleId, TOP_R, rule_set
 
@@ -104,14 +106,14 @@ class SearchStats:
         n = len(h.components)
         if n > self.max_components:
             self.max_components = n
-        size = h.nodes()
-        if size > self.max_nodes:
-            self.max_nodes = size
+        size = 0
         for c in h.components:
-            s = c.seq
-            occ = len(s.left) + len(s.right) + sum(len(b.members) for b in s.blocks)
+            size += sequent_nodes(c.seq)
+            occ = sequent_size(c.seq)
             if occ > self.max_component_size:
                 self.max_component_size = occ
+        if size > self.max_nodes:
+            self.max_nodes = size
 
 
 _NO_CUT = sys.maxsize

@@ -7,8 +7,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from nnml.cli import main
+from nnml.cli import _dumps, main
 from nnml.models import BiModel, model_from_dict, model_to_dict
 
 AXIOM_M = "box (p & q) -> box p"
@@ -155,6 +156,21 @@ class TestProve:
         bi = json.loads(out)["countermodels"]["bi"]
         assert bi["valuation"]["a599"] == [1] and "c" not in bi["valuation"]
 
+    def test_deep_derivation_prints_as_json(self, capsys):
+        # The proof is 601 rules deep, so its JSON nests 1,202 containers,
+        # more than a recursive encoder gets through under the default limit.
+        wide = ", ".join(f"a{i} & b{i}" for i in range(600)) + ", b599 -> z => z"
+        code, out, err = run(capsys, "prove", wide, "--logic", "E", "--output", "json")
+        assert (code, err) == (0, "")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20_000)  # json.loads recurses once per level too
+        try:
+            payload = json.loads(out)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert payload["outcome"] == "proved"
+        assert payload["derivation"]["conclusion"] == payload["input"]
+
     def test_graded_rough_model_is_checked_on_minimal_sets(self, capsys):
         # Its rough model has up to 528 neighbourhoods at a world, so RD3+
         # over every 3 of them would take tens of seconds.
@@ -175,6 +191,38 @@ class TestProve:
         payload = json.loads(out)
         assert payload["outcome"] == "proved"
         assert payload["derivation"]["rule"] == "ImpR"
+
+
+json_strings = st.text(st.characters(), max_size=8) | st.sampled_from(
+    ['"', "\\", "\n", "\x00", "\u00e9", "\U0001f600"]
+)
+json_scalars = st.integers() | st.booleans() | st.none() | json_strings
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(json_strings, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """``_dumps`` prints what ``json.dumps(value, indent=2)`` prints."""
+
+    @given(json_values)
+    def test_same_text_as_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    @given(st.lists(st.integers(-3, 3) | st.booleans(), min_size=1))
+    def test_bools_among_ints_stay_json_literals(self, value):
+        # bool is a subclass of int, so an int fast path must not take them.
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        value = []
+        for _ in range(3 * sys.getrecursionlimit()):
+            value = {"premisses": [value, 1]}
+        text = _dumps(value)
+        assert text.count("{") == 3 * sys.getrecursionlimit()
+        assert text.endswith("\n}")
 
 
 class TestCheckModel:

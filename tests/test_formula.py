@@ -26,6 +26,7 @@ from nnml.formula import (
     to_text,
     weight,
 )
+from nnml.hypersequent import Hypersequent, Sequent, render_hypersequent
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -112,6 +113,15 @@ class TestRender:
     @given(formulas)
     def test_round_trip(self, f):
         assert parse(to_text(f)) == f
+
+    def test_deep_formulas_render_without_recursion(self):
+        f = g = p
+        for _ in range(3000):
+            f, g = neg(f), Box(g)
+        assert to_text(f) == "~" * 3000 + "p"
+        assert to_text(g) == "box " * 3000 + "p"
+        h = Hypersequent.of([Sequent.of([g], (), [g])])
+        assert render_hypersequent(h) == f"{to_text(g)} => {to_text(g)}"
 
 
 class TestMeasures:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 
 from conftest import rngs, small_formulas
-from nnml.formula import And, Atom, BOTTOM, Box, Imp, Or, ParseError, TOP, node_count, parse, sort_key, subformulas
+from nnml.formula import And, Atom, BOTTOM, Box, Imp, Or, ParseError, TOP, node_count, parse, sort_key, subformulas, to_text
 from nnml.gen import random_hypersequent
 from nnml.hypersequent import (
     Block,
@@ -24,6 +24,7 @@ from nnml.hypersequent import (
     render_sequent,
     right_set,
     sequent_nodes,
+    sequent_size,
     subsumes,
 )
 
@@ -68,6 +69,16 @@ class TestSequents:
     def test_node_measure(self):
         s = Sequent.of([And(p, q)], [Block.of([p])], [Box(p)])
         assert sequent_nodes(s) == 3 + 1 + 2
+        assert sequent_size(Sequent.of([p, p, q], [Block.of([p, q]), Block.of([r])], [r])) == 7
+
+    @given(small_formulas)
+    def test_items_with_a_bar_outside_parentheses_are_parenthesized(self, f):
+        text, depth, bar = to_text(f), 0, False
+        for ch in text:
+            depth += (ch == "(") - (ch == ")")
+            bar = bar or (ch == "|" and depth == 0)
+        item = f"({text})" if bar else text
+        assert render_sequent(Sequent.of([f], [Block.of([f])], [f])) == f"{item}, <{item}> => {item}"
 
 
 class TestInterning:
