@@ -9,9 +9,10 @@ conjunction of both implications, and ``dia A`` becomes ``~box ~A``.
 
 Formulas, and the blocks, sequents and hypersequents made of them, are
 interned: building one returns the one live value of that structure, so
-``==`` and ``hash`` are identity. The intern table holds values weakly,
-and what is derived from a value is kept on it (``derived``), so both go
-when the value does.
+``==`` and ``hash`` are identity. So are the neighbourhood terms,
+labelled formulas and labelled sequents of the labelled calculi. The
+intern table holds values weakly, and what is derived from a value is
+kept on it (``derived``), so both go when the value does.
 
 A formula's text is one of those derived values. It is set when the
 formula is built, from its operands' texts, so printing a formula reads

@@ -96,7 +96,9 @@ class Sequent(Syntax):
         + sum(node_count(f) for b in s.blocks for f in b.members)
     )
     _size: int = derived(lambda s: len(s.left) + len(s.right) + sum(len(b.members) for b in s.blocks))
-    _text: str = derived(lambda s: _sequent_text(s))
+    _text: str = derived(
+        lambda s: join_sides([*map(_item_text, s.left), *map(render_block, s.blocks)], map(_item_text, s.right))
+    )
 
     @staticmethod
     def of(left=(), blocks=(), right=()) -> "Sequent":
@@ -158,9 +160,6 @@ class Hypersequent(Syntax):
     def with_new_component(self, seq: Sequent) -> "Hypersequent":
         return Hypersequent(self.components + (Component(self.next_cid(), seq),))
 
-    def nodes(self) -> int:
-        return sum(sequent_nodes(c.seq) for c in self.components)
-
 
 def conjunction(fs) -> Formula:
     items = list(fs)
@@ -213,10 +212,11 @@ def render_block(b: Block) -> str:
     return "<" + ", ".join(map(_item_text, b.members)) + ">"
 
 
-def _sequent_text(s: Sequent) -> str:
-    ante = [*map(_item_text, s.left), *map(render_block, s.blocks)]
-    left = ", ".join(ante)
-    right = ", ".join(map(_item_text, s.right))
+def join_sides(left, right) -> str:
+    """The text ``left => right`` of a sequent of either calculus, from
+    the texts of the items on each side."""
+    left = ", ".join(left)
+    right = ", ".join(right)
     if left:
         return f"{left} => {right}" if right else f"{left} =>"
     return f"=> {right}" if right else "=>"

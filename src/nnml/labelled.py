@@ -10,6 +10,13 @@ fresh world outside it) are generated on the fly, as are the closing
 steps for leaves whose shared formula is compound. Each labelled step
 takes its premisses from ``_rule_premisses``, the one schema of the
 labelled rules, which the checker audits derivations against.
+
+Terms, labelled formulas and labelled sequents are interned like
+formulas (see ``formula.Syntax``), so equal ones are one object, and the
+checker compares a node's children with the premisses it expects by
+identity. A labelled formula's sort key and text are set once per
+value, when it is built; a labelled sequent's text is made on first
+use, from the texts of its formulas.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from dataclasses import dataclass
 
 from .calculus import rule_def
 from .formula import And, Atom, Bottom, Box, Formula, Imp, Or, TOP, Top, sort_key, to_text
-from .hypersequent import Block, Hypersequent
+from .formula import Syntax, derived, syntax
+from .hypersequent import Block, Hypersequent, join_sides
 from .logic import (
     AND_L,
     AND_R,
@@ -45,12 +53,12 @@ class TranslationError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class NbTerm:
+@syntax
+class NbTerm(Syntax):
     """A neighbourhood term: a composite of labels, possibly overlined."""
 
-    labels: tuple[str, ...]
-    negative: bool = False
+    labels: tuple[str, ...]  # sorted, as ``of`` builds them
+    negative: bool  # no default: the intern table keys on the arguments as passed
 
     @classmethod
     def of(cls, labels, negative: bool = False) -> "NbTerm":
@@ -77,74 +85,92 @@ class NbTerm:
 TAU_TERM = NbTerm((TAU,), False)
 
 
-@dataclass(frozen=True, slots=True)
-class WorldAt:
+@syntax
+class LabelledFormula(Syntax):
+    """Base of the five labelled formulas, with the values kept on each.
+
+    The sort key puts memberships first, then pairings, universal and
+    existential forcing, and formulas at a world last; a compound formula
+    is parenthesized in the text.
+    """
+
+    _sort_key: tuple = derived()
+    _text: str = derived()
+
+    def __post_init__(self):
+        key, text = _key_and_text(self)
+        object.__setattr__(self, "_sort_key", key)
+        object.__setattr__(self, "_text", text)
+
+
+@syntax
+class WorldAt(LabelledFormula):
     world: str
     formula: Formula
 
 
-@dataclass(frozen=True, slots=True)
-class ForcesAll:
+@syntax
+class ForcesAll(LabelledFormula):
     term: NbTerm
     formula: Formula
 
-    def __post_init__(self):
-        if self.term.negative:
-            raise ValueError("universal forcing takes a positive term")
 
-
-@dataclass(frozen=True, slots=True)
-class ForcesEx:
+@syntax
+class ForcesEx(LabelledFormula):
     term: NbTerm
     formula: Formula
 
-    def __post_init__(self):
-        if not self.term.negative:
-            raise ValueError("existential forcing takes an overlined term")
 
-
-@dataclass(frozen=True, slots=True)
-class MemberOf:
+@syntax
+class MemberOf(LabelledFormula):
     world: str
     term: NbTerm
 
 
-@dataclass(frozen=True, slots=True)
-class PairOf:
+@syntax
+class PairOf(LabelledFormula):
     term: NbTerm
     world: str
 
-    def __post_init__(self):
-        if self.term.negative:
-            raise ValueError("pairing takes a positive term")
+
+def _wrap(f: Formula) -> str:
+    text = to_text(f)
+    if isinstance(f, (And, Or, Imp)):
+        return f"({text})"
+    return text
 
 
-LabelledFormula = WorldAt | ForcesAll | ForcesEx | MemberOf | PairOf
-
-
-def _lf_key(f: LabelledFormula) -> tuple:
+def _key_and_text(f: LabelledFormula) -> tuple[tuple, str]:
+    """The sort key and text of f; a term of the wrong polarity is a ValueError."""
     match f:
         case MemberOf(world, term):
-            return (0, world, term.negative, term.labels)
+            return (0, world, term.negative, term.labels), f"{world} in {term.render()}"
         case PairOf(term, world):
-            return (1, term.labels, world)
+            if term.negative:
+                raise ValueError("pairing takes a positive term")
+            return (1, term.labels, world), f"{term.render()} |> {world}"
         case ForcesAll(term, formula):
-            return (2, term.labels, sort_key(formula))
+            if term.negative:
+                raise ValueError("universal forcing takes a positive term")
+            return (2, term.labels, sort_key(formula)), f"{term.render()} |=A {_wrap(formula)}"
         case ForcesEx(term, formula):
-            return (3, term.labels, sort_key(formula))
+            if not term.negative:
+                raise ValueError("existential forcing takes an overlined term")
+            return (3, term.labels, sort_key(formula)), f"{term.render()} |=E {_wrap(formula)}"
         case WorldAt(world, formula):
-            return (4, world, sort_key(formula))
+            return (4, world, sort_key(formula)), f"{world}:{_wrap(formula)}"
     raise TypeError(f"not a labelled formula: {f!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class LabelledSequent:
+@syntax
+class LabelledSequent(Syntax):
     left: tuple[LabelledFormula, ...]
     right: tuple[LabelledFormula, ...]
+    _text: str = derived(lambda s: join_sides([f._text for f in s.left], [f._text for f in s.right]))
 
     @classmethod
     def of(cls, left, right) -> "LabelledSequent":
-        return cls(tuple(sorted(left, key=_lf_key)), tuple(sorted(right, key=_lf_key)))
+        return cls(tuple(sorted(left, key=sort_key)), tuple(sorted(right, key=sort_key)))
 
     def adding(self, left=(), right=()) -> "LabelledSequent":
         return LabelledSequent.of(self.left + tuple(left), self.right + tuple(right))
@@ -166,58 +192,13 @@ class LabelledDerivation:
     children: tuple["LabelledDerivation", ...]
 
 
-def _wrap(f: Formula) -> str:
-    text = to_text(f)
-    if isinstance(f, (And, Or, Imp)):
-        return f"({text})"
-    return text
-
-
-def render_labelled_formula(f: LabelledFormula) -> str:
-    match f:
-        case WorldAt(world, formula):
-            return f"{world}:{_wrap(formula)}"
-        case ForcesAll(term, formula):
-            return f"{term.render()} |=A {_wrap(formula)}"
-        case ForcesEx(term, formula):
-            return f"{term.render()} |=E {_wrap(formula)}"
-        case MemberOf(world, term):
-            return f"{world} in {term.render()}"
-        case PairOf(term, world):
-            return f"{term.render()} |> {world}"
-    raise TypeError(f"not a labelled formula: {f!r}")
-
-
 def render_labelled_sequent(s: LabelledSequent) -> str:
-    return _sequent_text(s, render_labelled_formula)
-
-
-def _sequent_text(s: LabelledSequent, render) -> str:
-    left = ", ".join(map(render, s.left))
-    right = ", ".join(map(render, s.right))
-    if left and right:
-        return f"{left} => {right}"
-    if left:
-        return f"{left} =>"
-    if right:
-        return f"=> {right}"
-    return "=>"
+    return s._text
 
 
 def labelled_derivation_to_dict(d: LabelledDerivation) -> dict:
-    """The tree of ``search.tree_to_dict``. Premisses share most of their
-    conclusion's labelled formulas, so each is rendered once per tree."""
-    # Keyed by id, which costs less to hash than the formula: the tree
-    # keeps every labelled formula alive until the walk ends.
-    texts: dict[int, str] = {}
-
-    def render(f: LabelledFormula) -> str:
-        text = texts.get(id(f))
-        if text is None:
-            text = texts[id(f)] = render_labelled_formula(f)
-        return text
-
-    return tree_to_dict(d, str, lambda s: _sequent_text(s, render))
+    """The tree of ``search.tree_to_dict``."""
+    return tree_to_dict(d, str, render_labelled_sequent)
 
 
 # --- label supply -----------------------------------------------------------
@@ -473,7 +454,7 @@ def _rule_premisses(rule: str, p: tuple, seq: LabelledSequent, l: LogicSpec | No
             return "the term merge rule is not in this logic"
         t, s, x = p
         if t == s:
-            if sum(1 for lf in seq.left if lf == PairOf(t, x)) < 2:
+            if seq.left.count(PairOf(t, x)) < 2:
                 return "merging one term with itself needs two pairings"
         else:
             err = need_left(PairOf(t, x), "the first pairing") or need_left(
@@ -582,7 +563,10 @@ def translate_derivation(d: Derivation, l: LogicSpec) -> LabelledDerivation:
     if not report:
         raise TranslationError(f"input derivation does not check: {report.reason}")
     root, world_of, binfo, labels = _translate_with_context(d.conclusion)
-    return _translate_node(d, root, world_of, binfo, labels, l)
+    try:
+        return _translate_node(d, root, world_of, binfo, labels, l)
+    except RecursionError:
+        raise TranslationError("derivation nested too deeply to translate") from None
 
 
 def _translate_node(

@@ -332,6 +332,20 @@ class TestTranslate:
         code, _, _ = run(capsys, "translate", "p => q", "--logic", "ET")
         assert code == 2
 
+    @pytest.mark.parametrize("pairs, code", [(150, 0), (400, 2)])
+    def test_deep_derivations(self, capsys, pairs, code):
+        # The proof nests one rule per conjunction, and the translation
+        # recurses a few frames per rule, so 400 pairs pass the default
+        # recursion limit: a usage error, not a traceback.
+        wide = ", ".join(f"a{i} & b{i}" for i in range(pairs)) + f", b{pairs - 1} -> z => z"
+        limit = sys.getrecursionlimit()
+        got, out, err = run(capsys, "translate", wide, "--logic", "E", "--derive")
+        assert got == code and sys.getrecursionlimit() == limit
+        if code == 0:
+            assert out.startswith("[L-and]") and err == ""
+        else:
+            assert (out, err) == ("", "error: derivation nested too deeply to translate\n")
+
 
 class TestRepeatedCalls:
     """One process, many calls: no call may see another's flags."""

@@ -1,5 +1,6 @@
 """Labelled-sequent translation and the labelled derivation checker."""
 
+import copy
 from dataclasses import replace
 
 import pytest
@@ -71,6 +72,36 @@ class TestTerms:
             ForcesEx(a, p)
         with pytest.raises(ValueError):
             PairOf(a.negated(), "x1")
+
+
+class TestInterning:
+    def test_equal_terms_are_one_object(self):
+        assert NbTerm.of(("b", "a")) is NbTerm.of(("a", "b"))
+        assert NbTerm.of(("a",)).negated() is NbTerm.of(("a",), True)
+
+    def test_equal_labelled_formulas_are_one_object(self):
+        t = NbTerm.of(("a",))
+        assert WorldAt("x1", Box(p)) is WorldAt("x1", Box(Atom("p")))
+        assert ForcesEx(t.negated(), q) is ForcesEx(NbTerm.of(("a",)).negated(), q)
+
+    def test_permuted_items_give_one_sequent(self):
+        t = NbTerm.of(("a",))
+        items = [WorldAt("x1", p), PairOf(t, "x1"), MemberOf("x2", t), ForcesAll(t, q)]
+        s = LabelledSequent.of(items, [WorldAt("x1", q), ForcesEx(t.negated(), p)])
+        assert LabelledSequent.of(items[::-1], [ForcesEx(t.negated(), p), WorldAt("x1", q)]) is s
+        assert s.left == (MemberOf("x2", t), PairOf(t, "x1"), ForcesAll(t, q), WorldAt("x1", p))
+        assert render_labelled_sequent(s) == "x2 in a, a |> x1, a |=A q, x1:p => ~a |=E p, x1:q"
+
+    def test_copies_are_the_live_value(self):
+        t = NbTerm.of(("a", "b"))
+        s = LabelledSequent.of([PairOf(t, "x1"), ForcesAll(t, Imp(p, q))], [ForcesEx(t.negated(), p)])
+        assert copy.deepcopy(s) is s
+        assert copy.copy(s) is s
+        assert copy.deepcopy(t.negated()) is t.negated()
+
+    def test_translations_share_their_sequents(self):
+        h = parse_hypersequent("<p, q> => box r | s => t")
+        assert translate_hypersequent(h, EC) is translate_hypersequent(h, EC)
 
 
 class TestStaticTranslation:
