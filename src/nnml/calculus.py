@@ -20,9 +20,15 @@ component, or the component it creates. The rest is read off the entry:
 - the deleting reading, ``lean_premisses``, takes the principal out of
   the premisses, gives every new component the verum block when the
   logic has N (so N itself is never applied), and filters nothing. It
-  yields each instance's premisses as a bare tuple, with no rule
-  instance around it: lean search backtracks over them and needs only
-  the premisses;
+  works on normal hypersequents, as sequences of components, and yields
+  each instance as its move, with no rule instance around it: the base
+  left without the principal and the new sequent of each premiss. A
+  move depends on one sequent only; ``lean_moves`` makes them as they
+  are reached, and from the second time a sequent and rule group are
+  asked for, one search's ``Moves`` table keeps them. ``lean_premiss``
+  builds one premiss from a move, already normal, when lean search
+  reaches it; the instance's key, read off the move, tells which
+  premiss sets were tried;
 - ``build_premisses`` gives the cumulative premisses of one instance
   and rejects principal data that does not fit; the derivation checker
   audits proofs with it.
@@ -51,6 +57,7 @@ from .hypersequent import (
     by_connective,
     left_set,
     right_set,
+    sequent_key,
 )
 from .logic import (
     AND_L,
@@ -93,19 +100,28 @@ class RuleInstance:
     premisses: tuple[Hypersequent, ...]
 
 
+def sequent_evidence(s: Sequent) -> tuple[RuleId, Formula | None] | None:
+    """The initial pattern of one sequent, if any: falsum on the left,
+    verum on the right, or else the least formula shared by both sides."""
+    ls = left_set(s)
+    rs = right_set(s)
+    if BOTTOM in ls:
+        return (BOT_L, None)
+    if TOP in rs:
+        return (TOP_R, None)
+    shared = ls & rs
+    if shared:
+        return (INIT, min(shared, key=sort_key))
+    return None
+
+
 def initial_evidence(h: Hypersequent) -> tuple[RuleId, int, Formula | None] | None:
-    """First initial pattern in component order: falsum on the left, verum
-    on the right, or a formula shared by both sides."""
+    """The initial pattern of the first component that has one (see
+    ``sequent_evidence``), with that component's id."""
     for c in h.components:
-        ls = left_set(c.seq)
-        rs = right_set(c.seq)
-        if BOTTOM in ls:
-            return (BOT_L, c.cid, None)
-        if TOP in rs:
-            return (TOP_R, c.cid, None)
-        shared = ls & rs
-        if shared:
-            return (INIT, c.cid, min(shared, key=sort_key))
+        ev = sequent_evidence(c.seq)
+        if ev is not None:
+            return (ev[0], c.cid, ev[1])
     return None
 
 
@@ -289,6 +305,25 @@ def _candidates(h: Hypersequent, groups) -> Iterator[tuple[RuleDef, Component, t
                         yield rd, c, blocks + f
 
 
+def _principals(s: Sequent, group) -> list[tuple[RuleDef, tuple]]:
+    """The rules of one group and their distinct principals in one
+    sequent, in the order of ``_candidates``, as a list: lean search
+    asks for them per sequent and group, and an empty list tells it to
+    skip the pair."""
+    out = []
+    for rd in group:
+        fs: list[tuple] = [()]
+        if rd.connective is not None:
+            fs = by_connective(s).get((rd.side, rd.connective))
+            if not fs:
+                continue
+        choices = dict.fromkeys(combinations(s.blocks, rd.blocks)) if rd.blocks else [()]
+        for blocks in choices:
+            for f in fs:
+                out.append((rd, blocks + f))
+    return out
+
+
 def _without_principal(rd: RuleDef, s: Sequent, principal: tuple) -> Sequent:
     """s with the principal's blocks and formula taken out."""
     blocks = list(s.blocks)
@@ -358,13 +393,114 @@ def iter_instances(h: Hypersequent, l: LogicSpec) -> Iterator[RuleInstance]:
             yield RuleInstance(rd.rule, c.cid, principal, _apply(h, c.cid, rd, c.seq, schema, ()))
 
 
-def lean_premisses(h: Hypersequent, l: LogicSpec) -> Iterator[tuple[Hypersequent, ...]]:
-    """The premisses of every principal-deleting instance, none filtered,
-    in strategy order."""
-    fresh = (_TOP_BLOCK,) if l.has_n else ()
-    for rd, c, principal in _candidates(h, rule_groups(l, lean=True)):
-        base = _without_principal(rd, c.seq, principal)
-        yield _apply(h, c.cid, rd, base, rd.schema(*principal), fresh)
+def lean_moves(s: Sequent, principals, fresh: tuple) -> Iterator[tuple[Sequent | None, tuple[Sequent, ...], tuple]]:
+    """The deleting instances of the given principals on one sequent, as
+    moves, in order.
+
+    A move is ``(base, new, by_id)``: for a rule that creates components,
+    ``base`` is what the principal's component keeps and ``new`` the
+    component each premiss adds; for the others ``base`` is None and each
+    premiss replaces the component by its item of ``new``. ``by_id`` is
+    ``new`` sorted by ``id``. A move depends on the sequent alone, so one
+    search can reuse it wherever the sequent occurs.
+    """
+    for rd, principal in principals:
+        base = _without_principal(rd, s, principal)
+        schema = rd.schema(*principal)
+        if rd.spawns:
+            new = tuple([Sequent.of(p.left, fresh, p.right) for p in schema])
+        else:
+            new = tuple([base.adding(p.left, map(Block.of, p.blocks), p.right) for p in schema])
+            base = None
+        yield base, new, new if len(new) == 1 else tuple(sorted(new, key=id))
+
+
+def _replay(row: list, gi: int, done: list, rest: Iterator) -> Iterator:
+    """The moves in ``done``, then those of ``rest``, each appended to
+    ``done`` as it is made, so that readers can interleave; the last one
+    puts the finished tuple in ``row[gi]``."""
+    i = 0
+    while True:
+        if i == len(done):
+            move = next(rest, None)
+            if move is None:
+                row[gi] = tuple(done)
+                return
+            done.append(move)
+        yield done[i]
+        i += 1
+
+
+_ASKED = object()  # the entry of a (sequent, group) pair asked once
+
+
+class Moves(dict):
+    """The move table of one lean search in one logic: it maps a sequent
+    to one entry per lean rule group (see ``lean_premisses``)."""
+
+    __slots__ = ("groups", "fresh")
+
+    def __init__(self, l: LogicSpec):
+        super().__init__()
+        self.groups = rule_groups(l, lean=True)
+        self.fresh = (_TOP_BLOCK,) if l.has_n else ()
+
+
+def lean_premisses(seqs: tuple[Sequent, ...], moves: Moves) -> Iterator[tuple]:
+    """Every principal-deleting instance of a normal hypersequent, given
+    as its sequence of components, none filtered, in strategy order, as
+    ``(j, base, new, key)``.
+
+    ``j`` is the position of the principal's component, ``base`` and
+    ``new`` are its move (see ``lean_moves``), and ``lean_premiss`` builds
+    each premiss from them. In a normal hypersequent component ids are
+    positions plus one, and every premiss of an instance shares its
+    component and base, so ``key``, that is ``(j, base, by_id)``, is equal
+    for two instances exactly when their premiss sets are.
+
+    Moves are made as they are reached. The first time a (sequent, group)
+    pair is asked for, they are not kept; from the second time on, they
+    are kept in ``moves`` as they are made, and the finished entry is the
+    tuple of them.
+    """
+    groups, fresh = moves.groups, moves.fresh
+    rows = []
+    for s in seqs:
+        row = moves.get(s)
+        if row is None:
+            row = moves[s] = [None] * len(groups)
+        rows.append(row)
+    for gi, group in enumerate(groups):
+        for j, row in enumerate(rows):
+            entry = row[gi]
+            if type(entry) is tuple:
+                found = entry
+            elif entry is None:
+                ps = _principals(seqs[j], group)
+                if not ps:
+                    row[gi] = ()
+                    continue
+                row[gi] = _ASKED
+                found = lean_moves(seqs[j], ps, fresh)
+            else:
+                if entry is _ASKED:
+                    entry = row[gi] = [[], lean_moves(seqs[j], _principals(seqs[j], group), fresh)]
+                found = _replay(row, gi, *entry)
+            for base, new, by_id in found:
+                yield j, base, new, (j, base, by_id)
+
+
+def lean_premiss(seqs: tuple[Sequent, ...], j: int, base: Sequent | None, new: Sequent) -> tuple[Sequent, ...]:
+    """One premiss of an instance on a normal hypersequent, both given as
+    their sequences of components; the premiss comes normal: sorted,
+    duplicates collapsed."""
+    out = list(seqs)
+    if base is None:
+        out[j] = new
+    else:
+        out[j] = base
+        out.append(new)
+    return tuple(dict.fromkeys(sorted(out, key=sequent_key)))
 
 
 def first_instance(h: Hypersequent, l: LogicSpec) -> RuleInstance | None:

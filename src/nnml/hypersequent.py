@@ -14,13 +14,15 @@ component separator stays unambiguous.
 
 Blocks, sequents, components and hypersequents are interned like
 formulas (see ``formula.Syntax``), so equal ones are one object. What
-is derived from a block or sequent is kept on it, computed on first use:
-a block's sort key, and a sequent's antecedent, succedent and block
-member sets, its formulas grouped by side and connective, which give
-the principals of rule instances, its sort key, which orders components
-in lean search, its node count and number of formula occurrences, which
-search statistics read, and its text. So a hypersequent's text joins
-texts made once per sequent, from texts made once per formula.
+is derived from a block or sequent is kept on it. A sequent's
+antecedent and succedent sets are made when it is built, as every
+visited goal reads them. The rest is computed on first use: a block's
+sort key, and a sequent's block member sets, its formulas grouped by
+side and connective, which give the principals of rule instances, its
+sort key, which orders components in lean search, its node count and
+number of formula occurrences, which search statistics read, and its
+text. So a hypersequent's text joins texts made once per sequent, from
+texts made once per formula.
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ class Sequent(Syntax):
     left: tuple[Formula, ...]
     blocks: tuple[Block, ...]
     right: tuple[Formula, ...]
-    _left_set: frozenset[Formula] = derived(lambda s: frozenset(s.left))
-    _right_set: frozenset[Formula] = derived(lambda s: frozenset(s.right))
+    _left_set: frozenset[Formula] = derived()
+    _right_set: frozenset[Formula] = derived()
     _block_sets: tuple[frozenset[Formula], ...] = derived(lambda s: tuple(map(Block.member_set, s.blocks)))
     _key: tuple = derived(
         lambda s: (tuple(map(sort_key, s.left)), tuple(map(block_key, s.blocks)), tuple(map(sort_key, s.right)))
@@ -99,6 +101,12 @@ class Sequent(Syntax):
     _text: str = derived(
         lambda s: join_sides([*map(_item_text, s.left), *map(render_block, s.blocks)], map(_item_text, s.right))
     )
+
+    def __post_init__(self):
+        # Every visited goal reads both sets of each component, so they are
+        # set here rather than on first use.
+        object.__setattr__(self, "_left_set", frozenset(self.left))
+        object.__setattr__(self, "_right_set", frozenset(self.right))
 
     @staticmethod
     def of(left=(), blocks=(), right=()) -> "Sequent":

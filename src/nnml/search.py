@@ -18,6 +18,16 @@ the same strategy order, and skips instances whose premisses it has
 already tried. It works on normalized goals, remembers decided ones and
 cuts cycles at their ancestors (see ``prove_unkleened``). It decides
 derivability only and produces no countermodel.
+
+Lean search shares each sequent's moves within one search and builds
+premisses normal, one at a time, as it reaches them. A move is what one
+instance does to the principal's component: the base left without the
+principal, and the new sequent of each premiss. It depends on that
+sequent alone, so sibling goals and revisits share it through a move
+table that lives for one search (``calculus.Moves``). A premiss is the
+goal's other components plus the move's sequents, sorted, so only the
+root needs normalizing; when an instance's first premiss fails, its
+other premisses are never built.
 """
 
 from __future__ import annotations
@@ -27,17 +37,21 @@ from dataclasses import dataclass
 
 from .calculus import (
     InvalidInstance,
+    Moves,
     RuleInstance,
     build_premisses,
     first_instance,
     initial_evidence,
+    lean_premiss,
     lean_premisses,
+    sequent_evidence,
 )
 from .formula import BOTTOM, TOP
 from .hypersequent import (
     Block,
     Component,
     Hypersequent,
+    Sequent,
     left_set,
     render_hypersequent,
     right_set,
@@ -100,6 +114,8 @@ class SearchStats:
     max_components: int = 0
     max_nodes: int = 0
     max_component_size: int = 0
+    memo_hits: int = 0
+    cycle_cuts: int = 0
 
     def record(self, h: Hypersequent) -> None:
         self.visited += 1
@@ -119,26 +135,30 @@ class SearchStats:
 _NO_CUT = sys.maxsize
 
 
-def _normalize(h: Hypersequent) -> Hypersequent:
-    """Canonical form: components sorted, exact duplicates collapsed.
+def _normalize(h: Hypersequent) -> tuple[Sequent, ...]:
+    """Canonical form, as the sequence of components: sorted, exact
+    duplicates collapsed.
 
     Duplicate collapsing is external contraction, merging is external
     weakening read backwards; both are admissible, so derivability is
     unchanged and the reachable state space becomes finite.
     """
-    return Hypersequent.of(dict.fromkeys(sorted((c.seq for c in h.components), key=sequent_key)))
+    return tuple(dict.fromkeys(sorted((c.seq for c in h.components), key=sequent_key)))
 
 
 class _Frame:
     """A goal on the stack: the premisses of the instance being tried
     (None in lean mode between instances) and the results of those
-    decided so far. In lean mode ``rest`` yields the instances not yet
-    tried, ``tried`` holds their premiss sets, and ``lowest`` is the
-    lowest stack depth a cycle cut under the goal pointed at."""
+    decided so far. In lean mode ``h`` is the goal's normal sequence of
+    components, ``premisses`` holds the new sequents of the instance's
+    move and ``inst`` its position and base (see
+    ``calculus.lean_premisses``), ``rest`` yields the instances not yet
+    tried, ``tried`` holds their keys, and ``lowest`` is the lowest stack
+    depth a cycle cut under the goal pointed at."""
 
     __slots__ = ("h", "inst", "premisses", "proved", "rest", "tried", "lowest")
 
-    def __init__(self, h: Hypersequent, inst: RuleInstance | None, rest):
+    def __init__(self, h, inst: RuleInstance | None, rest):
         self.h, self.inst, self.rest = h, inst, rest
         self.premisses = None if inst is None else inst.premisses
         self.proved: list = []
@@ -154,39 +174,53 @@ def _search(
 
     The invertible result is the root's proof tree, or the first saturated
     goal; the lean result is whether the root is derivable.
+
+    A lean goal is the normal sequence of a hypersequent's components,
+    and the memo and the ancestors are keyed by it. Only the root is
+    normalized: the loop builds each premiss normal, and only when it
+    reaches it (``calculus.lean_premiss``), so no premiss after a failed
+    one is built. An instance is skipped when its key, (component
+    position, base, new sequents), is in ``tried``; the key is read off
+    the instance's move, before any premiss is built. Moves come from
+    ``moves``, the move table of this search, which goes when the search
+    returns, like the memo.
     """
     visited = 0
-    memo: dict[Hypersequent, bool] = {}
-    ancestors: dict[Hypersequent, int] = {}
+    memo: dict[tuple[Sequent, ...], bool] = {}
+    ancestors: dict[tuple[Sequent, ...], int] = {}
+    moves = Moves(l) if lean else None
     stack: list[_Frame] = []
-    goal = h
+    goal = _normalize(h) if lean else h
     while True:
         # Enter the goal: decide it at once, or open a frame for it.
         result = None
         low = _NO_CUT
         if lean:
-            goal = _normalize(goal)
             result = memo.get(goal)
-            if result is None and goal in ancestors:
-                result, low = False, ancestors[goal]
+            if result is None:
+                if goal in ancestors:
+                    result, low = False, ancestors[goal]
+                    if stats is not None:
+                        stats.cycle_cuts += 1
+            elif stats is not None:
+                stats.memo_hits += 1
         if result is None:
             visited += 1
             if stats is not None:
-                stats.record(goal)
+                stats.record(Hypersequent.of(goal) if lean else goal)
             if visited > budget:
                 raise BudgetExceeded(visited, budget)
-            ev = initial_evidence(goal)
-            if ev is None:
-                if lean:
-                    ancestors[goal] = len(stack)
-                    stack.append(_Frame(goal, None, lean_premisses(goal, l)))
+            if lean:
+                if any(map(sequent_evidence, goal)):
+                    result = memo[goal] = True
                 else:
-                    inst = first_instance(goal, l)
-                    if inst is None:
-                        return goal, visited
-                    stack.append(_Frame(goal, inst, None))
-            elif lean:
-                result = memo[goal] = True
+                    ancestors[goal] = len(stack)
+                    stack.append(_Frame(goal, None, lean_premisses(goal, moves)))
+            elif (ev := initial_evidence(goal)) is None:
+                inst = first_instance(goal, l)
+                if inst is None:
+                    return goal, visited
+                stack.append(_Frame(goal, inst, None))
             else:
                 tag, cid, f = ev
                 result = Derivation(goal, tag, cid, () if f is None else (f,), ())
@@ -204,20 +238,19 @@ def _search(
                     fr.lowest = low
             if fr.premisses is not None:
                 if len(fr.proved) < len(fr.premisses):
-                    goal = fr.premisses[len(fr.proved)]
+                    if lean:
+                        goal = lean_premiss(fr.h, *fr.inst, fr.premisses[len(fr.proved)])
+                    else:
+                        goal = fr.premisses[len(fr.proved)]
                     break
             else:
-                for prems in fr.rest:
-                    # Premisses of one goal number their components as it does,
-                    # so ones with equal sequents are one object; sorting by id
-                    # ignores their order.
-                    key = tuple(sorted(prems, key=id))
+                for j, base, new, key in fr.rest:
                     if key not in fr.tried:
                         fr.tried.add(key)
-                        fr.premisses, fr.proved = prems, []
+                        fr.inst, fr.premisses, fr.proved = (j, base), new, []
+                        goal = lean_premiss(fr.h, j, base, new[0])
                         break
                 if fr.premisses is not None:
-                    goal = fr.premisses[0]
                     break
             # Every premiss is proved, or (lean) every instance failed.
             stack.pop()
@@ -272,6 +305,15 @@ def prove_unkleened(
     closing at the current goal itself, no proof exists and the failure
     is cached. A failure still depending on a goal further up the stack
     propagates the depth of that goal instead of being cached.
+
+    Premisses come normal and are built only when the search reaches
+    them; each sequent's moves are kept, once asked for twice, in a
+    table that goes when the search returns. An instance is skipped when
+    an earlier one of the same goal had the same key: the position of
+    the principal's component, the base a component-creating rule leaves
+    there, and the new sequents sorted by ``id``. Equal keys mean equal
+    premiss sets. With ``stats``, lean search also counts memo hits and
+    cycle cuts.
     """
     if l.has_n:
         top = (Block.of((TOP,)),)

@@ -6,11 +6,18 @@ from hypothesis import given, settings
 from conftest import rngs
 from nnml.calculus import (
     InvalidInstance,
+    Moves,
+    _apply,
+    _candidates,
+    _without_principal,
     build_premisses,
     first_instance,
     initial_evidence,
     is_saturated,
     iter_instances,
+    lean_premiss,
+    lean_premisses,
+    rule_groups,
 )
 from nnml.formula import And, Atom, BOTTOM, Box, Imp, TOP
 from nnml.gen import random_hypersequent
@@ -39,6 +46,7 @@ from nnml.logic import (
     dn_plus,
     parse_logic_name,
 )
+from nnml.search import _normalize
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -50,6 +58,7 @@ ET = parse_logic_name("ET")
 EP = parse_logic_name("EP")
 ED = parse_logic_name("ED")
 ED2 = parse_logic_name("ED2+")
+ED3 = parse_logic_name("ED3+")
 
 
 def hs(text):
@@ -275,3 +284,51 @@ class TestSaturation:
             again = build_premisses(h, inst.rule, inst.cid, inst.principal)
             assert again == inst.premisses
             assert all(len(x.components) >= len(h.components) for x in inst.premisses)
+
+
+def check_lean_premisses(seqs, logic):
+    """The premisses lean search builds, normal and one at a time, equal
+    the normalized premisses of each deleting instance built in full, and
+    the instances' keys are equal exactly when those full premiss sets
+    are."""
+    h = Hypersequent.of(seqs)
+    fresh = (Block.of((TOP,)),) if logic.has_n else ()
+    built, expected = [], []
+    for rd, c, principal in _candidates(h, rule_groups(logic, lean=True)):
+        base = _without_principal(rd, c.seq, principal)
+        built.append(_apply(h, c.cid, rd, base, rd.schema(*principal), fresh))
+        expected.append(tuple(map(_normalize, built[-1])))
+    # One move table read three times: on the first ask nothing is
+    # kept; on the second two readers interleave while the moves are
+    # kept as they are made; the third reads the finished entries.
+    moves = Moves(logic)
+    passes = [list(lean_premisses(seqs, moves))]
+    steps = zip(lean_premisses(seqs, moves), lean_premisses(seqs, moves))
+    passes += map(list, zip(*steps))
+    passes.append(list(lean_premisses(seqs, moves)))
+    for instances in passes:
+        assert [tuple(lean_premiss(seqs, j, base, s) for s in new) for j, base, new, _ in instances] == expected
+    keys = [key for _, _, _, key in passes[0]]
+    full = [tuple(sorted(prems, key=id)) for prems in built]
+    assert len(set(keys)) == len(set(full)) == len(set(zip(keys, full)))
+
+
+class TestLeanPremisses:
+    @given(rngs)
+    @settings(max_examples=100)
+    def test_match_the_normalized_instances(self, rng):
+        logic = rng.choice([E, M, EC, EN, ED, EP, ED3])
+        check_lean_premisses(_normalize(random_hypersequent(rng, max_nodes=6, max_boxes=2)), logic)
+
+    @pytest.mark.parametrize(
+        "text,logic",
+        [
+            # D2+ on <p>, <q, r> and on <p, q>, <r> adds one component,
+            # p, q, r =>, to different bases.
+            ("<p>, <q, r>, <p, q>, <r> =>", ED2),
+            # AndL turns the first component into a copy of the second.
+            ("p & q => | p, q =>", E),
+        ],
+    )
+    def test_match_on_instances_that_share_new_sequents(self, text, logic):
+        check_lean_premisses(_normalize(hs(text)), logic)

@@ -39,6 +39,11 @@ ET = parse_logic_name("ET")
 EP = parse_logic_name("EP")
 ED = parse_logic_name("ED")
 K = parse_logic_name("K")
+MD = parse_logic_name("MD")
+MN = parse_logic_name("MN")
+MC = parse_logic_name("MC")
+ENP = parse_logic_name("ENP")
+ED3 = parse_logic_name("ED3+")
 
 
 def outcome(text, logic):
@@ -254,19 +259,40 @@ class TestLeanMode:
     @pytest.mark.parametrize(
         "family,logic,counts",
         [
-            (hansson, ED, {2: 78, 3: 376, 4: 1857}),
-            (hansson, EP, {2: 52, 3: 188, 4: 660}),
-            (agglomeration, E, {2: 24, 4: 289, 6: 2455}),
-            (agglomeration, M, {2: 16, 4: 180, 6: 1574}),
+            (hansson, ED, {2: (False, 78, 14, 4), 3: (False, 376, 19, 5), 4: (False, 1857, 24, 6)}),
+            (hansson, EP, {2: (False, 52, 14, 4), 3: (False, 188, 19, 5), 4: (False, 660, 24, 6)}),
+            (agglomeration, E, {2: (False, 24, 10, 2), 4: (False, 289, 20, 2), 6: (False, 2455, 30, 2)}),
+            (agglomeration, M, {2: (False, 16, 10, 2), 4: (False, 180, 20, 2), 6: (False, 1574, 30, 2)}),
+            (hansson, MD, {2: (False, 78, 14, 4), 3: (False, 376, 19, 5), 4: (False, 1857, 24, 6)}),
+            (agglomeration, MN, {2: (False, 26, 11, 2), 4: (False, 272, 21, 2), 6: (False, 2144, 31, 2)}),
+            (hansson, ED3, {2: (True, 45, 14, 4)}),
+            (agglomeration, MC, {4: (True, 19, 20, 2)}),
         ],
     )
     def test_search_order_on_the_separation_families(self, family, logic, counts):
-        # The visited count of a refuted goal pins the order in which the
-        # lean search backtracks over every instance.
-        for n, visited in counts.items():
+        # The visited count pins the order in which lean search backtracks
+        # over the instances; the largest goal and the most components pin
+        # the premisses it builds. In MN every new component gets the
+        # verum block.
+        for n, pinned in counts.items():
             st = SearchStats()
-            assert not prove_unkleened(parse_input(family(n)), logic, stats=st)
-            assert st.visited == visited
+            derivable = prove_unkleened(parse_input(family(n)), logic, stats=st)
+            assert (derivable, st.visited, st.max_nodes, st.max_components) == pinned
+
+    @pytest.mark.parametrize(
+        "text,logic,memo_hits,cycle_cuts",
+        [(hansson(3), ED, 571, 0), (hansson(2), ENP, 1202, 224)],
+    )
+    def test_counts_memo_hits_and_cycle_cuts(self, text, logic, memo_hits, cycle_cuts):
+        st = SearchStats()
+        assert not prove_unkleened(parse_input(text), logic, stats=st)
+        assert (st.memo_hits, st.cycle_cuts) == (memo_hits, cycle_cuts)
+
+    def test_invertible_search_leaves_lean_counters_at_zero(self):
+        st = SearchStats()
+        prove(parse_input(hansson(2)), ENP, stats=st)
+        assert st.visited > 0
+        assert (st.memo_hits, st.cycle_cuts) == (0, 0)
 
     def test_search_runs_under_the_callers_recursion_limit(self):
         limits = set()
