@@ -7,9 +7,12 @@ formula of a given connective on a given side, and gives the rule's
 premiss schema: for each premiss, what it adds to the principal's
 component, or the component it creates. The rest is read off the entry:
 
-- ``_candidates`` enumerates each rule's distinct principals in each
-  component: block choices by position, then formulas in sequent order,
-  as the sequent groups them by side and connective;
+- ``_principals`` enumerates each rule's distinct principals in one
+  sequent: block choices by position, then formulas in sequent order,
+  as the sequent groups them by side and connective; ``_candidates``
+  runs it over the components of a hypersequent;
+- ``_new_sequents`` reads an instance's premisses off the schema, as the
+  sequent each premiss brings, for both readings;
 - ``rule_groups`` puts a logic's rules in strategy order;
 - the cumulative reading, ``iter_instances``, keeps the principal in
   every premiss, which makes every rule invertible. It filters instances
@@ -287,41 +290,39 @@ def rule_groups(l: LogicSpec, lean: bool = False) -> tuple[tuple[RuleDef, ...], 
     return tuple(g for g in groups if g)
 
 
-def _candidates(h: Hypersequent, groups) -> Iterator[tuple[RuleDef, Component, tuple]]:
-    """Every rule, component and distinct principal, in strategy order;
-    within one rule, component order first, then block choices by
-    position, then formulas in sequent order."""
-    for group in groups:
-        for c in h.components:
-            for rd in group:
-                fs: list[tuple] = [()]
-                if rd.connective is not None:
-                    fs = by_connective(c.seq).get((rd.side, rd.connective))
-                    if not fs:
-                        continue
-                choices = dict.fromkeys(combinations(c.seq.blocks, rd.blocks)) if rd.blocks else [()]
-                for blocks in choices:
-                    for f in fs:
-                        yield rd, c, blocks + f
+# The one choice of no blocks, or of no formula, as a constant: both
+# readings call _principals on every sequent and rule group they meet.
+_EMPTY_CHOICE = ((),)
 
 
 def _principals(s: Sequent, group) -> list[tuple[RuleDef, tuple]]:
     """The rules of one group and their distinct principals in one
-    sequent, in the order of ``_candidates``, as a list: lean search
-    asks for them per sequent and group, and an empty list tells it to
-    skip the pair."""
+    sequent, as a list: block choices by position, then formulas in
+    sequent order, as the sequent groups them by side and connective.
+    Lean search asks for them per sequent and group, and an empty list
+    tells it to skip the pair."""
     out = []
     for rd in group:
-        fs: list[tuple] = [()]
+        fs = _EMPTY_CHOICE
         if rd.connective is not None:
             fs = by_connective(s).get((rd.side, rd.connective))
             if not fs:
                 continue
-        choices = dict.fromkeys(combinations(s.blocks, rd.blocks)) if rd.blocks else [()]
+        choices = dict.fromkeys(combinations(s.blocks, rd.blocks)) if rd.blocks else _EMPTY_CHOICE
         for blocks in choices:
             for f in fs:
                 out.append((rd, blocks + f))
     return out
+
+
+def _candidates(h: Hypersequent, groups) -> Iterator[tuple[RuleDef, Component, tuple]]:
+    """Every rule, component and distinct principal, in strategy order;
+    within one group, component order first, then the order of
+    ``_principals``."""
+    for group in groups:
+        for c in h.components:
+            for rd, principal in _principals(c.seq, group):
+                yield rd, c, principal
 
 
 def _without_principal(rd: RuleDef, s: Sequent, principal: tuple) -> Sequent:
@@ -338,17 +339,26 @@ def _without_principal(rd: RuleDef, s: Sequent, principal: tuple) -> Sequent:
     return Sequent(s.left, tuple(blocks), tuple(formulas))
 
 
+def _new_sequents(rd: RuleDef, base: Sequent, schema: tuple[Premiss, ...], fresh: tuple) -> tuple[Sequent, ...]:
+    """The sequent each premiss of an instance brings: the component it
+    creates, for a rule that creates components, else the principal's
+    component as the premiss has it. ``base`` is what the premisses keep
+    of the principal's component, ``fresh`` the blocks of each new
+    component."""
+    if rd.spawns:
+        return tuple([Sequent.of(p.left, fresh, p.right) for p in schema])
+    return tuple([base.adding(p.left, map(Block.of, p.blocks), p.right) for p in schema])
+
+
 def _apply(
     h: Hypersequent, cid: int, rd: RuleDef, base: Sequent, schema: tuple[Premiss, ...], fresh: tuple
 ) -> tuple[Hypersequent, ...]:
-    """The premisses of one instance; ``base`` is what they keep of the
-    principal's component, ``fresh`` the blocks of each new component."""
+    """The premisses of one instance (see ``_new_sequents``)."""
+    new = _new_sequents(rd, base, schema, fresh)
     if rd.spawns:
         kept = h.replace(cid, base)
-        return tuple([kept.with_new_component(Sequent.of(p.left, fresh, p.right)) for p in schema])
-    return tuple(
-        [h.replace(cid, base.adding(p.left, map(Block.of, p.blocks), p.right)) for p in schema]
-    )
+        return tuple([kept.with_new_component(s) for s in new])
+    return tuple([h.replace(cid, s) for s in new])
 
 
 def _adds_nothing(h: Hypersequent, rd: RuleDef, s: Sequent, schema: tuple[Premiss, ...]) -> bool:
@@ -406,13 +416,8 @@ def lean_moves(s: Sequent, principals, fresh: tuple) -> Iterator[tuple[Sequent |
     """
     for rd, principal in principals:
         base = _without_principal(rd, s, principal)
-        schema = rd.schema(*principal)
-        if rd.spawns:
-            new = tuple([Sequent.of(p.left, fresh, p.right) for p in schema])
-        else:
-            new = tuple([base.adding(p.left, map(Block.of, p.blocks), p.right) for p in schema])
-            base = None
-        yield base, new, new if len(new) == 1 else tuple(sorted(new, key=id))
+        new = _new_sequents(rd, base, rd.schema(*principal), fresh)
+        yield base if rd.spawns else None, new, new if len(new) == 1 else tuple(sorted(new, key=id))
 
 
 def _replay(row: list, gi: int, done: list, rest: Iterator) -> Iterator:

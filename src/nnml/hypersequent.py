@@ -81,6 +81,9 @@ def _group_by_connective(s: Sequent) -> dict[tuple[str, type], list[tuple[Formul
     return out
 
 
+_NO_FORMULAS: frozenset = frozenset()
+
+
 @syntax
 class Sequent(Syntax):
     left: tuple[Formula, ...]
@@ -104,9 +107,9 @@ class Sequent(Syntax):
 
     def __post_init__(self):
         # Every visited goal reads both sets of each component, so they are
-        # set here rather than on first use.
-        object.__setattr__(self, "_left_set", frozenset(self.left))
-        object.__setattr__(self, "_right_set", frozenset(self.right))
+        # set here rather than on first use; an empty side shares one set.
+        object.__setattr__(self, "_left_set", frozenset(self.left) if self.left else _NO_FORMULAS)
+        object.__setattr__(self, "_right_set", frozenset(self.right) if self.right else _NO_FORMULAS)
 
     @staticmethod
     def of(left=(), blocks=(), right=()) -> "Sequent":

@@ -158,7 +158,7 @@ class _Frame:
 
     __slots__ = ("h", "inst", "premisses", "proved", "rest", "tried", "lowest")
 
-    def __init__(self, h, inst: RuleInstance | None, rest):
+    def __init__(self, h, inst: RuleInstance | tuple[int, Sequent | None] | None, rest):
         self.h, self.inst, self.rest = h, inst, rest
         self.premisses = None if inst is None else inst.premisses
         self.proved: list = []

@@ -59,6 +59,7 @@ EP = parse_logic_name("EP")
 ED = parse_logic_name("ED")
 ED2 = parse_logic_name("ED2+")
 ED3 = parse_logic_name("ED3+")
+MDP = parse_logic_name("MDP")
 
 
 def hs(text):
@@ -290,7 +291,7 @@ def check_lean_premisses(seqs, logic):
     """The premisses lean search builds, normal and one at a time, equal
     the normalized premisses of each deleting instance built in full, and
     the instances' keys are equal exactly when those full premiss sets
-    are."""
+    are. Returns the keys."""
     h = Hypersequent.of(seqs)
     fresh = (Block.of((TOP,)),) if logic.has_n else ()
     built, expected = [], []
@@ -311,24 +312,29 @@ def check_lean_premisses(seqs, logic):
     keys = [key for _, _, _, key in passes[0]]
     full = [tuple(sorted(prems, key=id)) for prems in built]
     assert len(set(keys)) == len(set(full)) == len(set(zip(keys, full)))
+    return keys
 
 
 class TestLeanPremisses:
     @given(rngs)
     @settings(max_examples=100)
     def test_match_the_normalized_instances(self, rng):
-        logic = rng.choice([E, M, EC, EN, ED, EP, ED3])
+        logic = rng.choice([E, M, EC, EN, ED, EP, ED3, MDP])
         check_lean_premisses(_normalize(random_hypersequent(rng, max_nodes=6, max_boxes=2)), logic)
 
     @pytest.mark.parametrize(
-        "text,logic",
+        "text,logic,repeats",
         [
             # D2+ on <p>, <q, r> and on <p, q>, <r> adds one component,
             # p, q, r =>, to different bases.
-            ("<p>, <q, r>, <p, q>, <r> =>", ED2),
+            ("<p>, <q, r>, <p, q>, <r> =>", ED2, False),
             # AndL turns the first component into a copy of the second.
-            ("p & q => | p, q =>", E),
+            ("p & q => | p, q =>", E, False),
+            # P and D1+ on <p> both leave the base => q and add the
+            # component p =>, so their keys and premiss sets are equal.
+            ("<p> => q", MDP, True),
         ],
     )
-    def test_match_on_instances_that_share_new_sequents(self, text, logic):
-        check_lean_premisses(_normalize(hs(text)), logic)
+    def test_match_on_instances_that_share_new_sequents(self, text, logic, repeats):
+        keys = check_lean_premisses(_normalize(hs(text)), logic)
+        assert (len(set(keys)) < len(keys)) == repeats
