@@ -10,7 +10,8 @@ component, or the component it creates. The rest is read off the entry:
 - ``_principals`` enumerates each rule's distinct principals in one
   sequent: block choices by position, then formulas in sequent order,
   as the sequent groups them by side and connective; ``_candidates``
-  runs it over the components of a hypersequent;
+  runs it over the components of a hypersequent, from the start or from
+  a resume point (below);
 - ``_new_sequents`` reads an instance's premisses off the schema, as the
   sequent each premiss brings, for both readings;
 - ``rule_groups`` puts a logic's rules in strategy order;
@@ -20,6 +21,16 @@ component, or the component it creates. The rest is read off the entry:
   adds nothing new, that is, when the principal's component already has
   what the premiss adds to it, or an existing component absorbs
   (set-wise, as in ``subsumes``) the component the premiss creates;
+- in the cumulative reading that loop check is monotone along a branch:
+  a premiss keeps its conclusion whole, each component at its position,
+  and only adds items or appends a component, so every candidate of a
+  goal is one of each premiss, in the same relative order, and one that
+  adds nothing at the goal adds nothing at the premiss. The instance
+  itself adds nothing there either. So ``next_instance`` scans a premiss
+  from the resume point of its goal's instance (the group, component
+  position and principal where it was found): it checks only the
+  candidates the goal did not have and those after the instance, and
+  finds the same first instance as a full scan;
 - the deleting reading, ``lean_premisses``, takes the principal out of
   the premisses, gives every new component the verum block when the
   logic has N (so N itself is never applied), and filters nothing. It
@@ -118,10 +129,20 @@ def sequent_evidence(s: Sequent) -> tuple[RuleId, Formula | None] | None:
     return None
 
 
-def initial_evidence(h: Hypersequent) -> tuple[RuleId, int, Formula | None] | None:
+def initial_evidence(h: Hypersequent, after: tuple | None = None) -> tuple[RuleId, int, Formula | None] | None:
     """The initial pattern of the first component that has one (see
-    ``sequent_evidence``), with that component's id."""
-    for c in h.components:
+    ``sequent_evidence``), with that component's id.
+
+    With ``after``, the resume point of an instance whose premiss h is
+    (see ``_candidates``), only the one component the premiss changed or
+    created is read: search takes instances only on goals with no
+    initial component.
+    """
+    comps = h.components
+    if after is not None:
+        goal, _, j, _ = after
+        comps = (comps[-1] if len(comps) > len(goal.components) else comps[j],)
+    for c in comps:
         ev = sequent_evidence(c.seq)
         if ev is not None:
             return (ev[0], c.cid, ev[1])
@@ -293,6 +314,7 @@ def rule_groups(l: LogicSpec, lean: bool = False) -> tuple[tuple[RuleDef, ...], 
 # The one choice of no blocks, or of no formula, as a constant: both
 # readings call _principals on every sequent and rule group they meet.
 _EMPTY_CHOICE = ((),)
+_NO_ITEMS: frozenset = frozenset()
 
 
 def _principals(s: Sequent, group) -> list[tuple[RuleDef, tuple]]:
@@ -315,14 +337,52 @@ def _principals(s: Sequent, group) -> list[tuple[RuleDef, tuple]]:
     return out
 
 
-def _candidates(h: Hypersequent, groups) -> Iterator[tuple[RuleDef, Component, tuple]]:
-    """Every rule, component and distinct principal, in strategy order;
-    within one group, component order first, then the order of
-    ``_principals``."""
-    for group in groups:
-        for c in h.components:
+def _added(old: Sequent, new: Sequent) -> frozenset:
+    """The blocks and formulas new has and old lacks, both sides in one
+    set: a principal with none of them was one in old. (A premiss adds
+    at most one block, and only one of a new member set, so it never
+    adds a second copy of a block.)"""
+    if old is new:
+        return _NO_ITEMS
+    return (left_set(new) - left_set(old)) | (right_set(new) - right_set(old)) | frozenset(new.blocks).difference(old.blocks)
+
+
+def _candidates(h: Hypersequent, groups, after: tuple | None = None) -> Iterator[tuple[int, int, RuleDef, Component, tuple]]:
+    """Every rule, component and distinct principal, in strategy order,
+    with the group index and component position: within one group,
+    component order first, then the order of ``_principals``.
+
+    ``after`` is the resume point ``(goal, group index, component
+    position, principal)`` of an instance whose premiss h is. The goal's
+    candidates up to and including the instance fail the loop check in h
+    (see the module docstring), so only these are given, in the same
+    order: (a) those the goal did not have, that is, principals with an
+    item the premiss added to the principal's component, or any
+    principal in a component it created; (b) the goal's candidates
+    after the instance. No other component of the goal changed.
+    """
+    if after is None:
+        rgi = rj = -1
+    else:
+        goal, rgi, rj, stop = after
+        kept = len(goal.components)
+        added = _added(goal.components[rj].seq, h.components[rj].seq)
+    for gi, group in enumerate(groups):
+        for j, c in enumerate(h.components):
+            known = None  # when set, the goal's candidates here are known blocked
+            if gi < rgi or (gi == rgi and j <= rj):  # at or before the resume point
+                if j == rj and (gi == rgi or added):
+                    known = added
+                elif j < kept:
+                    continue
             for rd, principal in _principals(c.seq, group):
-                yield rd, c, principal
+                if known is not None:
+                    if gi == rgi and principal == stop:
+                        known = None
+                        continue
+                    if known.isdisjoint(principal):
+                        continue
+                yield gi, j, rd, c, principal
 
 
 def _without_principal(rd: RuleDef, s: Sequent, principal: tuple) -> Sequent:
@@ -397,10 +457,24 @@ def build_premisses(h: Hypersequent, rule: RuleId, cid: int, principal: tuple) -
 
 def iter_instances(h: Hypersequent, l: LogicSpec) -> Iterator[RuleInstance]:
     """Cumulative instances that pass the loop check, in strategy order."""
-    for rd, c, principal in _candidates(h, rule_groups(l)):
+    for _, _, rd, c, principal in _candidates(h, rule_groups(l)):
         schema = rd.schema(*principal)
         if not _adds_nothing(h, rd, c.seq, schema):
             yield RuleInstance(rd.rule, c.cid, principal, _apply(h, c.cid, rd, c.seq, schema, ()))
+
+
+def next_instance(h: Hypersequent, groups, after: tuple | None = None) -> tuple[RuleInstance | None, tuple | None, int]:
+    """The first cumulative instance of h that passes the loop check, its
+    resume point, and the number of candidates loop-checked; with
+    ``after``, the resume point of an instance whose premiss h is, the
+    scan starts there (see ``_candidates``)."""
+    n = 0
+    for n, (gi, j, rd, c, principal) in enumerate(_candidates(h, groups, after), 1):
+        schema = rd.schema(*principal)
+        if not _adds_nothing(h, rd, c.seq, schema):
+            inst = RuleInstance(rd.rule, c.cid, principal, _apply(h, c.cid, rd, c.seq, schema, ()))
+            return inst, (h, gi, j, principal), n
+    return None, None, n
 
 
 def lean_moves(s: Sequent, principals, fresh: tuple) -> Iterator[tuple[Sequent | None, tuple[Sequent, ...], tuple]]:
@@ -506,10 +580,6 @@ def lean_premiss(seqs: tuple[Sequent, ...], j: int, base: Sequent | None, new: S
         out[j] = base
         out.append(new)
     return tuple(dict.fromkeys(sorted(out, key=sequent_key)))
-
-
-def first_instance(h: Hypersequent, l: LogicSpec) -> RuleInstance | None:
-    return next(iter_instances(h, l), None)
 
 
 # --- the saturation oracle ------------------------------------------------------

@@ -21,7 +21,7 @@ a field, and no formula is rendered twice or by recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from weakref import ref
 
@@ -51,13 +51,14 @@ class Syntax(metaclass=Interned):
     that keep the identity ``==`` and ``hash`` of ``object``."""
 
     __slots__ = ("__weakref__",)
+    _computes: dict = {}  # derived field name -> compute function, set by ``syntax``
 
     def __getattr__(self, name: str):
         # Reached only for a missing attribute, as a derived field is until first use.
-        f = type(self).__dataclass_fields__.get(name)
-        if f is None or "compute" not in f.metadata:
+        compute = type(self)._computes.get(name)
+        if compute is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = f.metadata["compute"](self)
+        value = compute(self)
         object.__setattr__(self, name, value)
         return value
 
@@ -65,7 +66,12 @@ class Syntax(metaclass=Interned):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-syntax = dataclass(frozen=True, slots=True, eq=False)
+def syntax(cls):
+    """Make cls an interned frozen dataclass, and give it, once, the map
+    from each derived field to its compute function."""
+    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
+    cls._computes = {f.name: f.metadata["compute"] for f in fields(cls) if "compute" in f.metadata}
+    return cls
 
 
 def derived(compute=None):

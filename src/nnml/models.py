@@ -122,41 +122,70 @@ Model = BiModel | StandardModel | RelationalModel
 
 
 def truth_set(m: Model, f: Formula) -> frozenset[int]:
-    """Worlds of m where f holds."""
-    match f:
-        case Atom(name):
-            return m.valuation.get(name, frozenset())
-        case Bottom():
-            return frozenset()
-        case Top():
-            return m.worlds
-        case And(a, b):
-            return truth_set(m, a) & truth_set(m, b)
-        case Or(a, b):
-            return truth_set(m, a) | truth_set(m, b)
-        case Imp(a, b):
-            return (m.worlds - truth_set(m, a)) | truth_set(m, b)
-        case Box(a):
-            ts = truth_set(m, a)
-            if isinstance(m, BiModel):
-                return frozenset(
-                    w
-                    for w in m.worlds
-                    if any(
-                        alpha <= ts and ts <= m.worlds - beta
-                        for alpha, beta in m.nbhd.get(w, frozenset())
-                    )
-                )
-            if isinstance(m, StandardModel):
-                return frozenset(
-                    w for w in m.worlds if ts in m.nbhd.get(w, frozenset())
-                )
-            return frozenset(
-                w
-                for w in m.worlds
-                if w not in m.non_normal and m.relation.get(w, frozenset()) <= ts
-            )
-    raise TypeError(f"not a formula: {f!r}")
+    """Worlds of m where f holds.
+
+    Subformulas are evaluated bottom-up from an explicit stack, each
+    distinct one once (formulas are interned, so the memo is keyed by
+    identity), so a deep formula needs no recursion. A compound formula
+    whose operands are not yet evaluated goes back on the stack under
+    them.
+    """
+    memo: dict[Formula, frozenset[int]] = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in memo:
+            continue
+        kind = type(g)
+        if kind is Atom:
+            memo[g] = m.valuation.get(g.name, _NO_WORLDS)
+        elif kind is Box:
+            ts = memo.get(g.body)
+            if ts is None:
+                stack += (g, g.body)
+            else:
+                memo[g] = _box_truth_set(m, ts)
+        elif kind is Top:
+            memo[g] = m.worlds
+        elif kind is Bottom:
+            memo[g] = _NO_WORLDS
+        elif kind in _BINARY:
+            a = memo.get(g.left)
+            b = memo.get(g.right)
+            if a is None or b is None:
+                stack.append(g)
+                if a is None:
+                    stack.append(g.left)
+                if b is None:
+                    stack.append(g.right)
+            elif kind is And:
+                memo[g] = a & b
+            elif kind is Or:
+                memo[g] = a | b
+            else:
+                memo[g] = (m.worlds - a) | b
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return memo[f]
+
+
+_NO_WORLDS: frozenset[int] = frozenset()
+_BINARY = (And, Or, Imp)
+
+
+def _box_truth_set(m: Model, ts: frozenset[int]) -> frozenset[int]:
+    """Worlds of m where a box holds whose body holds at ts."""
+    if isinstance(m, BiModel):
+        return frozenset(
+            w
+            for w in m.worlds
+            if any(alpha <= ts and ts <= m.worlds - beta for alpha, beta in m.nbhd.get(w, frozenset()))
+        )
+    if isinstance(m, StandardModel):
+        return frozenset(w for w in m.worlds if ts in m.nbhd.get(w, frozenset()))
+    return frozenset(
+        w for w in m.worlds if w not in m.non_normal and m.relation.get(w, frozenset()) <= ts
+    )
 
 
 def force(m: Model, w: int, f: Formula) -> bool:

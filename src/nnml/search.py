@@ -9,7 +9,14 @@ premisses and instances pass a local loop check. Every rule is then
 invertible, so the loop keeps the first applicable instance of each goal,
 explores its premisses in order, and returns at the first saturated goal,
 which refutes the root; no backtracking is needed. A proved root yields
-its proof tree.
+its proof tree. Premisses only add to their conclusion, so the loop
+check is monotone along a branch: what adds nothing at a goal adds
+nothing below it. Each frame keeps the resume point of its instance, and
+the scan of a premiss starts there, checking only the candidates the
+premiss added and those after the instance; a premiss's initial pattern
+is sought only in the component it changed or created
+(``calculus.next_instance``). The order of the search is that of a full
+scan of every goal.
 
 The lean mode takes the deleting reading: principals leave the
 premisses, which keeps hypersequents polynomially small but loses
@@ -40,10 +47,11 @@ from .calculus import (
     Moves,
     RuleInstance,
     build_premisses,
-    first_instance,
     initial_evidence,
     lean_premiss,
     lean_premisses,
+    next_instance,
+    rule_groups,
     sequent_evidence,
 )
 from .formula import BOTTOM, TOP
@@ -116,6 +124,7 @@ class SearchStats:
     max_component_size: int = 0
     memo_hits: int = 0
     cycle_cuts: int = 0
+    loop_checks: int = 0
 
     def record(self, h: Hypersequent) -> None:
         self.visited += 1
@@ -154,7 +163,9 @@ class _Frame:
     move and ``inst`` its position and base (see
     ``calculus.lean_premisses``), ``rest`` yields the instances not yet
     tried, ``tried`` holds their keys, and ``lowest`` is the lowest stack
-    depth a cycle cut under the goal pointed at."""
+    depth a cycle cut under the goal pointed at. In invertible mode
+    ``rest`` is the resume point of the instance, where the scan of each
+    premiss starts (see ``calculus._candidates``)."""
 
     __slots__ = ("h", "inst", "premisses", "proved", "rest", "tried", "lowest")
 
@@ -189,8 +200,10 @@ def _search(
     memo: dict[tuple[Sequent, ...], bool] = {}
     ancestors: dict[tuple[Sequent, ...], int] = {}
     moves = Moves(l) if lean else None
+    groups = None if lean else rule_groups(l)
     stack: list[_Frame] = []
     goal = _normalize(h) if lean else h
+    after = None  # the resume point of the instance whose premiss goal is
     while True:
         # Enter the goal: decide it at once, or open a frame for it.
         result = None
@@ -216,11 +229,13 @@ def _search(
                 else:
                     ancestors[goal] = len(stack)
                     stack.append(_Frame(goal, None, lean_premisses(goal, moves)))
-            elif (ev := initial_evidence(goal)) is None:
-                inst = first_instance(goal, l)
+            elif (ev := initial_evidence(goal, after)) is None:
+                inst, place, checks = next_instance(goal, groups, after)
+                if stats is not None:
+                    stats.loop_checks += checks
                 if inst is None:
                     return goal, visited
-                stack.append(_Frame(goal, inst, None))
+                stack.append(_Frame(goal, inst, place))
             else:
                 tag, cid, f = ev
                 result = Derivation(goal, tag, cid, () if f is None else (f,), ())
@@ -241,7 +256,7 @@ def _search(
                     if lean:
                         goal = lean_premiss(fr.h, *fr.inst, fr.premisses[len(fr.proved)])
                     else:
-                        goal = fr.premisses[len(fr.proved)]
+                        goal, after = fr.premisses[len(fr.proved)], fr.rest
                     break
             else:
                 for j, base, new, key in fr.rest:
@@ -276,7 +291,8 @@ def prove(
     """Decide derivability; yield a proof tree or a saturated leaf.
 
     Deterministic: the leaf reported on refutation is the first
-    saturated hypersequent in depth-first instance order.
+    saturated hypersequent in depth-first instance order. With
+    ``stats``, the search also counts the candidates it loop-checks.
     """
     result, visited = _search(h, l, False, budget, stats)
     if isinstance(result, Derivation):

@@ -7,16 +7,18 @@ from conftest import rngs
 from nnml.calculus import (
     InvalidInstance,
     Moves,
+    _adds_nothing,
     _apply,
     _candidates,
     _without_principal,
     build_premisses,
-    first_instance,
     initial_evidence,
     is_saturated,
     iter_instances,
     lean_premiss,
     lean_premisses,
+    next_instance,
+    rule_def,
     rule_groups,
 )
 from nnml.formula import And, Atom, BOTTOM, Box, Imp, TOP
@@ -60,6 +62,8 @@ ED = parse_logic_name("ED")
 ED2 = parse_logic_name("ED2+")
 ED3 = parse_logic_name("ED3+")
 MDP = parse_logic_name("MDP")
+ECD = parse_logic_name("ECD")
+MCT = parse_logic_name("MCT")
 
 
 def hs(text):
@@ -175,10 +179,10 @@ class TestStrategyOrder:
 
     def test_first_instance_on_the_monotonicity_goal_is_box_left(self):
         h = hs("=> box (p & q) -> box p")
-        inst = first_instance(h, E)
+        inst = next_instance(h, rule_groups(E))[0]
         assert inst.rule.render() == "ImpR"
         after = inst.premisses[0]
-        inst2 = first_instance(after, E)
+        inst2 = next_instance(after, rule_groups(E))[0]
         assert inst2.rule.render() == "BoxL"
         assert rendered(inst2.premisses) == [
             "box (p & q), <p & q> => box p, box (p & q) -> box p"
@@ -287,6 +291,66 @@ class TestSaturation:
             assert all(len(x.components) >= len(h.components) for x in inst.premisses)
 
 
+def check_resumed_scan(h, logic, choose):
+    """Walk one branch of invertible search from h, ``choose`` picking
+    the premiss to go on with. At each goal, the scan of each premiss of
+    the goal's instance, resumed after that instance, gives what the full
+    scan gives; every candidate of the goal up to and including the
+    instance fails the loop check in the premiss; and reading only the
+    component the premiss changed or created finds its initial pattern.
+    Returns the rules of the instances met."""
+    groups = rule_groups(logic)
+    inst, place, _ = next_instance(h, groups)
+    after = None
+    rules = []
+    while inst is not None and initial_evidence(h, after) is None:
+        rules.append(inst.rule)
+        known = []
+        for gi, j, rd, c, principal in _candidates(h, groups):
+            known.append((rd, c.cid, principal))
+            if (h, gi, j, principal) == place:
+                break
+        assert known[-1] == (rule_def(inst.rule), inst.cid, inst.principal)
+        for premiss in inst.premisses:
+            resumed, resumed_place, _ = next_instance(premiss, groups, place)
+            full, full_place, _ = next_instance(premiss, groups)
+            assert resumed == full
+            assert resumed_place == full_place
+            for rd, cid, principal in known:
+                assert _adds_nothing(premiss, rd, premiss.component(cid), rd.schema(*principal))
+            assert initial_evidence(premiss, place) == initial_evidence(premiss)
+        h, after = choose(inst.premisses), place
+        inst, place, _ = next_instance(h, groups, after)
+    return rules
+
+
+class TestResumedScan:
+    @given(rngs)
+    @settings(max_examples=120)
+    def test_matches_the_full_scan_along_a_branch(self, rng):
+        logic = rng.choice([E, M, EC, ECD, EN, ET, ED2, MCT])
+        h = random_hypersequent(rng, max_nodes=6, max_boxes=2)
+        check_resumed_scan(h, logic, lambda premisses: rng.choice(premisses))
+
+    @pytest.mark.parametrize(
+        "text,logic,rules",
+        [
+            # BoxR's second premiss adds p & q =>, whose AndL must come
+            # before the BoxR instance on box s, a later candidate.
+            ("<p & q> => box r, box s", E, [BOX_R, AND_L, BOX_R, AND_L]),
+            # C on <p, r> and <q> adds <p, q, r>, which sorts first, so
+            # its pair with <s> sits before the resume point.
+            ("<p, r>, <q>, <s> =>", EC, [RULE_C] * 4),
+            # Equal input blocks make one pair, which C may not merge;
+            # next to <q> they make one pair with it.
+            ("<p>, <p> =>", EC, []),
+            ("<p>, <p>, <q> =>", EC, [RULE_C]),
+        ],
+    )
+    def test_matches_the_full_scan_on_fixed_goals(self, text, logic, rules):
+        assert check_resumed_scan(hs(text), logic, lambda premisses: premisses[-1]) == rules
+
+
 def check_lean_premisses(seqs, logic):
     """The premisses lean search builds, normal and one at a time, equal
     the normalized premisses of each deleting instance built in full, and
@@ -295,7 +359,7 @@ def check_lean_premisses(seqs, logic):
     h = Hypersequent.of(seqs)
     fresh = (Block.of((TOP,)),) if logic.has_n else ()
     built, expected = [], []
-    for rd, c, principal in _candidates(h, rule_groups(logic, lean=True)):
+    for _, _, rd, c, principal in _candidates(h, rule_groups(logic, lean=True)):
         base = _without_principal(rd, c.seq, principal)
         built.append(_apply(h, c.cid, rd, base, rd.schema(*principal), fresh))
         expected.append(tuple(map(_normalize, built[-1])))

@@ -269,6 +269,14 @@ class TestCheckModel:
         assert payload["false_at"] == [2]
         assert payload["conditions"] == {}
 
+    def test_formula_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        path = self.write_model(tmp_path, PAPER_MODEL)
+        wide = " & ".join(["p"] * 3000)
+        code, out, err = run(capsys, "check-model", path, wide, "--logic", "E", "--output", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["true_at"], payload["false_at"]) == ([2], [1])
+
     def test_takes_no_budget(self, capsys, tmp_path, monkeypatch):
         path = self.write_model(tmp_path, PAPER_MODEL)
         monkeypatch.setenv("NNML_BUDGET", "lots")

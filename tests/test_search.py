@@ -44,6 +44,8 @@ MN = parse_logic_name("MN")
 MC = parse_logic_name("MC")
 ENP = parse_logic_name("ENP")
 ED3 = parse_logic_name("ED3+")
+ED4 = parse_logic_name("ED4+")
+ECD = parse_logic_name("ECD")
 
 
 def outcome(text, logic):
@@ -60,6 +62,21 @@ def agglomeration(n):
     """box p1 & ... & box pn -> box (p1 & ... & pn)"""
     ps = [f"p{i}" for i in range(1, n + 1)]
     return " & ".join(f"box {a}" for a in ps) + f" -> box ({' & '.join(ps)})"
+
+
+def negations(k):
+    """~^k p"""
+    return "~" * k + "p"
+
+
+def double_negation(k):
+    """p -> ~^{2k} p"""
+    return "p -> " + negations(2 * k)
+
+
+def box_chain(k):
+    """box^k (p & q) -> box^k p"""
+    return "box " * k + "(p & q) -> " + "box " * k + "p"
 
 
 class TestDerivability:
@@ -157,6 +174,39 @@ class TestBudget:
         st = SearchStats()
         out = prove(parse_input(text), logic, stats=st)
         assert out.visited == st.visited
+
+    @pytest.mark.parametrize(
+        "family,logic,counts",
+        [
+            (hansson, ECD, {2: (True, 1424, 126, 11)}),
+            (hansson, ED3, {2: (True, 46, 93, 8)}),
+            (hansson, ED4, {3: (True, 874, 223, 16)}),
+            (agglomeration, EC, {2: (True, 18, 38, 3), 4: (True, 91, 137, 3), 6: (True, 272, 456, 3)}),
+            (agglomeration, MC, {2: (True, 12, 38, 3), 4: (True, 48, 137, 3), 5: (True, 82, 245, 3)}),
+            (double_negation, E, {2: (True, 8, 39, 1), 5: (True, 17, 150, 1), 8: (True, 26, 333, 1)}),
+            (box_chain, M, {2: (True, 7, 36, 3), 5: (True, 13, 96, 6), 10: (True, 23, 256, 11)}),
+            (hansson, ED, {2: (False, 20, 82, 7), 3: (False, 32, 150, 11), 4: (False, 47, 247, 16)}),
+            (hansson, MD, {2: (False, 20, 82, 7), 3: (False, 32, 150, 11), 4: (False, 47, 247, 16)}),
+            (hansson, EP, {2: (False, 12, 60, 4), 3: (False, 16, 93, 5), 4: (False, 20, 131, 6)}),
+            (agglomeration, E, {2: (False, 14, 36, 3), 4: (False, 39, 132, 5), 6: (False, 76, 337, 7)}),
+            (agglomeration, M, {2: (False, 10, 35, 3), 4: (False, 26, 132, 5), 6: (False, 50, 337, 7)}),
+            (negations, E, {4: (False, 5, 27, 1), 10: (False, 11, 126, 1)}),
+        ],
+    )
+    def test_invertible_search_order_on_the_separation_families(self, family, logic, counts):
+        # The visited count pins the order in which invertible search
+        # takes instances; the largest goal and the most components pin
+        # the premisses it builds.
+        for n, pinned in counts.items():
+            st = SearchStats()
+            out = prove(parse_input(family(n)), logic, stats=st)
+            assert (isinstance(out, Proved), st.visited, st.max_nodes, st.max_components) == pinned
+
+    def test_hansson_in_ecd_stops_at_its_budget(self):
+        st = SearchStats()
+        with pytest.raises(BudgetExceeded) as err:
+            prove(parse_input(hansson(3)), ECD, budget=400, stats=st)
+        assert (err.value.visited, st.visited, st.max_nodes, st.max_components) == (401, 401, 244, 12)
 
     def test_stats_are_recorded(self):
         st = SearchStats()
@@ -286,7 +336,18 @@ class TestLeanMode:
     def test_counts_memo_hits_and_cycle_cuts(self, text, logic, memo_hits, cycle_cuts):
         st = SearchStats()
         assert not prove_unkleened(parse_input(text), logic, stats=st)
-        assert (st.memo_hits, st.cycle_cuts) == (memo_hits, cycle_cuts)
+        assert (st.memo_hits, st.cycle_cuts, st.loop_checks) == (memo_hits, cycle_cuts, 0)
+
+    @pytest.mark.parametrize(
+        "text,logic,loop_checks",
+        # A scan that loop-checks every candidate of every goal again
+        # made 51,427 and 10,952 checks on these.
+        [(agglomeration(6), EC, 12_062), (hansson(2), ECD, 4_583)],
+    )
+    def test_counts_invertible_loop_checks(self, text, logic, loop_checks):
+        st = SearchStats()
+        assert isinstance(prove(parse_input(text), logic, stats=st), Proved)
+        assert st.loop_checks == loop_checks
 
     def test_invertible_search_leaves_lean_counters_at_zero(self):
         st = SearchStats()
