@@ -19,8 +19,8 @@ component, or the component it creates. The rest is read off the entry:
   every premiss, which makes every rule invertible. It filters instances
   by a local loop check: an instance is blocked when one of its premisses
   adds nothing new, that is, when the principal's component already has
-  what the premiss adds to it, or an existing component absorbs
-  (set-wise, as in ``subsumes``) the component the premiss creates;
+  what the premiss adds to it, or an existing component's antecedent and
+  succedent sets contain those of the component the premiss creates;
 - in the cumulative reading that loop check is monotone along a branch:
   a premiss keeps its conclusion whole, each component at its position,
   and only adds items or appends a component, so every candidate of a
@@ -51,7 +51,7 @@ A hypersequent where no cumulative instance survives the loop check and
 no initial pattern applies is saturated, and saturation is exactly the
 countermodel condition the models module consumes. ``is_saturated``
 tests it clause by clause, apart from the table, as the oracle that the
-test suite compares the instance enumeration against.
+test suite compares ``iter_instances`` against.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from typing import Callable, Iterator, NamedTuple
 from .formula import And, BOTTOM, Box, Formula, Imp, Or, TOP, sort_key
 from .hypersequent import (
     Block,
-    Component,
     Hypersequent,
     Sequent,
     block_sets,
@@ -108,6 +107,9 @@ class InvalidInstance(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class RuleInstance:
+    """A rule applied to ``principal`` in component ``cid`` of a
+    hypersequent (its position, counting from 1), and its premisses."""
+
     rule: RuleId
     cid: int
     principal: tuple
@@ -131,7 +133,7 @@ def sequent_evidence(s: Sequent) -> tuple[RuleId, Formula | None] | None:
 
 def initial_evidence(h: Hypersequent, after: tuple | None = None) -> tuple[RuleId, int, Formula | None] | None:
     """The initial pattern of the first component that has one (see
-    ``sequent_evidence``), with that component's id.
+    ``sequent_evidence``), with that component's number.
 
     With ``after``, the resume point of an instance whose premiss h is
     (see ``_candidates``), only the one component the premiss changed or
@@ -141,11 +143,13 @@ def initial_evidence(h: Hypersequent, after: tuple | None = None) -> tuple[RuleI
     comps = h.components
     if after is not None:
         goal, _, j, _ = after
-        comps = (comps[-1] if len(comps) > len(goal.components) else comps[j],)
-    for c in comps:
-        ev = sequent_evidence(c.seq)
+        n = len(comps) if len(comps) > len(goal.components) else j + 1
+        ev = sequent_evidence(comps[n - 1])
+        return None if ev is None else (ev[0], n, ev[1])
+    for n, s in enumerate(comps, 1):
+        ev = sequent_evidence(s)
         if ev is not None:
-            return (ev[0], c.cid, ev[1])
+            return (ev[0], n, ev[1])
     return None
 
 
@@ -347,7 +351,7 @@ def _added(old: Sequent, new: Sequent) -> frozenset:
     return (left_set(new) - left_set(old)) | (right_set(new) - right_set(old)) | frozenset(new.blocks).difference(old.blocks)
 
 
-def _candidates(h: Hypersequent, groups, after: tuple | None = None) -> Iterator[tuple[int, int, RuleDef, Component, tuple]]:
+def _candidates(h: Hypersequent, groups, after: tuple | None = None) -> Iterator[tuple[int, int, RuleDef, Sequent, tuple]]:
     """Every rule, component and distinct principal, in strategy order,
     with the group index and component position: within one group,
     component order first, then the order of ``_principals``.
@@ -366,23 +370,23 @@ def _candidates(h: Hypersequent, groups, after: tuple | None = None) -> Iterator
     else:
         goal, rgi, rj, stop = after
         kept = len(goal.components)
-        added = _added(goal.components[rj].seq, h.components[rj].seq)
+        added = _added(goal.components[rj], h.components[rj])
     for gi, group in enumerate(groups):
-        for j, c in enumerate(h.components):
+        for j, s in enumerate(h.components):
             known = None  # when set, the goal's candidates here are known blocked
             if gi < rgi or (gi == rgi and j <= rj):  # at or before the resume point
                 if j == rj and (gi == rgi or added):
                     known = added
                 elif j < kept:
                     continue
-            for rd, principal in _principals(c.seq, group):
+            for rd, principal in _principals(s, group):
                 if known is not None:
                     if gi == rgi and principal == stop:
                         known = None
                         continue
                     if known.isdisjoint(principal):
                         continue
-                yield gi, j, rd, c, principal
+                yield gi, j, rd, s, principal
 
 
 def _without_principal(rd: RuleDef, s: Sequent, principal: tuple) -> Sequent:
@@ -428,7 +432,7 @@ def _adds_nothing(h: Hypersequent, rd: RuleDef, s: Sequent, schema: tuple[Premis
         if rd.spawns:
             left, right = frozenset(p.left), frozenset(p.right)
             for c in h.components:
-                if left <= left_set(c.seq) and right <= right_set(c.seq):
+                if left <= left_set(c) and right <= right_set(c):
                     return True
         elif (
             left_set(s).issuperset(p.left)
@@ -457,10 +461,10 @@ def build_premisses(h: Hypersequent, rule: RuleId, cid: int, principal: tuple) -
 
 def iter_instances(h: Hypersequent, l: LogicSpec) -> Iterator[RuleInstance]:
     """Cumulative instances that pass the loop check, in strategy order."""
-    for _, _, rd, c, principal in _candidates(h, rule_groups(l)):
+    for _, j, rd, s, principal in _candidates(h, rule_groups(l)):
         schema = rd.schema(*principal)
-        if not _adds_nothing(h, rd, c.seq, schema):
-            yield RuleInstance(rd.rule, c.cid, principal, _apply(h, c.cid, rd, c.seq, schema, ()))
+        if not _adds_nothing(h, rd, s, schema):
+            yield RuleInstance(rd.rule, j + 1, principal, _apply(h, j + 1, rd, s, schema, ()))
 
 
 def next_instance(h: Hypersequent, groups, after: tuple | None = None) -> tuple[RuleInstance | None, tuple | None, int]:
@@ -469,10 +473,10 @@ def next_instance(h: Hypersequent, groups, after: tuple | None = None) -> tuple[
     ``after``, the resume point of an instance whose premiss h is, the
     scan starts there (see ``_candidates``)."""
     n = 0
-    for n, (gi, j, rd, c, principal) in enumerate(_candidates(h, groups, after), 1):
+    for n, (gi, j, rd, s, principal) in enumerate(_candidates(h, groups, after), 1):
         schema = rd.schema(*principal)
-        if not _adds_nothing(h, rd, c.seq, schema):
-            inst = RuleInstance(rd.rule, c.cid, principal, _apply(h, c.cid, rd, c.seq, schema, ()))
+        if not _adds_nothing(h, rd, s, schema):
+            inst = RuleInstance(rd.rule, j + 1, principal, _apply(h, j + 1, rd, s, schema, ()))
             return inst, (h, gi, j, principal), n
     return None, None, n
 
@@ -532,8 +536,7 @@ def lean_premisses(seqs: tuple[Sequent, ...], moves: Moves) -> Iterator[tuple]:
 
     ``j`` is the position of the principal's component, ``base`` and
     ``new`` are its move (see ``lean_moves``), and ``lean_premiss`` builds
-    each premiss from them. In a normal hypersequent component ids are
-    positions plus one, and every premiss of an instance shares its
+    each premiss from them. Every premiss of an instance shares its
     component and base, so ``key``, that is ``(j, base, by_id)``, is equal
     for two instances exactly when their premiss sets are.
 
@@ -587,27 +590,27 @@ def lean_premiss(seqs: tuple[Sequent, ...], j: int, base: Sequent | None, new: S
 
 def _box_right_blocked(h: Hypersequent, bs: frozenset, body: Formula, monotonic: bool) -> bool:
     for c in h.components:
-        if bs <= left_set(c.seq) and body in right_set(c.seq):
+        if bs <= left_set(c) and body in right_set(c):
             return True
     if monotonic:
         return False
     for c in h.components:
-        if body in left_set(c.seq) and bs & right_set(c.seq):
+        if body in left_set(c) and bs & right_set(c):
             return True
     return False
 
 
 def _left_superset_exists(h: Hypersequent, needed: frozenset) -> bool:
-    return any(needed <= left_set(c.seq) for c in h.components)
+    return any(needed <= left_set(c) for c in h.components)
 
 
 def _right_hits(h: Hypersequent, candidates: frozenset) -> bool:
-    return any(candidates & right_set(c.seq) for c in h.components)
+    return any(candidates & right_set(c) for c in h.components)
 
 
 def _right_pair_exists(h: Hypersequent, s1: frozenset, s2: frozenset) -> bool:
     # a pair (A, B) with A and B in the same succedent set; A = B is allowed
-    return any(s1 & right_set(c.seq) and s2 & right_set(c.seq) for c in h.components)
+    return any(s1 & right_set(c) and s2 & right_set(c) for c in h.components)
 
 
 def is_saturated(h: Hypersequent, l: LogicSpec) -> bool:
@@ -617,7 +620,7 @@ def is_saturated(h: Hypersequent, l: LogicSpec) -> bool:
     asking for instances; the test suite cross-checks the two paths.
     """
     rules = rule_set(l)
-    comps = [c.seq for c in h.components]
+    comps = h.components
     all_left = [left_set(s) for s in comps]
     all_right = [right_set(s) for s in comps]
     for s, ls, rs in zip(comps, all_left, all_right):

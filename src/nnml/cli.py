@@ -18,13 +18,20 @@ would print it, but written without recursion, so a proof tree of any
 depth prints; every formula and sequent text in it was made once.
 
 Exit codes are a stable contract: 0 proved, 1 refuted, 2 usage or parse
-error, 3 internal verification failure, 4 budget exceeded.
+error, 3 internal verification failure, 4 budget exceeded. A reader that
+closes stdout early does not change them: the rest of the output is
+dropped, with no traceback.
+
+A refutation numbers its worlds by position: the n-th component of the
+saturated leaf is world n of every countermodel, and the JSON payload
+maps each component number to its world.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -178,10 +185,17 @@ def _dumps(obj) -> str:
 
 def _emit(args, payload: dict, text) -> None:
     """Print the payload as JSON, or as the text that text(payload) gives."""
-    if args.output == "json":
-        print(_dumps(payload))
-    else:
-        print(text(payload))
+    _write(_dumps(payload) if args.output == "json" else text(payload))
+
+
+def _write(line: str) -> None:
+    """Print a line to stdout and flush it. When the reader has closed the
+    pipe, stdout goes to the null device instead, so that neither this
+    write nor the flush at exit raises."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _tree_text(tree: dict) -> str:
@@ -196,31 +210,27 @@ def _tree_text(tree: dict) -> str:
     return "\n".join(lines)
 
 
-def _verify_countermodel(m, leaf: Hypersequent, world_for, l: LogicSpec) -> None:
+def _verify_countermodel(m, leaf: Hypersequent, l: LogicSpec) -> None:
     report = check_conditions(m, l)
     if not conditions_ok(report):
         bad = [k for k, (status, _) in report.items() if status == "fail"]
         raise InternalError(f"extracted model fails frame conditions: {', '.join(bad)}")
     # Formula by formula: the one formula a wide sequent asserts nests as
     # deep as the sequent is wide.
-    for c in leaf.components:
-        w = world_for(c.cid)
-        s = c.seq
+    for w, s in enumerate(leaf.components, 1):
         holds = [*s.left, *(Box(conjunction(b.members)) for b in s.blocks)]
         if not all(force(m, w, f) for f in holds) or any(force(m, w, f) for f in s.right):
-            raise InternalError(
-                f"extracted model does not falsify component {c.cid} at world {w}"
-            )
+            raise InternalError(f"extracted model does not falsify component {w} at world {w}")
 
 
 def _fine_formulas(root: Hypersequent, l: LogicSpec):
     """The formulas the fine standard model must agree on: the subformulas
     of the goal."""
     pool = []
-    for c in root.components:
-        pool.extend(c.seq.left)
-        pool.extend(c.seq.right)
-        for b in c.seq.blocks:
+    for s in root.components:
+        pool.extend(s.left)
+        pool.extend(s.right)
+        for b in s.blocks:
             pool.extend(b.members)
     if l.has_n:
         # box true holds everywhere in the bi model, which has N,
@@ -232,10 +242,9 @@ def _fine_formulas(root: Hypersequent, l: LogicSpec):
 def _countermodels(outcome: Refuted, root: Hypersequent, l: LogicSpec, kinds, rough_cap: int) -> dict:
     """Build and verify the bi countermodel and every other requested kind;
     each goes out as its dict."""
-    leaf, enumeration = outcome.leaf, outcome.enumeration
-    by_enum = lambda cid: enumeration[cid]
-    bi = extract_bi_countermodel(leaf, enumeration, l)
-    _verify_countermodel(bi, leaf, by_enum, l)
+    leaf = outcome.leaf
+    bi = extract_bi_countermodel(leaf, l)
+    _verify_countermodel(bi, leaf, l)
     out = {}
     for kind in dict.fromkeys(kinds if "bi" in kinds else ["bi", *kinds]):
         if kind == "bi":
@@ -245,7 +254,7 @@ def _countermodels(outcome: Refuted, root: Hypersequent, l: LogicSpec, kinds, ro
             if not l.regular:
                 raise CliError("relational countermodels need a regular logic (M and C)")
             m = extract_relational_countermodel(leaf, l)
-            _verify_countermodel(m, leaf, lambda cid: cid, l)
+            _verify_countermodel(m, leaf, l)
             out[kind] = model_to_dict(m)
             continue
         try:
@@ -257,7 +266,7 @@ def _countermodels(outcome: Refuted, root: Hypersequent, l: LogicSpec, kinds, ro
                 )
         except ValueError as e:
             raise CliError(f"{kind} countermodel: {e}; --rough-cap sets the cap") from None
-        _verify_countermodel(m, leaf, by_enum, l)
+        _verify_countermodel(m, leaf, l)
         out[kind] = model_to_dict(m)
     return out
 
@@ -308,7 +317,7 @@ def cmd_prove(args) -> int:
         outcome="refuted",
         visited=outcome.visited,
         saturated_leaf=render_hypersequent(outcome.leaf),
-        enumeration={str(cid): n for cid, n in sorted(outcome.enumeration.items())},
+        enumeration={str(n): n for n in range(1, len(outcome.leaf.components) + 1)},
         countermodels=_countermodels(outcome, h, l, args.model or [], args.rough_cap),
     )
     _emit(args, payload, _refuted_text)
@@ -370,7 +379,7 @@ def cmd_translate(args) -> int:
         return EXIT_PROVED
     outcome = prove(h, l, budget=budget)
     if isinstance(outcome, Refuted):
-        print("refuted: no derivation to translate")
+        _write("refuted: no derivation to translate")
         return EXIT_REFUTED
     ld = translate_derivation(outcome.derivation, l)
     report = check_labelled(ld, l)

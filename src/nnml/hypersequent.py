@@ -3,18 +3,17 @@
 A block ``<A1, ..., An>`` is a multiset of formulas standing for the
 boxed conjunction of its members; blocks live only in antecedents. A
 sequent pairs an antecedent (formulas and blocks) with a succedent. A
-hypersequent is a list of sequents ("components"), each carrying a
-stable numeric id so that countermodel extraction can name worlds
-reproducibly.
+hypersequent is a nonempty tuple of sequents, its components; component
+n is the n-th, counting from 1, and countermodels name it world n.
 
 Text syntax: components are separated by ``|``, antecedent items by
 commas, blocks written ``<A, B>``, and the two sides split by ``=>``.
 Disjunctions rendered inside a sequent are parenthesized so that the
 component separator stays unambiguous.
 
-Blocks, sequents, components and hypersequents are interned like
-formulas (see ``formula.Syntax``), so equal ones are one object. What
-is derived from a block or sequent is kept on it. A sequent's
+Blocks, sequents and hypersequents are interned like formulas (see
+``formula.Syntax``), so equal ones are one object. What is derived
+from a block or sequent is kept on it. A sequent's
 antecedent and succedent sets are made when it is built, as every
 visited goal reads them. The rest is computed on first use: a block's
 sort key, and a sequent's block member sets, its formulas grouped by
@@ -122,9 +121,6 @@ class Sequent(Syntax):
     def adding(self, left=(), blocks=(), right=()) -> "Sequent":
         return Sequent.of(self.left + tuple(left), self.blocks + tuple(blocks), self.right + tuple(right))
 
-    def is_empty(self) -> bool:
-        return not (self.left or self.blocks or self.right)
-
 
 left_set = attrgetter("_left_set")
 right_set = attrgetter("_right_set")
@@ -140,36 +136,28 @@ sequent_size = attrgetter("_size")
 
 
 @syntax
-class Component(Syntax):
-    cid: int
-    seq: Sequent
-
-
-@syntax
 class Hypersequent(Syntax):
-    components: tuple[Component, ...]
+    components: tuple[Sequent, ...]
 
     @staticmethod
     def of(sequents) -> "Hypersequent":
-        comps = tuple(Component(i + 1, s) for i, s in enumerate(sequents))
+        comps = tuple(sequents)
         if not comps:
             raise ValueError("hypersequents are nonempty")
         return Hypersequent(comps)
 
-    def component(self, cid: int) -> Sequent:
-        for c in self.components:
-            if c.cid == cid:
-                return c.seq
-        raise KeyError(f"no component {cid}")
+    def component(self, n: int) -> Sequent:
+        """The n-th component, counting from 1; KeyError for any other n."""
+        if not 0 < n <= len(self.components):
+            raise KeyError(f"no component {n}")
+        return self.components[n - 1]
 
-    def replace(self, cid: int, seq: Sequent) -> "Hypersequent":
-        return Hypersequent(tuple(Component(c.cid, seq) if c.cid == cid else c for c in self.components))
-
-    def next_cid(self) -> int:
-        return max(c.cid for c in self.components) + 1
+    def replace(self, n: int, seq: Sequent) -> "Hypersequent":
+        comps = self.components
+        return Hypersequent(comps[: n - 1] + (seq,) + comps[n:])
 
     def with_new_component(self, seq: Sequent) -> "Hypersequent":
-        return Hypersequent(self.components + (Component(self.next_cid(), seq),))
+        return Hypersequent(self.components + (seq,))
 
 
 def conjunction(fs) -> Formula:
@@ -199,20 +187,6 @@ def interpret(s: Sequent) -> Formula:
     return Imp(conjunction(ante), disjunction(s.right))
 
 
-def subsumes(candidate: Sequent, reference: Sequent) -> bool:
-    """Set-wise absorption: the candidate adds nothing the reference lacks.
-
-    Antecedent and succedent formulas are compared as sets, and every
-    candidate block must equal (as a set) some reference block.
-    """
-    if not left_set(candidate) <= left_set(reference):
-        return False
-    if not right_set(candidate) <= right_set(reference):
-        return False
-    refs = block_sets(reference)
-    return all(any(bs == rs for rs in refs) for bs in block_sets(candidate))
-
-
 def _item_text(f: Formula) -> str:
     """A formula's text as a sequent item, parenthesized when a ``|`` in it
     would read as the component separator."""
@@ -233,12 +207,8 @@ def join_sides(left, right) -> str:
     return f"=> {right}" if right else "=>"
 
 
-def render_sequent(s: Sequent) -> str:
-    return s._text
-
-
 def render_hypersequent(h: Hypersequent) -> str:
-    return " | ".join([c.seq._text for c in h.components])
+    return " | ".join([s._text for s in h.components])
 
 
 def _split_top_level(tokens: list[Token], kind: str) -> list[list[Token]]:

@@ -246,7 +246,7 @@ class _BlockInfo:
     members: tuple[tuple[Formula, str | None], ...]
 
 
-# binfo maps a component id to the ordered block records of that component:
+# binfo maps a component number to the ordered block records of that component:
 # pairs of the block value and the bookkeeping for its term and member labels.
 _BInfo = dict[int, tuple[tuple[Block, _BlockInfo], ...]]
 
@@ -297,23 +297,23 @@ def _translate_with_context(h: Hypersequent):
     world_of: dict[int, str] = {}
     binfo: _BInfo = {}
     anchor: NbTerm | None = None
-    for c in h.components:
+    for n, s in enumerate(h.components, 1):
         x = labels.world()
-        world_of[c.cid] = x
+        world_of[n] = x
         records = []
-        if anchor is not None and len(world_of) > 1:
+        if anchor is not None:
             left.append(MemberOf(x, anchor))
-        for b in c.seq.blocks:
+        for b in s.blocks:
             info, ls, rs = _translate_block(b, labels)
             records.append((b, info))
             left.append(PairOf(info.term, x))
             left.extend(ls)
             right.extend(rs)
-        binfo[c.cid] = tuple(records)
+        binfo[n] = tuple(records)
         if anchor is None and records:
             anchor = records[0][1].term
-        left.extend(WorldAt(x, f) for f in c.seq.left)
-        right.extend(WorldAt(x, f) for f in c.seq.right)
+        left.extend(WorldAt(x, f) for f in s.left)
+        right.extend(WorldAt(x, f) for f in s.right)
     return LabelledSequent.of(left, right), world_of, binfo, labels
 
 
@@ -674,7 +674,7 @@ def _translate_box_right(
             for member, label in info.members
             if label is not None
         ]
-        new_cid = sigma_child.conclusion.components[-1].cid
+        new_cid = len(sigma_child.conclusion.components)
         return _chain(
             steps,
             s,
@@ -713,7 +713,7 @@ def _negative_branches(
             return LabelledDerivation("tau-empty", (z,), s, ())
         member = label_formula[label]
         child = child_for[member]
-        new_cid = child.conclusion.components[-1].cid
+        new_cid = len(child.conclusion.components)
         return _chain(
             [("R-exists", (z, NbTerm.of((label,)), member))],
             s,

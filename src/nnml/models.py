@@ -194,11 +194,6 @@ def force(m: Model, w: int, f: Formula) -> bool:
     return w in truth_set(m, f)
 
 
-def valid(m: Model, f: Formula) -> bool:
-    """True in all worlds."""
-    return truth_set(m, f) == m.worlds
-
-
 # --- frame conditions -------------------------------------------------------
 
 
@@ -357,55 +352,35 @@ def _pair_key(p: Pair) -> tuple:
 # --- countermodel extraction ------------------------------------------------
 
 
-def extract_bi_countermodel(
-    leaf: Hypersequent, enumeration: dict[int, int], l: LogicSpec
-) -> BiModel:
+def extract_bi_countermodel(leaf: Hypersequent, l: LogicSpec) -> BiModel:
     """Read a bi-neighbourhood countermodel off a saturated hypersequent.
 
-    Worlds are the enumerated component indices. Each block contributes
-    the pair of its positive worlds (antecedents containing the whole
-    block) and negative worlds (succedents meeting it); monotone logics
-    drop the negative half.
+    The n-th component is world n. Each block contributes the pair of its
+    positive worlds (antecedents containing the whole block) and negative
+    worlds (succedents meeting it); monotone logics drop the negative
+    half.
     """
     if not is_saturated(leaf, l):
         raise ValueError("countermodel extraction needs a saturated hypersequent")
-    ids = {}
-    for c in leaf.components:
-        if c.cid not in enumeration:
-            raise ValueError(f"enumeration misses component {c.cid}")
-        ids[c.cid] = int(enumeration[c.cid])
-    if len(set(ids.values())) != len(ids):
-        raise ValueError("enumeration is not injective")
-    worlds = frozenset(ids.values())
+    comps = tuple(enumerate(leaf.components, 1))
     valuation: dict[str, set[int]] = {}
-    for c in leaf.components:
-        for f in left_set(c.seq):
+    nbhd: dict[int, set[Pair]] = {}
+    for w, s in comps:
+        for f in left_set(s):
             if isinstance(f, Atom):
-                valuation.setdefault(f.name, set()).add(ids[c.cid])
-    nbhd: dict[int, set[Pair]] = {w: set() for w in worlds}
-    for c in leaf.components:
-        for sigma in block_sets(c.seq):
-            plus = frozenset(
-                ids[c2.cid]
-                for c2 in leaf.components
-                if sigma <= left_set(c2.seq)
-            )
-            minus = frozenset(
-                ids[c2.cid]
-                for c2 in leaf.components
-                if sigma & right_set(c2.seq)
-            )
-            if l.monotonic:
-                nbhd[ids[c.cid]].add((plus, frozenset()))
-            else:
-                nbhd[ids[c.cid]].add((plus, minus))
-    return BiModel.make(worlds, valuation, nbhd)
+                valuation.setdefault(f.name, set()).add(w)
+        nbhd[w] = set()
+        for sigma in block_sets(s):
+            plus = frozenset(v for v, s2 in comps if sigma <= left_set(s2))
+            minus = frozenset() if l.monotonic else frozenset(v for v, s2 in comps if sigma & right_set(s2))
+            nbhd[w].add((plus, minus))
+    return BiModel.make(range(1, len(comps) + 1), valuation, nbhd)
 
 
 def extract_relational_countermodel(leaf: Hypersequent, l: LogicSpec) -> RelationalModel:
     """Relational countermodel for regular logics (M and C together).
 
-    Component ids become worlds; blockless components are the non-normal
+    The n-th component is world n; blockless components are the non-normal
     worlds; each component with blocks has a maximal block (closure
     under block merging guarantees one) whose positive worlds form the
     successor set.
@@ -414,35 +389,29 @@ def extract_relational_countermodel(leaf: Hypersequent, l: LogicSpec) -> Relatio
         raise ValueError("relational extraction needs a monotone logic with C")
     if not is_saturated(leaf, l):
         raise ValueError("countermodel extraction needs a saturated hypersequent")
-    worlds = frozenset(c.cid for c in leaf.components)
+    comps = tuple(enumerate(leaf.components, 1))
     valuation: dict[str, set[int]] = {}
-    for c in leaf.components:
-        for f in left_set(c.seq):
-            if isinstance(f, Atom):
-                valuation.setdefault(f.name, set()).add(c.cid)
     non_normal = set()
     relation: dict[int, frozenset[int]] = {}
-    for c in leaf.components:
-        sets = block_sets(c.seq)
+    for w, s in comps:
+        for f in left_set(s):
+            if isinstance(f, Atom):
+                valuation.setdefault(f.name, set()).add(w)
+        sets = block_sets(s)
         if not sets:
-            non_normal.add(c.cid)
-            relation[c.cid] = frozenset()
+            non_normal.add(w)
+            relation[w] = frozenset()
             continue
-        maximal = [s for s in sets if all(other <= s for other in sets)]
+        maximal = [b for b in sets if all(other <= b for other in sets)]
         if not maximal:
             raise ValueError(
                 "no maximal block; the hypersequent is not closed under merging"
             )
-        successor_sets = {
-            frozenset(
-                c2.cid for c2 in leaf.components if s <= left_set(c2.seq)
-            )
-            for s in maximal
-        }
+        successor_sets = {frozenset(v for v, s2 in comps if b <= left_set(s2)) for b in maximal}
         if len(successor_sets) != 1:
             raise ValueError("maximal blocks disagree on successors")
-        relation[c.cid] = next(iter(successor_sets))
-    return RelationalModel.make(worlds, non_normal, relation, valuation)
+        relation[w] = next(iter(successor_sets))
+    return RelationalModel.make(range(1, len(comps) + 1), non_normal, relation, valuation)
 
 
 # --- transformations --------------------------------------------------------
@@ -518,13 +487,6 @@ def standard_from_bi_fine(
             else:
                 nbhd[w].add(body_ts)
     return StandardModel.make(m.worlds, m.valuation, nbhd)
-
-
-def model_size(m: Model) -> int:
-    """World count plus total neighbourhood (or successor) count."""
-    if isinstance(m, RelationalModel):
-        return len(m.worlds) + sum(len(v) for v in m.relation.values())
-    return len(m.worlds) + sum(len(v) for v in m.nbhd.values())
 
 
 # --- serialization ----------------------------------------------------------

@@ -43,6 +43,7 @@ import sys
 from dataclasses import dataclass
 
 from .calculus import (
+    _TOP_BLOCK,
     InvalidInstance,
     Moves,
     RuleInstance,
@@ -56,8 +57,6 @@ from .calculus import (
 )
 from .formula import BOTTOM, TOP
 from .hypersequent import (
-    Block,
-    Component,
     Hypersequent,
     Sequent,
     left_set,
@@ -74,7 +73,9 @@ _INITIAL_TAGS = (INIT, BOT_L, TOP_R)
 
 @dataclass(frozen=True, slots=True)
 class Derivation:
-    """A proof tree node; leaves carry an initial tag and no children."""
+    """A proof tree node; leaves carry an initial tag and no children.
+    ``cid`` numbers a component of the conclusion as in
+    ``calculus.RuleInstance``."""
 
     conclusion: Hypersequent
     rule: RuleId
@@ -93,15 +94,11 @@ class Proved:
 
 @dataclass(frozen=True, slots=True)
 class Refuted:
-    """The first saturated leaf, its components numbered as worlds, and the
-    number of hypersequents the search visited."""
+    """The first saturated leaf, whose component n is world n of its
+    countermodels, and the number of hypersequents the search visited."""
 
     leaf: Hypersequent
-    enumeration: dict[int, int]
     visited: int
-
-
-SearchOutcome = Proved | Refuted
 
 
 class BudgetExceeded(Exception):
@@ -132,9 +129,9 @@ class SearchStats:
         if n > self.max_components:
             self.max_components = n
         size = 0
-        for c in h.components:
-            size += sequent_nodes(c.seq)
-            occ = sequent_size(c.seq)
+        for s in h.components:
+            size += sequent_nodes(s)
+            occ = sequent_size(s)
             if occ > self.max_component_size:
                 self.max_component_size = occ
         if size > self.max_nodes:
@@ -152,7 +149,7 @@ def _normalize(h: Hypersequent) -> tuple[Sequent, ...]:
     weakening read backwards; both are admissible, so derivability is
     unchanged and the reachable state space becomes finite.
     """
-    return tuple(dict.fromkeys(sorted((c.seq for c in h.components), key=sequent_key)))
+    return tuple(dict.fromkeys(sorted(h.components, key=sequent_key)))
 
 
 class _Frame:
@@ -220,7 +217,7 @@ def _search(
         if result is None:
             visited += 1
             if stats is not None:
-                stats.record(Hypersequent.of(goal) if lean else goal)
+                stats.record(Hypersequent(goal) if lean else goal)
             if visited > budget:
                 raise BudgetExceeded(visited, budget)
             if lean:
@@ -287,7 +284,7 @@ def prove(
     l: LogicSpec,
     budget: int = 10**6,
     stats: SearchStats | None = None,
-) -> SearchOutcome:
+) -> Proved | Refuted:
     """Decide derivability; yield a proof tree or a saturated leaf.
 
     Deterministic: the leaf reported on refutation is the first
@@ -297,7 +294,7 @@ def prove(
     result, visited = _search(h, l, False, budget, stats)
     if isinstance(result, Derivation):
         return Proved(result, visited)
-    return Refuted(result, {c.cid: i + 1 for i, c in enumerate(result.components)}, visited)
+    return Refuted(result, visited)
 
 
 def prove_unkleened(
@@ -332,8 +329,7 @@ def prove_unkleened(
     cycle cuts.
     """
     if l.has_n:
-        top = (Block.of((TOP,)),)
-        h = Hypersequent(tuple(Component(c.cid, c.seq.adding(blocks=top)) for c in h.components))
+        h = Hypersequent(tuple(s.adding(blocks=(_TOP_BLOCK,)) for s in h.components))
     return _search(h, l, True, budget, stats)[0]
 
 

@@ -153,17 +153,16 @@ def corpus():
                             pool[j] = (name, d.conclusion)
             else:
                 agg["refuted"] += 1
-                m = extract_bi_countermodel(out.leaf, out.enumeration, l)
+                m = extract_bi_countermodel(out.leaf, l)
                 if not conditions_ok(check_conditions(m, l)):
                     agg["cond_fail"] += 1
-                if force(m, out.enumeration[1], f):
+                if force(m, 1, f):
                     agg["falsify_fail"] += 1
                 if not l.has_c:
                     if len(m.worlds) > len(out.leaf.components):
                         agg["worlds_bound_fail"] += 1
-                    for c in out.leaf.components:
-                        w = out.enumeration[c.cid]
-                        if len(m.nbhd[w]) > len(c.seq.blocks):
+                    for w, s in enumerate(out.leaf.components, 1):
+                        if len(m.nbhd[w]) > len(s.blocks):
                             agg["pairs_bound_fail"] += 1
             if not l.has_c:
                 comp_bound = n + 3 * n * n
@@ -240,10 +239,10 @@ def test_criterion_02_separation():
         if not isinstance(out, Refuted):
             failures.append(f"{text!r} unexpectedly proved in {name}")
             continue
-        m = extract_bi_countermodel(out.leaf, out.enumeration, l)
+        m = extract_bi_countermodel(out.leaf, l)
         if not conditions_ok(check_conditions(m, l)):
             failures.append(f"countermodel conditions fail for {text!r} in {name}")
-        if force(m, out.enumeration[1], f):
+        if force(m, 1, f):
             failures.append(f"countermodel does not falsify {text!r} in {name}")
     for text, name in PROVED_ANYWAY:
         l = parse_logic_name(name)
@@ -270,7 +269,7 @@ def test_criterion_03_classic_countermodels():
     checks = []
 
     out, l = _refute("box (p & q) -> box p", "E")
-    m = extract_bi_countermodel(out.leaf, out.enumeration, l)
+    m = extract_bi_countermodel(out.leaf, l)
     checks.append(
         model_to_dict(m)
         == {
@@ -286,7 +285,7 @@ def test_criterion_03_classic_countermodels():
     )
 
     out, l = _refute("box (p -> q) -> box p -> box q", "EC")
-    m = extract_bi_countermodel(out.leaf, out.enumeration, l)
+    m = extract_bi_countermodel(out.leaf, l)
     checks.append(
         model_to_dict(m)
         == {
@@ -312,7 +311,7 @@ def test_criterion_03_classic_countermodels():
     )
 
     out, l = _refute("box p -> box box p", "MC")
-    m = extract_bi_countermodel(out.leaf, out.enumeration, l)
+    m = extract_bi_countermodel(out.leaf, l)
     checks.append(
         model_to_dict(m)
         == {
@@ -346,7 +345,7 @@ def test_criterion_03_classic_countermodels():
     )
 
     out, l = _refute("~box true", "ED")
-    m = extract_bi_countermodel(out.leaf, out.enumeration, l)
+    m = extract_bi_countermodel(out.leaf, l)
     checks.append(
         model_to_dict(m)
         == {
@@ -423,16 +422,17 @@ def _run_weakening() -> list[str]:
         extra = random_formula(rng, max_nodes=5)
         kind = rng.choice(("left", "right", "block", "component"))
         if kind == "component":
-            h2 = Hypersequent.of([c.seq for c in h.components] + [Sequent.of(left=(extra,))])
+            h2 = h.with_new_component(Sequent.of(left=(extra,)))
         else:
-            c = rng.choice(h.components)
+            n = rng.choice(range(1, len(h.components) + 1))
+            c = h.component(n)
             if kind == "left":
-                seq = c.seq.adding(left=(extra,))
+                seq = c.adding(left=(extra,))
             elif kind == "right":
-                seq = c.seq.adding(right=(extra,))
+                seq = c.adding(right=(extra,))
             else:
-                seq = c.seq.adding(blocks=(Block.of((extra,)),))
-            h2 = h.replace(c.cid, seq)
+                seq = c.adding(blocks=(Block.of((extra,)),))
+            h2 = h.replace(n, seq)
         d = _proved(h2, l)
         if d is None:
             failures.append(f"weakening lost provability ({kind}) for {h2}")
@@ -451,22 +451,23 @@ def _run_contraction() -> list[str]:
         attempts += 1
         l = parse_logic_name(rng.choice(STRUCTURAL_POOL))
         h = random_hypersequent(rng, **GEN_KW)
-        c = rng.choice(h.components)
+        n = rng.choice(range(1, len(h.components) + 1))
+        c = h.component(n)
         options = [s for s, present in (
-            ("left", c.seq.left),
-            ("right", c.seq.right),
-            ("block", c.seq.blocks),
+            ("left", c.left),
+            ("right", c.right),
+            ("block", c.blocks),
         ) if present]
         if not options:
             continue
         kind = rng.choice(options)
         if kind == "left":
-            seq = c.seq.adding(left=(rng.choice(c.seq.left),))
+            seq = c.adding(left=(rng.choice(c.left),))
         elif kind == "right":
-            seq = c.seq.adding(right=(rng.choice(c.seq.right),))
+            seq = c.adding(right=(rng.choice(c.right),))
         else:
-            seq = c.seq.adding(blocks=(rng.choice(c.seq.blocks),))
-        h2 = h.replace(c.cid, seq)
+            seq = c.adding(blocks=(rng.choice(c.blocks),))
+        h2 = h.replace(n, seq)
         if _screen(h2, l) is None:
             continue
         d = _proved(h, l)
@@ -487,8 +488,7 @@ def _run_external_contraction() -> list[str]:
         attempts += 1
         l = parse_logic_name(rng.choice(STRUCTURAL_POOL))
         h = random_hypersequent(rng, **GEN_KW)
-        c = rng.choice(h.components)
-        h2 = Hypersequent.of([x.seq for x in h.components] + [c.seq])
+        h2 = h.with_new_component(rng.choice(h.components))
         if _screen(h2, l) is None:
             continue
         d = _proved(h, l)

@@ -99,7 +99,7 @@ class TestPremisses:
     def test_box_right_new_components_share_one_id(self):
         h = hs("<p, q> => box r")
         out = build_premisses(h, BOX_R, 1, (Block.of([p, q]), Box(r)))
-        assert all(x.components[-1].cid == 2 for x in out)
+        assert all(len(x.components) == 2 for x in out)
 
     def test_monotone_box_right_has_one_premiss(self):
         out = build_premisses(hs("<p, q> => box r"), BOX_RM, 1, (Block.of([p, q]), Box(r)))
@@ -306,8 +306,8 @@ def check_resumed_scan(h, logic, choose):
     while inst is not None and initial_evidence(h, after) is None:
         rules.append(inst.rule)
         known = []
-        for gi, j, rd, c, principal in _candidates(h, groups):
-            known.append((rd, c.cid, principal))
+        for gi, j, rd, _, principal in _candidates(h, groups):
+            known.append((rd, j + 1, principal))
             if (h, gi, j, principal) == place:
                 break
         assert known[-1] == (rule_def(inst.rule), inst.cid, inst.principal)
@@ -359,9 +359,9 @@ def check_lean_premisses(seqs, logic):
     h = Hypersequent.of(seqs)
     fresh = (Block.of((TOP,)),) if logic.has_n else ()
     built, expected = [], []
-    for _, _, rd, c, principal in _candidates(h, rule_groups(logic, lean=True)):
-        base = _without_principal(rd, c.seq, principal)
-        built.append(_apply(h, c.cid, rd, base, rd.schema(*principal), fresh))
+    for _, j, rd, s, principal in _candidates(h, rule_groups(logic, lean=True)):
+        base = _without_principal(rd, s, principal)
+        built.append(_apply(h, j + 1, rd, base, rd.schema(*principal), fresh))
         expected.append(tuple(map(_normalize, built[-1])))
     # One move table read three times: on the first ask nothing is
     # kept; on the second two readers interleave while the moves are

@@ -1,7 +1,9 @@
 """Command-line behaviour: exit codes, output schemas, verification."""
 
 import json
+import os
 import runpy
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -383,6 +385,52 @@ class TestRepeatedCalls:
         assert run(capsys, "prove", deep, "--logic", "E")[0] == 2
         assert run(capsys, "prove", "p -> p", "--logic", "E", "--mode", "unkleened")[0] == 0
         assert run(capsys, "prove", deep, "--logic", "E")[0] == 2
+
+
+class TestClosedStdout:
+    """A reader that closes its end of the pipe early, as ``| head`` does:
+    the call keeps its exit code and writes nothing to stderr."""
+
+    BIG = "box (p & q) & box (q & r) & box (r & s) & box (s & t) -> box (p & q & r & s & t)"
+
+    @staticmethod
+    def start(argv, stdout):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        return subprocess.Popen(
+            [sys.executable, "-m", "nnml.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+        )
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["prove", "~box ~box true", "--logic", "MT"], 0),
+            (["prove", "~box ~box true", "--logic", "MT", "--output", "json"], 0),
+            (["prove", AXIOM_M, "--logic", "E", "--model", "standard-rough"], 1),
+            (["translate", "p", "--logic", "E", "--derive"], 1),
+            (["prove", "p & q -> q & p", "--logic", "E", "--budget", "1"], 4),
+        ],
+        ids=["proved", "proved-json", "refuted", "translate-refuted", "budget"],
+    )
+    def test_closed_before_the_first_write(self, argv, code):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.start(argv, write)
+        finally:
+            os.close(write)
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (code, b"")
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_closed_after_the_first_line(self, output):
+        # The output is larger than a pipe holds, so the writer is still
+        # writing when the reader goes.
+        proc = self.start(["prove", self.BIG, "--logic", "EC", "--output", output], subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 class TestShowcase:

@@ -143,11 +143,11 @@ class TestStaticTranslation:
     @settings(max_examples=60)
     def test_blocks_get_distinct_terms_and_components_distinct_worlds(self, rng):
         h = random_hypersequent(rng)
-        if any(set(b.members) == {TOP} for c in h.components for b in c.seq.blocks):
+        if any(set(b.members) == {TOP} for c in h.components for b in c.blocks):
             return
         s = translate_hypersequent(h, EC)
         pairs = [f for f in s.left if isinstance(f, PairOf)]
-        assert len(pairs) == sum(len(c.seq.blocks) for c in h.components)
+        assert len(pairs) == sum(len(c.blocks) for c in h.components)
         assert len({f.term for f in pairs}) == len(pairs)
         worlds = {f.world for f in s.left + s.right if isinstance(f, (WorldAt, PairOf))}
         assert worlds <= {f"x{i}" for i in range(1, len(h.components) + 1)}

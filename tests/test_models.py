@@ -23,12 +23,10 @@ from nnml.models import (
     extract_relational_countermodel,
     force,
     model_from_dict,
-    model_size,
     model_to_dict,
     standard_from_bi_fine,
     standard_from_bi_rough,
     truth_set,
-    valid,
 )
 from nnml.search import Refuted, prove
 
@@ -69,8 +67,8 @@ class TestForcing:
         assert truth_set(PAPER_BI, Imp(p, BOTTOM)) == {1}
         assert truth_set(PAPER_BI, TOP) == {1, 2}
         assert truth_set(PAPER_BI, And(p, p)) == {2}
-        assert valid(PAPER_BI, Imp(p, p))
-        assert not valid(PAPER_BI, p)
+        assert truth_set(PAPER_BI, Imp(p, p)) == PAPER_BI.worlds
+        assert truth_set(PAPER_BI, p) != PAPER_BI.worlds
 
     def test_unknown_world_raises(self):
         with pytest.raises(UnknownWorldError):
@@ -223,17 +221,17 @@ class TestRelationalConditions:
 class TestExtraction:
     def test_the_monotonicity_countermodel(self):
         out = prove(parse_input("box (p & q) -> box p"), E)
-        m = extract_bi_countermodel(out.leaf, out.enumeration, E)
+        m = extract_bi_countermodel(out.leaf, E)
         assert m.worlds == {1, 2}
         assert m.valuation == {"p": frozenset({2})}
         assert m.nbhd[1] == {(frozenset(), frozenset({2}))}
         assert m.nbhd[2] == frozenset()
-        assert not force(m, 1, interpret(out.leaf.components[0].seq))
-        assert model_size(m) == 3
+        assert not force(m, 1, interpret(out.leaf.component(1)))
+        assert (len(m.worlds), sum(map(len, m.nbhd.values()))) == (2, 1)
 
     def test_monotone_extraction_drops_negative_bounds(self):
         out = prove(parse_input("box p -> box box p"), MC)
-        m = extract_bi_countermodel(out.leaf, out.enumeration, MC)
+        m = extract_bi_countermodel(out.leaf, MC)
         assert m.nbhd[1] == {(frozenset({2}), frozenset())}
         assert conditions_ok(check_conditions(m, MC))
 
@@ -243,7 +241,7 @@ class TestExtraction:
         assert m.worlds == {1, 2}
         assert m.non_normal == {2}
         assert m.relation[1] == {2}
-        assert not force(m, 1, interpret(out.leaf.components[0].seq))
+        assert not force(m, 1, interpret(out.leaf.component(1)))
 
     def test_relational_extraction_needs_a_regular_logic(self):
         out = prove(parse_input("box (p & q) -> box p"), E)
@@ -253,14 +251,7 @@ class TestExtraction:
     def test_extraction_needs_saturation(self):
         h = parse_hypersequent("p & q => r")
         with pytest.raises(ValueError):
-            extract_bi_countermodel(h, {1: 1}, E)
-
-    def test_extraction_validates_the_enumeration(self):
-        out = prove(parse_input("box (p & q) -> box p"), E)
-        with pytest.raises(ValueError):
-            extract_bi_countermodel(out.leaf, {1: 1}, E)
-        with pytest.raises(ValueError):
-            extract_bi_countermodel(out.leaf, {1: 1, 2: 1}, E)
+            extract_bi_countermodel(h, E)
 
     @given(rngs)
     @settings(max_examples=60)
@@ -270,11 +261,10 @@ class TestExtraction:
         out = prove(parse_input(to_text(f)), logic)
         if not isinstance(out, Refuted):
             return
-        m = extract_bi_countermodel(out.leaf, out.enumeration, logic)
+        m = extract_bi_countermodel(out.leaf, logic)
         assert conditions_ok(check_conditions(m, logic))
-        for c in out.leaf.components:
-            w = out.enumeration[c.cid]
-            assert not force(m, w, interpret(c.seq))
+        for w, s in enumerate(out.leaf.components, 1):
+            assert not force(m, w, interpret(s))
 
 
 class TestBiFromStandard:

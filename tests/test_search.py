@@ -122,7 +122,7 @@ class TestRefutations:
     def test_leaf_is_saturated_and_enumerated(self):
         out = outcome("box (p & q) -> box p", E)
         assert is_saturated(out.leaf, E)
-        assert out.enumeration == {1: 1, 2: 2}
+        assert len(out.leaf.components) == 2
 
     def test_the_failed_monotonicity_search_leaf(self):
         out = outcome("box (p & q) -> box p", E)
@@ -138,9 +138,6 @@ class TestRefutations:
         out = prove(parse_input(to_goal(f)), logic)
         if isinstance(out, Refuted):
             assert is_saturated(out.leaf, logic)
-            assert sorted(out.enumeration.values()) == list(
-                range(1, len(out.leaf.components) + 1)
-            )
 
 
 class TestDeterminism:
@@ -247,6 +244,21 @@ class TestChecker:
         report = check_derivation(leaf, E)
         assert not report.ok
         assert "both sides" in report.reason
+
+    @pytest.mark.parametrize("past", [False, True], ids=["0 and -1", "n+1"])
+    def test_rejects_component_numbers_out_of_range(self, past):
+        # Both components are initial on p, so a number read from the
+        # end of the tuple would pass.
+        goal = parse_hypersequent("p => p | p => p")
+        d = outcome("p & q -> q & p", E).derivation
+        for cid in (3,) if past else (0, -1):
+            report = check_derivation(Derivation(goal, INIT, cid, (p,), ()), E)
+            assert not report.ok
+            assert "not in its conclusion" in report.reason
+        for cid in (2,) if past else (0, -1):
+            report = check_derivation(Derivation(d.conclusion, d.rule, cid, d.principal, d.children), E)
+            assert not report.ok
+            assert "no component" in report.reason
 
     def test_rejects_initial_tag_on_internal_node(self):
         out = outcome("p -> p", E)
