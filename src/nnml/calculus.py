@@ -37,12 +37,12 @@ component, or the component it creates. The rest is read off the entry:
   works on normal hypersequents, as sequences of components, and yields
   each instance as its move, with no rule instance around it: the base
   left without the principal and the new sequent of each premiss. A
-  move depends on one sequent only; ``lean_moves`` makes them as they
-  are reached, and from the second time a sequent and rule group are
-  asked for, one search's ``Moves`` table keeps them. ``lean_premiss``
-  builds one premiss from a move, already normal, when lean search
-  reaches it; the instance's key, read off the move, tells which
-  premiss sets were tried;
+  move depends on one sequent only, so the first time a sequent and
+  rule group are asked for, all their moves are made, and one search's
+  ``Moves`` table keeps them for every later ask. ``lean_premiss``
+  builds one premiss from a move, already normal (``normalize``), when
+  lean search reaches it; the instance's key, read off the move, tells
+  which premiss sets were tried;
 - ``build_premisses`` gives the cumulative premisses of one instance
   and rejects principal data that does not fit; the derivation checker
   audits proofs with it.
@@ -481,45 +481,10 @@ def next_instance(h: Hypersequent, groups, after: tuple | None = None) -> tuple[
     return None, None, n
 
 
-def lean_moves(s: Sequent, principals, fresh: tuple) -> Iterator[tuple[Sequent | None, tuple[Sequent, ...], tuple]]:
-    """The deleting instances of the given principals on one sequent, as
-    moves, in order.
-
-    A move is ``(base, new, by_id)``: for a rule that creates components,
-    ``base`` is what the principal's component keeps and ``new`` the
-    component each premiss adds; for the others ``base`` is None and each
-    premiss replaces the component by its item of ``new``. ``by_id`` is
-    ``new`` sorted by ``id``. A move depends on the sequent alone, so one
-    search can reuse it wherever the sequent occurs.
-    """
-    for rd, principal in principals:
-        base = _without_principal(rd, s, principal)
-        new = _new_sequents(rd, base, rd.schema(*principal), fresh)
-        yield base if rd.spawns else None, new, new if len(new) == 1 else tuple(sorted(new, key=id))
-
-
-def _replay(row: list, gi: int, done: list, rest: Iterator) -> Iterator:
-    """The moves in ``done``, then those of ``rest``, each appended to
-    ``done`` as it is made, so that readers can interleave; the last one
-    puts the finished tuple in ``row[gi]``."""
-    i = 0
-    while True:
-        if i == len(done):
-            move = next(rest, None)
-            if move is None:
-                row[gi] = tuple(done)
-                return
-            done.append(move)
-        yield done[i]
-        i += 1
-
-
-_ASKED = object()  # the entry of a (sequent, group) pair asked once
-
-
 class Moves(dict):
     """The move table of one lean search in one logic: it maps a sequent
-    to one entry per lean rule group (see ``lean_premisses``)."""
+    to its row, one entry per lean rule group, None until asked for (see
+    ``lean_premisses``)."""
 
     __slots__ = ("groups", "fresh")
 
@@ -528,61 +493,67 @@ class Moves(dict):
         self.groups = rule_groups(l, lean=True)
         self.fresh = (_TOP_BLOCK,) if l.has_n else ()
 
+    def __missing__(self, s: Sequent) -> list:
+        row = self[s] = [None] * len(self.groups)
+        return row
+
 
 def lean_premisses(seqs: tuple[Sequent, ...], moves: Moves) -> Iterator[tuple]:
     """Every principal-deleting instance of a normal hypersequent, given
     as its sequence of components, none filtered, in strategy order, as
     ``(j, base, new, key)``.
 
-    ``j`` is the position of the principal's component, ``base`` and
-    ``new`` are its move (see ``lean_moves``), and ``lean_premiss`` builds
-    each premiss from them. Every premiss of an instance shares its
-    component and base, so ``key``, that is ``(j, base, by_id)``, is equal
-    for two instances exactly when their premiss sets are.
+    ``j`` is the position of the principal's component. ``base`` and
+    ``new`` are the instance's move: for a rule that creates components,
+    ``base`` is what the principal's component keeps and ``new`` the
+    component each premiss adds; for the others ``base`` is None and each
+    premiss replaces the component by its item of ``new``.
+    ``lean_premiss`` builds each premiss from them. Every premiss of an
+    instance shares its component and base, so ``key``, that is ``(j,
+    base, new sorted by id)``, is equal for two instances exactly when
+    their premiss sets are.
 
-    Moves are made as they are reached. The first time a (sequent, group)
-    pair is asked for, they are not kept; from the second time on, they
-    are kept in ``moves`` as they are made, and the finished entry is the
-    tuple of them.
+    A move depends on the sequent alone. So the first time a (sequent,
+    group) pair is asked for, all its moves are made, in the order of
+    ``_principals``, and kept in ``moves`` as a tuple, which every later
+    ask reads.
     """
     groups, fresh = moves.groups, moves.fresh
-    rows = []
-    for s in seqs:
-        row = moves.get(s)
-        if row is None:
-            row = moves[s] = [None] * len(groups)
-        rows.append(row)
+    rows = [moves[s] for s in seqs]
     for gi, group in enumerate(groups):
         for j, row in enumerate(rows):
             entry = row[gi]
-            if type(entry) is tuple:
-                found = entry
-            elif entry is None:
-                ps = _principals(seqs[j], group)
-                if not ps:
-                    row[gi] = ()
-                    continue
-                row[gi] = _ASKED
-                found = lean_moves(seqs[j], ps, fresh)
-            else:
-                if entry is _ASKED:
-                    entry = row[gi] = [[], lean_moves(seqs[j], _principals(seqs[j], group), fresh)]
-                found = _replay(row, gi, *entry)
-            for base, new, by_id in found:
+            if entry is None:
+                s, entry = seqs[j], []
+                for rd, principal in _principals(s, group):
+                    base = _without_principal(rd, s, principal)
+                    new = _new_sequents(rd, base, rd.schema(*principal), fresh)
+                    entry.append((base if rd.spawns else None, new, new if len(new) == 1 else tuple(sorted(new, key=id))))
+                entry = row[gi] = tuple(entry)
+            for base, new, by_id in entry:
                 yield j, base, new, (j, base, by_id)
+
+
+def normalize(seqs) -> tuple[Sequent, ...]:
+    """Components in canonical form: sorted, exact duplicates collapsed.
+
+    Duplicate collapsing is external contraction, merging is external
+    weakening read backwards; both are admissible, so derivability is
+    unchanged and the reachable state space becomes finite.
+    """
+    return tuple(dict.fromkeys(sorted(seqs, key=sequent_key)))
 
 
 def lean_premiss(seqs: tuple[Sequent, ...], j: int, base: Sequent | None, new: Sequent) -> tuple[Sequent, ...]:
     """One premiss of an instance on a normal hypersequent, both given as
-    their sequences of components; the premiss comes normal: sorted,
-    duplicates collapsed."""
+    their sequences of components; the premiss comes normal."""
     out = list(seqs)
     if base is None:
         out[j] = new
     else:
         out[j] = base
         out.append(new)
-    return tuple(dict.fromkeys(sorted(out, key=sequent_key)))
+    return normalize(out)
 
 
 # --- the saturation oracle ------------------------------------------------------

@@ -18,9 +18,10 @@ would print it, but written without recursion, so a proof tree of any
 depth prints; every formula and sequent text in it was made once.
 
 Exit codes are a stable contract: 0 proved, 1 refuted, 2 usage or parse
-error, 3 internal verification failure, 4 budget exceeded. A reader that
-closes stdout early does not change them: the rest of the output is
-dropped, with no traceback.
+error, 3 internal verification failure, 4 budget exceeded. Input nested
+too deeply for the interpreter's stack is a usage error. A reader that
+closes stdout or stderr early does not change them: the rest of the
+output is dropped, with no traceback.
 
 A refutation numbers its worlds by position: the n-th component of the
 saturated leaf is world n of every countermodel, and the JSON payload
@@ -188,14 +189,15 @@ def _emit(args, payload: dict, text) -> None:
     _write(_dumps(payload) if args.output == "json" else text(payload))
 
 
-def _write(line: str) -> None:
-    """Print a line to stdout and flush it. When the reader has closed the
-    pipe, stdout goes to the null device instead, so that neither this
-    write nor the flush at exit raises."""
+def _write(line: str, stream=None) -> None:
+    """Print a line to stdout, or to ``stream``, and flush it. When the
+    reader has closed the pipe, the stream goes to the null device
+    instead, so that neither this write nor the flush at exit raises."""
+    stream = stream or sys.stdout
     try:
-        print(line, flush=True)
+        print(line, file=stream, flush=True)
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _tree_text(tree: dict) -> str:
@@ -458,10 +460,13 @@ def main(argv=None) -> int:
         )
         return EXIT_BUDGET
     except (CliError, TranslationError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _write(f"error: {e}", sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        _write("error: input nested too deeply", sys.stderr)
         return EXIT_USAGE
     except InternalError as e:
-        print(f"internal error: {e}", file=sys.stderr)
+        _write(f"internal error: {e}", sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -234,29 +234,6 @@ def subformulas(f: Formula) -> frozenset[Formula]:
     return f._proper_subformulas | {f}
 
 
-def weight(f: Formula) -> int:
-    """Termination measure: connectives count 1, box counts 2, leaves 0."""
-    match f:
-        case Atom() | Bottom() | Top():
-            return 0
-        case Box(body):
-            return weight(body) + 2
-        case And(left, right) | Or(left, right) | Imp(left, right):
-            return weight(left) + weight(right) + 1
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def modal_depth(f: Formula) -> int:
-    match f:
-        case Atom() | Bottom() | Top():
-            return 0
-        case Box(body):
-            return modal_depth(body) + 1
-        case And(left, right) | Or(left, right) | Imp(left, right):
-            return max(modal_depth(left), modal_depth(right))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def subformula_closure(fs) -> frozenset[Formula]:
     out: frozenset[Formula] = frozenset()
     for f in fs:

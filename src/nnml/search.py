@@ -22,9 +22,10 @@ The lean mode takes the deleting reading: principals leave the
 premisses, which keeps hypersequents polynomially small but loses
 invertibility, so the loop backtracks over every instance of a goal, in
 the same strategy order, and skips instances whose premisses it has
-already tried. It works on normalized goals, remembers decided ones and
-cuts cycles at their ancestors (see ``prove_unkleened``). It decides
-derivability only and produces no countermodel.
+already tried. It works on normalized goals (``calculus.normalize``),
+remembers decided ones and cuts cycles at their ancestors (see
+``prove_unkleened``). It decides derivability only and produces no
+countermodel.
 
 Lean search shares each sequent's moves within one search and builds
 premisses normal, one at a time, as it reaches them. A move is what one
@@ -52,6 +53,7 @@ from .calculus import (
     lean_premiss,
     lean_premisses,
     next_instance,
+    normalize,
     rule_groups,
     sequent_evidence,
 )
@@ -62,7 +64,6 @@ from .hypersequent import (
     left_set,
     render_hypersequent,
     right_set,
-    sequent_key,
     sequent_nodes,
     sequent_size,
 )
@@ -141,17 +142,6 @@ class SearchStats:
 _NO_CUT = sys.maxsize
 
 
-def _normalize(h: Hypersequent) -> tuple[Sequent, ...]:
-    """Canonical form, as the sequence of components: sorted, exact
-    duplicates collapsed.
-
-    Duplicate collapsing is external contraction, merging is external
-    weakening read backwards; both are admissible, so derivability is
-    unchanged and the reachable state space becomes finite.
-    """
-    return tuple(dict.fromkeys(sorted(h.components, key=sequent_key)))
-
-
 class _Frame:
     """A goal on the stack: the premisses of the instance being tried
     (None in lean mode between instances) and the results of those
@@ -199,7 +189,7 @@ def _search(
     moves = Moves(l) if lean else None
     groups = None if lean else rule_groups(l)
     stack: list[_Frame] = []
-    goal = _normalize(h) if lean else h
+    goal = normalize(h.components) if lean else h
     after = None  # the resume point of the instance whose premiss goal is
     while True:
         # Enter the goal: decide it at once, or open a frame for it.
@@ -320,8 +310,8 @@ def prove_unkleened(
     propagates the depth of that goal instead of being cached.
 
     Premisses come normal and are built only when the search reaches
-    them; each sequent's moves are kept, once asked for twice, in a
-    table that goes when the search returns. An instance is skipped when
+    them; each sequent's moves are made the first time they are asked
+    for and kept in a table that goes when the search returns. An instance is skipped when
     an earlier one of the same goal had the same key: the position of
     the principal's component, the base a component-creating rule leaves
     there, and the new sequents sorted by ``id``. Equal keys mean equal

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import rngs
+from nnml import calculus
 from nnml.calculus import (
     InvalidInstance,
     Moves,
@@ -18,6 +19,7 @@ from nnml.calculus import (
     lean_premiss,
     lean_premisses,
     next_instance,
+    normalize,
     rule_def,
     rule_groups,
 )
@@ -48,7 +50,6 @@ from nnml.logic import (
     dn_plus,
     parse_logic_name,
 )
-from nnml.search import _normalize
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -362,15 +363,14 @@ def check_lean_premisses(seqs, logic):
     for _, j, rd, s, principal in _candidates(h, rule_groups(logic, lean=True)):
         base = _without_principal(rd, s, principal)
         built.append(_apply(h, j + 1, rd, base, rd.schema(*principal), fresh))
-        expected.append(tuple(map(_normalize, built[-1])))
-    # One move table read three times: on the first ask nothing is
-    # kept; on the second two readers interleave while the moves are
-    # kept as they are made; the third reads the finished entries.
+        expected.append(tuple(normalize(prem.components) for prem in built[-1]))
+    # Two readers interleave on an empty move table, so each reads
+    # entries the other made as well as its own; a third read finds every
+    # entry finished.
     moves = Moves(logic)
-    passes = [list(lean_premisses(seqs, moves))]
     steps = zip(lean_premisses(seqs, moves), lean_premisses(seqs, moves))
-    passes += map(list, zip(*steps))
-    passes.append(list(lean_premisses(seqs, moves)))
+    passes = [*map(list, zip(*steps)), list(lean_premisses(seqs, moves))]
+    assert all(type(entry) is tuple for row in moves.values() for entry in row)
     for instances in passes:
         assert [tuple(lean_premiss(seqs, j, base, s) for s in new) for j, base, new, _ in instances] == expected
     keys = [key for _, _, _, key in passes[0]]
@@ -384,7 +384,7 @@ class TestLeanPremisses:
     @settings(max_examples=100)
     def test_match_the_normalized_instances(self, rng):
         logic = rng.choice([E, M, EC, EN, ED, EP, ED3, MDP])
-        check_lean_premisses(_normalize(random_hypersequent(rng, max_nodes=6, max_boxes=2)), logic)
+        check_lean_premisses(normalize(random_hypersequent(rng, max_nodes=6, max_boxes=2).components), logic)
 
     @pytest.mark.parametrize(
         "text,logic,repeats",
@@ -400,5 +400,17 @@ class TestLeanPremisses:
         ],
     )
     def test_match_on_instances_that_share_new_sequents(self, text, logic, repeats):
-        keys = check_lean_premisses(_normalize(hs(text)), logic)
+        keys = check_lean_premisses(normalize(hs(text).components), logic)
         assert (len(set(keys)) < len(keys)) == repeats
+
+    def test_second_read_makes_no_moves(self, monkeypatch):
+        seqs = normalize(hs("<p>, <q> => box r, p & q | box p => q").components)
+        calls = []
+        principals = calculus._principals
+        monkeypatch.setattr(calculus, "_principals", lambda *args: calls.append(args) or principals(*args))
+        moves = Moves(ED)
+        first = list(lean_premisses(seqs, moves))
+        assert first and calls
+        calls.clear()
+        assert list(lean_premisses(seqs, moves)) == first
+        assert calls == []

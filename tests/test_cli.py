@@ -150,6 +150,18 @@ class TestProve:
         assert run(capsys, "prove", text, "--logic", "E")[0] == code
         assert run(capsys, "prove", f"{text} => q", "--logic", "E")[0] == code
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["prove"], ["prove", "--output", "json"], ["translate", "--derive"]],
+        ids=["prove", "prove-json", "translate-derive"],
+    )
+    def test_long_conjunction_is_too_deep(self, capsys, argv):
+        # Sorting the antecedent compares sort keys that nest as deep as
+        # the conjunction is long.
+        text = " & ".join(f"p{i}" for i in range(1200)) + " -> p"
+        code, out, err = run(capsys, argv[0], text, "--logic", "E", *argv[1:])
+        assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+
     def test_wide_sequent_countermodel_is_verified(self, capsys):
         # The one formula this sequent asserts nests 600 conjunctions deep.
         wide = ", ".join(f"a{i} & b{i}" for i in range(600)) + " => c"
@@ -389,16 +401,15 @@ class TestRepeatedCalls:
 
 class TestClosedStdout:
     """A reader that closes its end of the pipe early, as ``| head`` does:
-    the call keeps its exit code and writes nothing to stderr."""
+    the call keeps its exit code and writes nothing to stderr, or, when
+    stderr is the closed pipe, nothing to stdout."""
 
     BIG = "box (p & q) & box (q & r) & box (r & s) & box (s & t) -> box (p & q & r & s & t)"
 
     @staticmethod
-    def start(argv, stdout):
+    def start(argv, stdout, stderr=subprocess.PIPE):
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
-        return subprocess.Popen(
-            [sys.executable, "-m", "nnml.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
-        )
+        return subprocess.Popen([sys.executable, "-m", "nnml.cli", *argv], stdout=stdout, stderr=stderr, env=env)
 
     @pytest.mark.parametrize(
         "argv,code",
@@ -431,6 +442,28 @@ class TestClosedStdout:
         assert proc.wait(timeout=60) == 0
         assert proc.stderr.read() == b""
         proc.stderr.close()
+
+    @pytest.mark.parametrize(
+        "argv", [["prove", "p", "--logic", "QX"], ["prove", "p", "--logic"]], ids=["bad-logic", "no-logic-name"]
+    )
+    def test_closed_stderr_keeps_the_usage_exit(self, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.start(argv, subprocess.PIPE, write)
+        finally:
+            os.close(write)
+        out, _ = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (2, b"")
+
+
+def test_importing_the_cli_leaves_the_generators_unloaded():
+    # The generators serve tests and scripts only; the CLI's start-up
+    # time does not include them.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    code = "import sys, nnml.cli; print('nnml.gen' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "False\n")
 
 
 class TestShowcase:

@@ -16,7 +16,6 @@ from nnml.formula import (
     TOP,
     Top,
     dia,
-    modal_depth,
     neg,
     node_count,
     parse,
@@ -24,7 +23,6 @@ from nnml.formula import (
     subformula_closure,
     subformulas,
     to_text,
-    weight,
 )
 from nnml.hypersequent import Hypersequent, Sequent, render_hypersequent
 
@@ -125,28 +123,9 @@ class TestRender:
 
 
 class TestMeasures:
-    def test_weight_counts_box_twice(self):
-        assert weight(p) == 0
-        assert weight(Box(p)) == 2
-        assert weight(And(p, q)) == 1
-        assert weight(Imp(Box(And(p, q)), Box(p))) == 6
-
     def test_node_count(self):
         assert node_count(p) == 1
         assert node_count(Imp(Box(And(p, q)), Box(p))) == 7
-
-    def test_modal_depth(self):
-        assert modal_depth(p) == 0
-        assert modal_depth(Box(Box(p))) == 2
-        assert modal_depth(And(Box(p), Box(Box(q)))) == 2
-
-    @given(formulas)
-    def test_weight_decreases_on_decomposition(self, f):
-        if isinstance(f, (And, Or, Imp)):
-            assert weight(f.left) < weight(f)
-            assert weight(f.right) < weight(f)
-        elif isinstance(f, Box):
-            assert weight(f.body) < weight(f)
 
     @given(formulas)
     def test_subformulas_contains_self_and_is_closed(self, f):
