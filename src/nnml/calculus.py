@@ -33,16 +33,30 @@ component, or the component it creates. The rest is read off the entry:
   finds the same first instance as a full scan;
 - the deleting reading, ``lean_premisses``, takes the principal out of
   the premisses, gives every new component the verum block when the
-  logic has N (so N itself is never applied), and filters nothing. It
-  works on normal hypersequents, as sequences of components, and yields
-  each instance as its move, with no rule instance around it: the base
-  left without the principal and the new sequent of each premiss. A
-  move depends on one sequent only, so the first time a sequent and
-  rule group are asked for, all their moves are made, and one search's
-  ``Moves`` table keeps them for every later ask. ``lean_premiss``
-  builds one premiss from a move, already normal (``normalize``), when
-  lean search reaches it; the instance's key, read off the move, tells
-  which premiss sets were tried;
+  logic has N (so N itself is never applied), and filters no instance by
+  a loop check. It works on normal hypersequents, as sequences of
+  components, and yields each instance as its move, with no rule
+  instance around it: the base left without the principal and the new
+  sequent of each premiss. A move depends on one sequent only, so the
+  first time a sequent and rule group are asked for, their moves are
+  made, and one search's ``Moves`` table keeps them for every later ask.
+  ``lean_premiss`` builds one premiss from a move, already normal
+  (``normalize``), when lean search reaches it; the instance's key, read
+  off the move, tells which premiss sets were tried;
+- the propositional rules and BoxL stay invertible in the deleting
+  reading, and their entries say so (``RuleDef.commits``). The
+  cumulative rule is invertible, so each cumulative premiss of a
+  derivable goal is derivable, and it is the deleting premiss plus the
+  principal. Next to what the premiss adds, that principal says nothing
+  more: on the left the additions imply it, on the right it implies one
+  of them, and BoxL adds the block of the box's body, which means the
+  box itself. So it drops out as a contracted copy (contraction is
+  admissible), and the deleting premiss is derivable too. A box on both
+  sides is an initial pattern, found before BoxL is tried. So the first
+  instance of such a rule decides its goal, and ``lean_premisses``
+  yields no instance after it. T, C and the rules that create components
+  lose what their principal said, so lean search backtracks over their
+  instances;
 - ``build_premisses`` gives the cumulative premisses of one instance
   and rejects principal data that does not fit; the derivation checker
   audits proofs with it.
@@ -174,7 +188,10 @@ class RuleDef:
     when ``connective`` is set, by one formula of that class on ``side``.
     ``schema`` takes the principal's items and returns the premisses:
     each extends the principal's component or, when ``spawns`` is set,
-    adds a new component.
+    adds a new component. ``commits`` marks a rule that stays invertible
+    in the deleting reading, so lean search tries only the first of its
+    instances (see the module docstring); the rules of one strategy
+    group agree on it.
     """
 
     rule: RuleId
@@ -183,6 +200,7 @@ class RuleDef:
     connective: type | None = None
     side: str = "left"
     spawns: bool = False
+    commits: bool = False
 
 
 def _members(b: Block) -> list[Formula]:
@@ -194,33 +212,37 @@ def _members(b: Block) -> list[Formula]:
 _TABLE: dict[RuleId, RuleDef] = {
     rd.rule: rd
     for rd in (
-        RuleDef(AND_L, lambda f: (Premiss(left=(f.left, f.right)),), connective=And),
+        RuleDef(AND_L, lambda f: (Premiss(left=(f.left, f.right)),), connective=And, commits=True),
         RuleDef(
             OR_L,
             lambda f: (Premiss(left=(f.left,)), Premiss(left=(f.right,))),
             connective=Or,
+            commits=True,
         ),
         RuleDef(
             IMP_L,
             lambda f: (Premiss(right=(f.left,)), Premiss(left=(f.right,))),
             connective=Imp,
+            commits=True,
         ),
         RuleDef(
             AND_R,
             lambda f: (Premiss(right=(f.left,)), Premiss(right=(f.right,))),
             connective=And,
             side="right",
+            commits=True,
         ),
         RuleDef(
-            OR_R, lambda f: (Premiss(right=(f.left, f.right)),), connective=Or, side="right"
+            OR_R, lambda f: (Premiss(right=(f.left, f.right)),), connective=Or, side="right", commits=True
         ),
         RuleDef(
             IMP_R,
             lambda f: (Premiss(left=(f.left,), right=(f.right,)),),
             connective=Imp,
             side="right",
+            commits=True,
         ),
-        RuleDef(BOX_L, lambda f: (Premiss(blocks=((f.body,),)),), connective=Box),
+        RuleDef(BOX_L, lambda f: (Premiss(blocks=((f.body,),)),), connective=Box, commits=True),
         RuleDef(RULE_T, lambda b: (Premiss(left=b.members),), blocks=1),
         RuleDef(RULE_C, lambda b1, b2: (Premiss(blocks=(b1.members + b2.members,)),), blocks=2),
         RuleDef(RULE_N, lambda: (Premiss(blocks=((TOP,),)),)),
@@ -285,7 +307,8 @@ def rule_def(rule: RuleId) -> RuleDef:
 # branching propositional rules, block creation and block bookkeeping,
 # the modal right rule, then the deontic rules, the graded ones by
 # arity. The rules of one group take turns within each component; the
-# groups follow one another, each over all components.
+# groups follow one another, each over all components. The rules of one
+# group agree on ``commits``, and the groups that commit come first.
 _ORDER = (
     (AND_L, OR_L, IMP_R),
     (AND_R, OR_R, IMP_L),
@@ -483,8 +506,9 @@ def next_instance(h: Hypersequent, groups, after: tuple | None = None) -> tuple[
 
 class Moves(dict):
     """The move table of one lean search in one logic: it maps a sequent
-    to its row, one entry per lean rule group, None until asked for (see
-    ``lean_premisses``)."""
+    to its row, one entry per lean rule group, None until asked for. An
+    entry is the tuple of the pair's moves; for a group that commits, it
+    holds the first move alone (see ``lean_premisses``)."""
 
     __slots__ = ("groups", "fresh")
 
@@ -499,9 +523,11 @@ class Moves(dict):
 
 
 def lean_premisses(seqs: tuple[Sequent, ...], moves: Moves) -> Iterator[tuple]:
-    """Every principal-deleting instance of a normal hypersequent, given
-    as its sequence of components, none filtered, in strategy order, as
-    ``(j, base, new, key)``.
+    """The principal-deleting instances of a normal hypersequent, given
+    as its sequence of components, in strategy order, as ``(j, base, new,
+    key)``: every instance up to the first one of a rule that commits,
+    which ends them (see the module docstring), or every instance when
+    there is none.
 
     ``j`` is the position of the principal's component. ``base`` and
     ``new`` are the instance's move: for a rule that creates components,
@@ -514,13 +540,15 @@ def lean_premisses(seqs: tuple[Sequent, ...], moves: Moves) -> Iterator[tuple]:
     their premiss sets are.
 
     A move depends on the sequent alone. So the first time a (sequent,
-    group) pair is asked for, all its moves are made, in the order of
+    group) pair is asked for, its moves are made, in the order of
     ``_principals``, and kept in ``moves`` as a tuple, which every later
-    ask reads.
+    ask reads: every move of the pair, or for a group that commits its
+    first move alone, as a 1-tuple.
     """
     groups, fresh = moves.groups, moves.fresh
     rows = [moves[s] for s in seqs]
     for gi, group in enumerate(groups):
+        commits = group[0].commits
         for j, row in enumerate(rows):
             entry = row[gi]
             if entry is None:
@@ -529,9 +557,13 @@ def lean_premisses(seqs: tuple[Sequent, ...], moves: Moves) -> Iterator[tuple]:
                     base = _without_principal(rd, s, principal)
                     new = _new_sequents(rd, base, rd.schema(*principal), fresh)
                     entry.append((base if rd.spawns else None, new, new if len(new) == 1 else tuple(sorted(new, key=id))))
+                    if commits:
+                        break
                 entry = row[gi] = tuple(entry)
             for base, new, by_id in entry:
                 yield j, base, new, (j, base, by_id)
+            if commits and entry:
+                return
 
 
 def normalize(seqs) -> tuple[Sequent, ...]:

@@ -198,9 +198,20 @@ def force(m: Model, w: int, f: Formula) -> bool:
 
 
 def _verdict(witnesses) -> tuple[str, object]:
-    """("fail", the first witness) or ("pass", None)."""
-    witness = next(iter(witnesses), None)
+    """("fail", the least witness) or ("pass", None). Witnesses are
+    ordered by ``_order``, so only a failing check pays for the order."""
+    witness = min(witnesses, key=_order, default=None)
     return ("pass", None) if witness is None else ("fail", witness)
+
+
+def _order(x):
+    """The report order of witnesses: worlds by number, sets by size and
+    then members, tuples by length and then item by item."""
+    if isinstance(x, frozenset):
+        return _set_key(x)
+    if isinstance(x, tuple):
+        return (len(x), tuple(map(_order, x)))
+    return x
 
 
 def _graded_conditions(l: LogicSpec, nbhd: dict, inner) -> dict:
@@ -209,14 +220,13 @@ def _graded_conditions(l: LogicSpec, nbhd: dict, inner) -> dict:
     with no other one below them matter: a world fails RDk+ exactly when
     it has at least k neighbourhoods and at most k of those minimal sets
     have an empty intersection, and the witness is the world and those
-    sets. ``nbhd`` maps each world, in order, to its neighbourhoods in
-    order of their inner sets' size."""
+    sets. ``nbhd`` maps each world to its neighbourhoods."""
     if not l.dplus:
         return {}
     minimal = {}
     for w, ns in nbhd.items():
         found: list[frozenset[int]] = []
-        for alpha in map(inner, ns):
+        for alpha in sorted(map(inner, ns), key=_set_key):
             if not any(low <= alpha for low in found):
                 found.append(alpha)
         minimal[w] = found
@@ -234,13 +244,13 @@ def _graded_conditions(l: LogicSpec, nbhd: dict, inner) -> dict:
 
 
 # Each check reports the first witness of a failure in world order, then
-# in neighbourhood order.
+# in neighbourhood order: its least witness under ``_order``.
 
 
 def _bi_conditions(m: BiModel, l: LogicSpec) -> dict:
     report = {}
     ws = m.worlds
-    nbhd = {w: sorted(m.nbhd[w], key=_pair_key) for w in sorted(ws)}
+    nbhd = m.nbhd
     if l.monotonic:
         report["M"] = _verdict((w, p) for w, ps in nbhd.items() for p in ps if p[1])
     if l.has_n:
@@ -253,7 +263,7 @@ def _bi_conditions(m: BiModel, l: LogicSpec) -> dict:
             for w, ps in nbhd.items()
             for p1 in ps
             for p2 in ps
-            if (p1[0] & p2[0], p1[1] | p2[1]) not in m.nbhd[w]
+            if (p1[0] & p2[0], p1[1] | p2[1]) not in ps
         )
     if l.has_t:
         report["T"] = _verdict((w, p) for w, ps in nbhd.items() for p in ps if w not in p[0])
@@ -274,32 +284,32 @@ def _bi_conditions(m: BiModel, l: LogicSpec) -> dict:
 def _standard_conditions(m: StandardModel, l: LogicSpec) -> dict:
     report = {}
     ws = m.worlds
-    nbhd = {w: sorted(m.nbhd[w], key=_set_key) for w in sorted(ws)}
+    nbhd = m.nbhd
     if l.monotonic:
         report["M"] = _verdict(
             (w, alpha, x)
             for w, ns in nbhd.items()
             for alpha in ns
-            for x in sorted(ws - alpha)
-            if alpha | {x} not in m.nbhd[w]
+            for x in ws - alpha
+            if alpha | {x} not in ns
         )
     if l.has_n:
-        report["N"] = _verdict(w for w in nbhd if ws not in m.nbhd[w])
+        report["N"] = _verdict(w for w, ns in nbhd.items() if ws not in ns)
     if l.has_c:
         report["C"] = _verdict(
             (w, a1, a2)
             for w, ns in nbhd.items()
             for a1 in ns
             for a2 in ns
-            if a1 & a2 not in m.nbhd[w]
+            if a1 & a2 not in ns
         )
     if l.has_t:
         report["T"] = _verdict((w, alpha) for w, ns in nbhd.items() for alpha in ns if w not in alpha)
     if l.has_p:
-        report["P"] = _verdict(w for w in nbhd if frozenset() in m.nbhd[w])
+        report["P"] = _verdict(w for w, ns in nbhd.items() if frozenset() in ns)
     if l.has_d:
         report["D"] = _verdict(
-            (w, alpha) for w, ns in nbhd.items() for alpha in ns if ws - alpha in m.nbhd[w]
+            (w, alpha) for w, ns in nbhd.items() for alpha in ns if ws - alpha in ns
         )
     report.update(_graded_conditions(l, nbhd, lambda alpha: alpha))
     return report
@@ -311,11 +321,11 @@ def _relational_conditions(m: RelationalModel, l: LogicSpec) -> dict:
     world is non-normal, and P, D and every RDk+ hold when every normal
     world has a successor."""
     report = {}
-    normal = sorted(m.worlds - m.non_normal)
+    normal = m.worlds - m.non_normal
     if l.has_t:
         report["T"] = _verdict(w for w in normal if w not in m.relation.get(w, frozenset()))
     if l.has_n:
-        report["N"] = _verdict(sorted(m.non_normal))
+        report["N"] = _verdict(m.non_normal)
     serial = _verdict(w for w in normal if not m.relation.get(w))
     keys = [key for flag, key in ((l.has_p, "P"), (l.has_d, "D")) if flag]
     keys += [f"RD{k}+" for k in range(1, (l.dplus or 0) + 1)]

@@ -19,10 +19,13 @@ is sought only in the component it changed or created
 scan of every goal.
 
 The lean mode takes the deleting reading: principals leave the
-premisses, which keeps hypersequents polynomially small but loses
-invertibility, so the loop backtracks over every instance of a goal, in
-the same strategy order, and skips instances whose premisses it has
-already tried. It works on normalized goals (``calculus.normalize``),
+premisses, which keeps hypersequents polynomially small but loses the
+invertibility of T, C and the rules that create components. So the loop
+backtracks over the instances of a goal, in the same strategy order, and
+skips instances whose premisses it has already tried. The propositional
+rules and BoxL stay invertible, so a goal with an instance of one of
+them has that instance alone: ``calculus.lean_premisses`` yields nothing
+after it. It works on normalized goals (``calculus.normalize``),
 remembers decided ones and cuts cycles at their ancestors (see
 ``prove_unkleened``). It decides derivability only and produces no
 countermodel.
@@ -295,6 +298,11 @@ def prove_unkleened(
 ) -> bool:
     """Decide derivability with principal-deleting rules and backtracking.
 
+    A goal with an instance of a rule that stays invertible in the
+    deleting reading (a propositional rule or BoxL) tries the first such
+    instance alone, and its result is the goal's; over the other rules'
+    instances the search backtracks (see ``calculus.lean_premisses``).
+
     If the logic contains N, one verum block is added to every input
     component up front and to every component a rule creates, so N never
     needs to be guessed. Deleting principals makes most loops impossible;
@@ -311,12 +319,12 @@ def prove_unkleened(
 
     Premisses come normal and are built only when the search reaches
     them; each sequent's moves are made the first time they are asked
-    for and kept in a table that goes when the search returns. An instance is skipped when
-    an earlier one of the same goal had the same key: the position of
-    the principal's component, the base a component-creating rule leaves
-    there, and the new sequents sorted by ``id``. Equal keys mean equal
-    premiss sets. With ``stats``, lean search also counts memo hits and
-    cycle cuts.
+    for and kept in a table that goes when the search returns. An
+    instance is skipped when an earlier one of the same goal had the
+    same key: the position of the principal's component, the base a
+    component-creating rule leaves there, and the new sequents sorted by
+    ``id``. Equal keys mean equal premiss sets. With ``stats``, lean
+    search also counts memo hits and cycle cuts.
     """
     if l.has_n:
         h = Hypersequent(tuple(s.adding(blocks=(_TOP_BLOCK,)) for s in h.components))

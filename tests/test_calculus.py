@@ -34,12 +34,16 @@ from nnml.hypersequent import (
 )
 from nnml.logic import (
     AND_L,
+    AND_R,
     BOX_L,
     BOX_R,
     BOX_RM,
     IMP_L,
+    IMP_R,
     INIT,
     BOT_L,
+    OR_L,
+    OR_R,
     RULE_C,
     RULE_D1,
     RULE_D2,
@@ -354,9 +358,10 @@ class TestResumedScan:
 
 def check_lean_premisses(seqs, logic):
     """The premisses lean search builds, normal and one at a time, equal
-    the normalized premisses of each deleting instance built in full, and
-    the instances' keys are equal exactly when those full premiss sets
-    are. Returns the keys."""
+    the normalized premisses of each deleting instance built in full, up
+    to and including the first instance of a rule that commits, and the
+    instances' keys are equal exactly when those full premiss sets are.
+    Returns the keys."""
     h = Hypersequent.of(seqs)
     fresh = (Block.of((TOP,)),) if logic.has_n else ()
     built, expected = [], []
@@ -364,13 +369,16 @@ def check_lean_premisses(seqs, logic):
         base = _without_principal(rd, s, principal)
         built.append(_apply(h, j + 1, rd, base, rd.schema(*principal), fresh))
         expected.append(tuple(normalize(prem.components) for prem in built[-1]))
+        if rd.commits:
+            break
     # Two readers interleave on an empty move table, so each reads
     # entries the other made as well as its own; a third read finds every
-    # entry finished.
+    # entry it reads finished. Entries after a committed instance are
+    # never asked for.
     moves = Moves(logic)
     steps = zip(lean_premisses(seqs, moves), lean_premisses(seqs, moves))
     passes = [*map(list, zip(*steps)), list(lean_premisses(seqs, moves))]
-    assert all(type(entry) is tuple for row in moves.values() for entry in row)
+    assert all(entry is None or type(entry) is tuple for row in moves.values() for entry in row)
     for instances in passes:
         assert [tuple(lean_premiss(seqs, j, base, s) for s in new) for j, base, new, _ in instances] == expected
     keys = [key for _, _, _, key in passes[0]]
@@ -402,6 +410,26 @@ class TestLeanPremisses:
     def test_match_on_instances_that_share_new_sequents(self, text, logic, repeats):
         keys = check_lean_premisses(normalize(hs(text).components), logic)
         assert (len(set(keys)) < len(keys)) == repeats
+
+    def test_commit_to_the_first_instance_of_an_invertible_rule(self):
+        # The first component has no principal of the first group; AndL
+        # on p & q in the second is the first instance, so the group's
+        # other principals and every later group are never asked for.
+        seqs = normalize(hs("p & q, r | s => p -> q | box p => q & r").components)
+        moves = Moves(E)
+        ((j, base, new, _),) = lean_premisses(seqs, moves)
+        assert render_hypersequent(Hypersequent(lean_premiss(seqs, j, base, *new))) == (
+            "p, q, (r | s) => p -> q | box p => q & r"
+        )
+        rest = [None] * (len(moves.groups) - 1)
+        assert moves[seqs[0]] == [(), *rest]
+        assert len(moves[seqs[1]][0]) == 1 and moves[seqs[1]][1:] == rest
+
+    def test_only_rules_invertible_in_the_deleting_reading_commit(self):
+        committing = {AND_L, OR_L, IMP_R, AND_R, OR_R, IMP_L, BOX_L}
+        assert {rule for rule, rd in calculus._TABLE.items() if rd.commits} == committing
+        for group in calculus._ORDER:
+            assert len({rule_def(rule).commits for rule in group}) == 1
 
     def test_second_read_makes_no_moves(self, monkeypatch):
         seqs = normalize(hs("<p>, <q> => box r, p & q | box p => q").components)
