@@ -18,19 +18,6 @@ is sought only in the component it changed or created
 (``calculus.next_instance``). The order of the search is that of a full
 scan of every goal.
 
-Two cuts keep its proofs small. Each proof the loop builds records what
-it uses of its conclusion: the principals and initial patterns, and the
-component of each step, by component position. A premiss is its goal
-plus what the rule added, so a premiss proof that uses none of that
-proves the goal by the same steps: the goal's premisses after it are
-skipped (dependency-directed backjumping). And every proved goal is
-kept as a lemma, with what its proof uses: a later premiss of one of its
-ancestors that has all of it, at the same positions, is proved by the
-same steps. Both cut only subtrees whose goal is proved. A saturated goal refutes its
-ancestors, so none of them is cut, and the first saturated goal is the
-one a full search finds. The steps a cut reuses are applied to the goal
-they prove once the search ends (``_replayed``).
-
 The lean mode takes the deleting reading: principals leave the
 premisses, which keeps hypersequents polynomially small but loses the
 invertibility of T, C and the rules that create components. So the loop
@@ -70,13 +57,11 @@ from .calculus import (
     lean_premisses,
     next_instance,
     normalize,
-    rule_def,
     rule_groups,
     sequent_evidence,
 )
 from .formula import BOTTOM, TOP
 from .hypersequent import (
-    Block,
     Hypersequent,
     Sequent,
     left_set,
@@ -141,8 +126,6 @@ class SearchStats:
     memo_hits: int = 0
     cycle_cuts: int = 0
     loop_checks: int = 0
-    backjumps: int = 0
-    lemma_hits: int = 0
 
     def record(self, h: Hypersequent) -> None:
         self.visited += 1
@@ -172,11 +155,9 @@ class _Frame:
     tried, ``tried`` holds their keys, and ``lowest`` is the lowest stack
     depth a cycle cut under the goal pointed at. In invertible mode
     ``rest`` is the resume point of the instance, where the scan of each
-    premiss starts (see ``calculus._candidates``), ``used`` collects what
-    the proofs of its premisses use of it (see ``_principal_items``), and
-    ``lemmas`` is the number of lemmas when it was entered."""
+    premiss starts (see ``calculus._candidates``)."""
 
-    __slots__ = ("h", "inst", "premisses", "proved", "rest", "tried", "lowest", "used", "lemmas")
+    __slots__ = ("h", "inst", "premisses", "proved", "rest", "tried", "lowest")
 
     def __init__(self, h, inst: RuleInstance | tuple[int, Sequent | None] | None, rest):
         self.h, self.inst, self.rest = h, inst, rest
@@ -184,136 +165,6 @@ class _Frame:
         self.proved: list = []
         self.tried: set[tuple] = set()
         self.lowest = _NO_CUT
-        self.used: set[tuple] | None = None
-        self.lemmas = 0
-
-
-@dataclass(frozen=True, slots=True)
-class _Replay:
-    """An invertible goal proved by the steps of ``proof``, a proof tree
-    whose conclusion has every item those steps use, at the same
-    component position: a premiss's proof that uses nothing the premiss
-    added, or a lemma's. ``_replayed`` applies the steps to the goal."""
-
-    conclusion: Hypersequent
-    proof: Derivation | _Replay
-
-
-def _principal_items(rule: RuleId, cid: int, principal: tuple) -> set[tuple]:
-    """What an instance uses of its conclusion: its component, and its
-    principal's blocks and formula, each as ``(component, place, item)``,
-    the place being ``"block"`` or the formula's side. (N has no
-    principal, but it still needs its component.)"""
-    side = rule_def(rule).side
-    used = {(cid, "block", x) if isinstance(x, Block) else (cid, side, x) for x in principal}
-    used.add((cid, "component", None))
-    return used
-
-
-def _leaf_items(tag: RuleId, cid: int, f) -> set[tuple]:
-    """What an initial leaf uses of its conclusion (see ``_principal_items``)."""
-    if tag == BOT_L:
-        return {(cid, "left", BOTTOM)}
-    if tag == TOP_R:
-        return {(cid, "right", TOP)}
-    return {(cid, "left", f), (cid, "right", f)}
-
-
-def _has(comps: tuple[Sequent, ...], item: tuple) -> bool:
-    """Whether a hypersequent, given as its components, has an item (see
-    ``_principal_items``)."""
-    c, place, x = item
-    if c > len(comps):
-        return False
-    s = comps[c - 1]
-    return place == "component" or x in (s.blocks if place == "block" else left_set(s) if place == "left" else right_set(s))
-
-
-def _items_in(used: set[tuple], h: Hypersequent) -> set[tuple]:
-    """The items of ``used``, a set of items of a premiss of h, that h has."""
-    comps = h.components
-    return {item for item in used if _has(comps, item)}
-
-
-class _Lemmas:
-    """The goals one invertible search proved, in order, each as its
-    core, the items its proof uses, with that proof. A goal with every
-    item of a core is proved by the core's proof replayed on it.
-
-    A premiss looks only at the cores proved since its goal was entered,
-    in the subtrees of the premisses before it, and takes the first one
-    it has, which keeps the search deterministic. Older cores are left
-    out, so a premiss with none before it costs no lookup."""
-
-    __slots__ = ("cores",)
-
-    def __init__(self):
-        self.cores: list[tuple[set[tuple], Derivation | _Replay]] = []
-
-    def add(self, used: set[tuple], proof) -> None:
-        self.cores.append((used, proof))
-
-    def find(self, h: Hypersequent, since: int) -> tuple[set[tuple], Derivation | _Replay] | None:
-        comps = h.components
-        for core in self.cores[since:]:
-            if all(_has(comps, item) for item in core[0]):
-                return core
-        return None
-
-
-def _replayed(root: Derivation | _Replay) -> Derivation:
-    """The proof tree with each replayed proof's steps applied to the
-    goal it proves: each step's premisses are rebuilt from its new
-    conclusion (``calculus.build_premisses``), and the components it
-    names are renumbered, those the goal lacks being unused. A subtree
-    with no replay in it, reached with its own conclusion and numbering,
-    is kept as it is.
-
-    Built without recursion: every node is listed after its parent, then
-    built in reverse order.
-    """
-    replaying = set()  # the nodes with a replay in them, by id
-    done = set()  # by id: a lemma's proof can be reached more than once
-    stack = [(root, False)]
-    while stack:
-        node, seen = stack.pop()
-        if id(node) in done:
-            continue
-        below = (node.proof,) if isinstance(node, _Replay) else node.children
-        if not seen:
-            stack.append((node, True))
-            stack.extend([(child, False) for child in below])
-            continue
-        done.add(id(node))
-        if isinstance(node, _Replay) or not replaying.isdisjoint(map(id, below)):
-            replaying.add(id(node))
-    entries: list[list] = []  # node, conclusion, component, children (None: kept), parent entry, position
-    stack = [(root, root.conclusion, tuple(range(1, len(root.conclusion.components) + 1)), -1, 0)]
-    while stack:
-        node, h, numbers, parent, pos = stack.pop()
-        while isinstance(node, _Replay):
-            node = node.proof
-            n = len(node.conclusion.components)
-            numbers = numbers[:n] + (0,) * (n - len(numbers))
-        if id(node) not in replaying and node.conclusion is h and numbers == tuple(range(1, len(numbers) + 1)):
-            entries.append([node, h, node.cid, None, parent, pos])
-            continue
-        cid = numbers[node.cid - 1]
-        if node.rule in _INITIAL_TAGS:
-            premisses = ()
-        else:
-            premisses = build_premisses(h, node.rule, cid, node.principal)
-            if rule_def(node.rule).spawns:
-                numbers += (len(h.components) + 1,)
-        e = len(entries)
-        entries.append([node, h, cid, [None] * len(premisses), parent, pos])
-        for i, (child, p) in enumerate(zip(node.children, premisses)):
-            stack.append((child, p, numbers, e, i))
-    for node, h, cid, children, parent, pos in reversed(entries):
-        d = node if children is None else Derivation(h, node.rule, cid, node.principal, tuple(children))
-        if parent < 0:
-            return d
-        entries[parent][3][pos] = d
 
 
 def _search(
@@ -324,12 +175,6 @@ def _search(
 
     The invertible result is the root's proof tree, or the first saturated
     goal; the lean result is whether the root is derivable.
-
-    An invertible premiss with no initial pattern is looked up among the
-    lemmas before its instance is sought (see ``_Lemmas``). Along with each proof tree it
-    hands up, the loop hands up what the tree uses of its goal, in
-    ``used``, and the tree may hold reused steps (``_Replay``) until the
-    root is proved.
 
     A lean goal is the normal sequence of a hypersequent's components,
     and the memo and the ancestors are keyed by it. Only the root is
@@ -349,9 +194,6 @@ def _search(
     stack: list[_Frame] = []
     goal = normalize(h.components) if lean else h
     after = None  # the resume point of the instance whose premiss goal is
-    used: set[tuple] = set()  # what the invertible proof tree in result uses
-    lemmas = _Lemmas()
-    replays = 0
     while True:
         # Enter the goal: decide it at once, or open a frame for it.
         result = None
@@ -377,49 +219,23 @@ def _search(
                 else:
                     ancestors[goal] = len(stack)
                     stack.append(_Frame(goal, None, lean_premisses(goal, moves)))
-            elif (ev := initial_evidence(goal, after)) is not None:
-                tag, cid, f = ev
-                result = Derivation(goal, tag, cid, () if f is None else (f,), ())
-                used = _leaf_items(tag, cid, f)
-            elif stack and stack[-1].lemmas < len(lemmas.cores) and (lemma := lemmas.find(goal, stack[-1].lemmas)):
-                used, proof = lemma
-                result = _Replay(goal, proof)
-                replays += 1
-                if stats is not None:
-                    stats.lemma_hits += 1
-            else:
+            elif (ev := initial_evidence(goal, after)) is None:
                 inst, place, checks = next_instance(goal, groups, after)
                 if stats is not None:
                     stats.loop_checks += checks
                 if inst is None:
                     return goal, visited
-                fr = _Frame(goal, inst, place)
-                fr.lemmas = len(lemmas.cores)
-                stack.append(fr)
+                stack.append(_Frame(goal, inst, place))
+            else:
+                tag, cid, f = ev
+                result = Derivation(goal, tag, cid, () if f is None else (f,), ())
         # Unwind: hand each decided goal to its parent, until a frame has a
         # premiss to explore next.
         while True:
             if not stack:
-                return (_replayed(result) if replays else result), visited
+                return result, visited
             fr = stack[-1]
-            if result is True:
-                fr.proved.append(result)
-            elif result:  # a proof tree of the premiss the frame is on
-                kept = _items_in(used, fr.h)
-                if len(kept) == len(used) and len(fr.proved) + 1 < len(fr.premisses):
-                    # The proof uses nothing the premiss added, so it
-                    # proves the goal: the premisses after it are skipped.
-                    stack.pop()
-                    result = _Replay(fr.h, result)
-                    lemmas.add(used, result)
-                    replays += 1
-                    if stats is not None:
-                        stats.backjumps += 1
-                    continue
-                if fr.used is None:
-                    fr.used = kept
-                else:
-                    fr.used |= kept
+            if result:  # a proof tree, or True in lean mode
                 fr.proved.append(result)
             elif result is not None:
                 fr.premisses = None
@@ -447,9 +263,6 @@ def _search(
             if not lean:
                 inst = fr.inst
                 result = Derivation(fr.h, inst.rule, inst.cid, inst.principal, tuple(fr.proved))
-                used = _principal_items(inst.rule, inst.cid, inst.principal)
-                used |= fr.used
-                lemmas.add(used, result)
                 continue
             del ancestors[fr.h]
             result = fr.premisses is not None
