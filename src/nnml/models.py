@@ -9,12 +9,23 @@ inside and outside: a box holds when some pair sandwiches the truth set,
 alpha below and the complement of beta above. Standard neighbourhoods
 demand the truth set itself; relational models read boxes as universal
 quantification over successors at normal worlds.
+
+A standard model holds each neighbourhood as an int bitmask, since the
+rough and supplemented transformations make thousands of them. Bits go
+by rank, not by world number: with the n worlds sorted ascending, the
+i-th one gets bit ``1 << (n-1-i)``, so the least world is the highest
+bit. Then the report order of sets (by size, then members ascending) is
+the order of one int, ``StandardModel.key``: the set's size above n bits
+that hold the complement of the mask. Truth sets, valuations and the
+other two kinds of model keep frozensets of worlds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_
 
 from .calculus import is_saturated
 from .formula import And, Atom, Bottom, Box, Formula, Imp, Or, Top, operands, sort_key
@@ -69,27 +80,89 @@ class BiModel:
 
 @dataclass(frozen=True, slots=True)
 class StandardModel:
+    """A standard neighbourhood model with its neighbourhoods as bitmasks.
+
+    ``nbhd`` maps each world to the frozenset of its neighbourhoods'
+    masks. ``order`` is the worlds ascending, so the world of rank i has
+    bit ``1 << (n-1-i)``, and ``bit`` maps each world to its bit; both
+    follow from ``worlds``. ``key`` orders masks as their sets are
+    reported, ``decode`` turns a mask back into its worlds and
+    ``neighbourhoods`` decodes a whole world's.
+    """
+
     worlds: frozenset[int]
     valuation: dict[str, frozenset[int]]
-    nbhd: dict[int, frozenset[frozenset[int]]]
+    nbhd: dict[int, frozenset[int]]
+    order: tuple[int, ...] = field(compare=False, repr=False)
+    bit: dict[int, int] = field(compare=False, repr=False)
 
     @classmethod
     def make(cls, worlds, valuation, nbhd) -> "StandardModel":
         ws = _world_set(worlds)
         val = _check_valuation(ws, valuation)
-        out: dict[int, frozenset[frozenset[int]]] = {w: frozenset() for w in ws}
+        order, bit = _layout(ws)
+        masks: dict[int, frozenset[int]] = {}
         for w, sets in nbhd.items():
             w = int(w)
             if w not in ws:
                 raise ValueError(f"neighbourhood of unknown world {w}")
-            norm = []
-            for alpha in sets:
-                alpha = frozenset(alpha)
-                if not alpha <= ws:
-                    raise ValueError("neighbourhood leaves the world set")
-                norm.append(alpha)
-            out[w] = frozenset(norm)
-        return cls(ws, val, out)
+            try:
+                masks[w] = frozenset(_encode(bit, frozenset(alpha)) for alpha in sets)
+            except KeyError:
+                raise ValueError("neighbourhood leaves the world set") from None
+        return cls.of_masks(ws, val, masks, order, bit)
+
+    @classmethod
+    def of_masks(cls, worlds, valuation, masks, order, bit) -> "StandardModel":
+        """The model whose worlds without an entry in ``masks`` have no
+        neighbourhoods; the masks must already be within the worlds."""
+        return cls(worlds, valuation, {w: masks.get(w, frozenset()) for w in order}, order, bit)
+
+    @property
+    def full(self) -> int:
+        """The mask of the whole world set."""
+        return (1 << len(self.order)) - 1
+
+    def key(self, mask: int) -> int:
+        """The report order of masks as one int: by size, then by
+        members ascending, as ``_set_key`` orders the decoded sets."""
+        n = len(self.order)
+        return (mask.bit_count() << n) | (((1 << n) - 1) ^ mask)
+
+    def decode(self, mask: int) -> frozenset[int]:
+        order, n = self.order, len(self.order)
+        out = []
+        while mask:
+            top = mask.bit_length()
+            out.append(order[n - top])
+            mask ^= 1 << (top - 1)
+        return frozenset(out)
+
+    def neighbourhoods(self, w: int) -> frozenset[frozenset[int]]:
+        return frozenset(map(self.decode, self.nbhd[w]))
+
+
+def _layout(worlds) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The worlds ascending, and each world's bit by its rank."""
+    order = tuple(sorted(worlds))
+    top = len(order) - 1
+    return order, {w: 1 << (top - i) for i, w in enumerate(order)}
+
+
+def _encode(bit: dict[int, int], ws: frozenset[int]) -> int:
+    return sum(map(bit.__getitem__, ws))
+
+
+def _between(low: int, high: int):
+    """Every mask from ``low`` up to ``high``, where low is within high:
+    low with each submask of the bits between them."""
+    free = high ^ low
+    sub = free
+    while True:
+        yield low | sub
+        if not sub:
+            return
+        sub = (sub - 1) & free
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +255,8 @@ def _box_truth_set(m: Model, ts: frozenset[int]) -> frozenset[int]:
             if any(alpha <= ts and ts <= m.worlds - beta for alpha, beta in m.nbhd.get(w, frozenset()))
         )
     if isinstance(m, StandardModel):
-        return frozenset(w for w in m.worlds if ts in m.nbhd.get(w, frozenset()))
+        mask = _encode(m.bit, ts)
+        return frozenset(w for w, ns in m.nbhd.items() if mask in ns)
     return frozenset(
         w for w in m.worlds if w not in m.non_normal and m.relation.get(w, frozenset()) <= ts
     )
@@ -214,30 +288,33 @@ def _order(x):
     return x
 
 
-def _graded_conditions(l: LogicSpec, nbhd: dict, inner) -> dict:
+def _graded_conditions(l: LogicSpec, nbhd: dict, inner, key, decode=frozenset) -> dict:
     """RDk+ for each k up to the logic's n: no k neighbourhoods of one
     world whose inner sets have an empty intersection. Only the inner sets
     with no other one below them matter: a world fails RDk+ exactly when
     it has at least k neighbourhoods and at most k of those minimal sets
     have an empty intersection, and the witness is the world and those
-    sets. ``nbhd`` maps each world to its neighbourhoods."""
+    sets. ``nbhd`` maps each world to its neighbourhoods, ``inner`` gives
+    a neighbourhood's inner set, frozenset or mask alike, ``key`` orders
+    those sets as ``_set_key`` does, and ``decode`` turns one into the
+    frozenset a witness reports."""
     if not l.dplus:
         return {}
     minimal = {}
     for w, ns in nbhd.items():
-        found: list[frozenset[int]] = []
-        for alpha in sorted(map(inner, ns), key=_set_key):
-            if not any(low <= alpha for low in found):
+        found = []
+        for alpha in sorted(map(inner, ns), key=key):
+            if not any(low & alpha == low for low in found):
                 found.append(alpha)
         minimal[w] = found
     return {
         f"RD{k}+": _verdict(
-            (w, chosen)
+            (w, tuple(map(decode, chosen)))
             for w, ns in nbhd.items()
             if len(ns) >= k
             for j in range(1, k + 1)
             for chosen in combinations(minimal[w], j)
-            if not frozenset.intersection(*chosen)
+            if not reduce(and_, chosen)
         )
         for k in range(1, l.dplus + 1)
     }
@@ -277,42 +354,53 @@ def _bi_conditions(m: BiModel, l: LogicSpec) -> dict:
             for p2 in ps
             if not (p1[0] & p2[0]) and not (p1[1] & p2[1])
         )
-    report.update(_graded_conditions(l, nbhd, lambda p: p[0]))
+    report.update(_graded_conditions(l, nbhd, lambda p: p[0], _set_key))
     return report
 
 
 def _standard_conditions(m: StandardModel, l: LogicSpec) -> dict:
+    """The clauses test masks; a witness is decoded only when a check
+    fails, so that ``_order`` sees the same frozensets as ever."""
     report = {}
-    ws = m.worlds
-    nbhd = m.nbhd
+    nbhd, full, dec, n = m.nbhd, m.full, m.decode, len(m.order)
     if l.monotonic:
+        # The witness world x is the one whose rank sets the bit b.
         report["M"] = _verdict(
-            (w, alpha, x)
-            for w, ns in nbhd.items()
-            for alpha in ns
-            for x in ws - alpha
-            if alpha | {x} not in ns
+            (w, dec(a), m.order[n - b.bit_length()]) for w, a, b in _upward_gaps(nbhd, full)
         )
     if l.has_n:
-        report["N"] = _verdict(w for w, ns in nbhd.items() if ws not in ns)
+        report["N"] = _verdict(w for w, ns in nbhd.items() if full not in ns)
     if l.has_c:
         report["C"] = _verdict(
-            (w, a1, a2)
+            (w, dec(a1), dec(a2))
             for w, ns in nbhd.items()
             for a1 in ns
             for a2 in ns
             if a1 & a2 not in ns
         )
     if l.has_t:
-        report["T"] = _verdict((w, alpha) for w, ns in nbhd.items() for alpha in ns if w not in alpha)
-    if l.has_p:
-        report["P"] = _verdict(w for w, ns in nbhd.items() if frozenset() in ns)
-    if l.has_d:
-        report["D"] = _verdict(
-            (w, alpha) for w, ns in nbhd.items() for alpha in ns if ws - alpha in ns
+        report["T"] = _verdict(
+            (w, dec(a)) for w, ns in nbhd.items() for a in ns if not a & m.bit[w]
         )
-    report.update(_graded_conditions(l, nbhd, lambda alpha: alpha))
+    if l.has_p:
+        report["P"] = _verdict(w for w, ns in nbhd.items() if 0 in ns)
+    if l.has_d:
+        report["D"] = _verdict((w, dec(a)) for w, ns in nbhd.items() for a in ns if full ^ a in ns)
+    report.update(_graded_conditions(l, nbhd, lambda a: a, m.key, dec))
     return report
+
+
+def _upward_gaps(nbhd: dict[int, frozenset[int]], full: int):
+    """Each (w, a, b) where a is a neighbourhood of w and adding the one
+    world of bit b, not in a, gives a set that is not."""
+    for w, ns in nbhd.items():
+        for a in ns:
+            free = full ^ a
+            while free:
+                b = free & -free
+                if a | b not in ns:
+                    yield w, a, b
+                free ^= b
 
 
 def _relational_conditions(m: RelationalModel, l: LogicSpec) -> dict:
@@ -430,21 +518,15 @@ def extract_relational_countermodel(leaf: Hypersequent, l: LogicSpec) -> Relatio
 def bi_from_standard(m: StandardModel, supplemented: bool) -> BiModel:
     """Pair every standard neighbourhood with its complement, or with the
     empty outer bound when the source is supplemented (upward closed)."""
+    full = m.full
     nbhd = {
         w: frozenset(
-            (alpha, frozenset() if supplemented else m.worlds - alpha)
-            for alpha in sets
+            (m.decode(a), frozenset() if supplemented else m.decode(full ^ a))
+            for a in masks
         )
-        for w, sets in m.nbhd.items()
+        for w, masks in m.nbhd.items()
     }
     return BiModel.make(m.worlds, m.valuation, nbhd)
-
-
-def _subsets_between(low: frozenset[int], high: frozenset[int]):
-    free = sorted(high - low)
-    for r in range(len(free) + 1):
-        for extra in combinations(free, r):
-            yield low | frozenset(extra)
 
 
 def standard_from_bi_rough(m: BiModel, cap: int = 20) -> StandardModel:
@@ -457,13 +539,17 @@ def standard_from_bi_rough(m: BiModel, cap: int = 20) -> StandardModel:
         raise ValueError(
             f"rough transformation needs at most {cap} worlds, got {len(m.worlds)}"
         )
-    nbhd: dict[int, set[frozenset[int]]] = {w: set() for w in m.worlds}
+    order, bit = _layout(m.worlds)
+    full = (1 << len(order)) - 1
+    masks = {}
     for w, pairs in m.nbhd.items():
+        sets: set[int] = set()
         for alpha, beta in pairs:
-            high = m.worlds - beta
-            if alpha <= high:
-                nbhd[w].update(_subsets_between(alpha, high))
-    return StandardModel.make(m.worlds, m.valuation, nbhd)
+            low, high = _encode(bit, alpha), full ^ _encode(bit, beta)
+            if low & high == low:
+                sets.update(_between(low, high))
+        masks[w] = frozenset(sets)
+    return StandardModel.of_masks(m.worlds, m.valuation, masks, order, bit)
 
 
 def standard_from_bi_fine(
@@ -488,18 +574,49 @@ def standard_from_bi_fine(
         raise ValueError(
             f"supplemented transformation needs at most {cap} worlds, got {len(m.worlds)}"
         )
-    nbhd: dict[int, set[frozenset[int]]] = {w: set() for w in m.worlds}
+    order, bit = _layout(m.worlds)
+    full = (1 << len(order)) - 1
+    masks: dict[int, set[int]] = {w: set() for w in order}
     for f in boxed:
-        body_ts = truth_set(m, f.body)
+        body = _encode(bit, truth_set(m, f.body))
         for w in truth_set(m, f):
             if supplement:
-                nbhd[w].update(_subsets_between(body_ts, m.worlds))
+                masks[w].update(_between(body, full))
             else:
-                nbhd[w].add(body_ts)
-    return StandardModel.make(m.worlds, m.valuation, nbhd)
+                masks[w].add(body)
+    return StandardModel.of_masks(
+        m.worlds, m.valuation, {w: frozenset(ns) for w, ns in masks.items()}, order, bit
+    )
 
 
 # --- serialization ----------------------------------------------------------
+
+
+@lru_cache(maxsize=32)
+def _lister(order: tuple[int, ...]):
+    """A function from a mask to the list of its worlds ascending. It
+    reads the mask 8 bits at a time, from the top, through one table per
+    8 bits: from their value to their worlds. The top 8 may be fewer.
+    Countermodels number their worlds from 1, so most calls share a few
+    world orders and the tables are kept for the last 32."""
+    n = len(order)
+    chunks = []
+    for low in reversed(range(0, n, 8)):
+        # Each world of the 8, from the lowest bit up, doubles the table:
+        # the values with its bit set follow, and it is less than every
+        # world of a lower bit.
+        table = [()]
+        for w in reversed(order[max(n - low - 8, 0) : n - low]):
+            table += [(w, *rest) for rest in table]
+        chunks.append((low, table))
+
+    def members(mask: int) -> list[int]:
+        out: list[int] = []
+        for low, table in chunks:
+            out += table[mask >> low & 255]
+        return out
+
+    return members
 
 
 def model_to_dict(m: Model) -> dict:
@@ -516,9 +633,10 @@ def model_to_dict(m: Model) -> dict:
             for w, pairs in sorted(m.nbhd.items())
         }
     elif isinstance(m, StandardModel):
+        members = _lister(m.order)
         base["standard"] = {
-            str(w): [sorted(alpha) for alpha in sorted(sets, key=_set_key)]
-            for w, sets in sorted(m.nbhd.items())
+            str(w): [members(a) for a in sorted(masks, key=m.key)]
+            for w, masks in sorted(m.nbhd.items())
         }
     else:
         base["relational"] = {
@@ -530,27 +648,53 @@ def model_to_dict(m: Model) -> dict:
     return base
 
 
+def _listed(x, what: str) -> list:
+    """x if it is a JSON list. A JSON string where a list of worlds
+    belongs is an error, not the list of its characters."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list, not {type(x).__name__}")
+    return x
+
+
+def _mapped(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise ValueError(f"{what} must be an object, not {type(x).__name__}")
+    return x
+
+
 def model_from_dict(data: dict) -> Model:
-    worlds = data["worlds"]
-    valuation = data.get("valuation", {})
+    """The model of a payload in the form ``model_to_dict`` writes, read
+    from JSON: every list and object in it must be one."""
+    data = _mapped(data, "model")
+    worlds = _listed(data["worlds"], "worlds")
+    valuation = {
+        a: _listed(ws, f"valuation of {a!r}")
+        for a, ws in _mapped(data.get("valuation", {}), "valuation").items()
+    }
     if "bi" in data:
         nbhd = {
-            int(w): [(p["plus"], p["minus"]) for p in pairs]
-            for w, pairs in data["bi"].items()
+            int(w): [
+                (_listed(p["plus"], "plus"), _listed(p["minus"], "minus"))
+                for p in _listed(pairs, f"neighbourhoods of {w}")
+            ]
+            for w, pairs in _mapped(data["bi"], "bi").items()
         }
         return BiModel.make(worlds, valuation, nbhd)
     if "standard" in data:
         nbhd = {
-            int(w): [frozenset(a) for a in sets]
-            for w, sets in data["standard"].items()
+            int(w): [_listed(a, "neighbourhood") for a in _listed(sets, f"neighbourhoods of {w}")]
+            for w, sets in _mapped(data["standard"], "standard").items()
         }
         return StandardModel.make(worlds, valuation, nbhd)
     if "relational" in data:
-        rel = data["relational"]
+        rel = _mapped(data["relational"], "relational")
         return RelationalModel.make(
             worlds,
-            rel.get("non_normal", []),
-            {int(w): v for w, v in rel.get("edges", {}).items()},
+            _listed(rel.get("non_normal", []), "non_normal"),
+            {
+                int(w): _listed(v, f"edges of {w}")
+                for w, v in _mapped(rel.get("edges", {}), "edges").items()
+            },
             valuation,
         )
     raise ValueError("model payload needs one of: bi, standard, relational")

@@ -626,7 +626,7 @@ def _supplemented(m: StandardModel) -> StandardModel:
     nbhd = {}
     for w in worlds:
         closed = set()
-        for alpha in m.nbhd[w]:
+        for alpha in m.neighbourhoods(w):
             rest = sorted(worlds - alpha)
             for bits in range(1 << len(rest)):
                 extra = {rest[i] for i in range(len(rest)) if bits >> i & 1}

@@ -115,9 +115,9 @@ class TestProve:
         assert code == 1
         payload = json.loads(out)
         rough = model_from_dict(payload["countermodels"]["standard-rough"])
-        assert rough.nbhd[1] == {frozenset(), frozenset({1})}
+        assert rough.neighbourhoods(1) == {frozenset(), frozenset({1})}
         fine = model_from_dict(payload["countermodels"]["standard-fine"])
-        assert fine.nbhd[1] == {frozenset()}
+        assert fine.neighbourhoods(1) == {frozenset()}
 
     def test_verification_failures_are_internal_errors(self, capsys, monkeypatch):
         monkeypatch.setattr("nnml.cli.conditions_ok", lambda report: False)
@@ -133,7 +133,7 @@ class TestProve:
         )
         assert code == 1
         fine = model_from_dict(json.loads(out)["countermodels"]["standard-fine"])
-        assert all(fine.worlds in fine.nbhd[w] for w in fine.worlds)
+        assert all(fine.worlds in fine.neighbourhoods(w) for w in fine.worlds)
 
     def test_world_cap_is_a_usage_error(self, capsys):
         code, _, err = run(
@@ -309,6 +309,25 @@ class TestCheckModel:
         path = self.write_model(tmp_path, {"worlds": [1]})
         code, _, _ = run(capsys, "check-model", path, "p", "--logic", "E")
         assert code == 2
+
+    @pytest.mark.parametrize("data", [
+        {"worlds": "12", "standard": {}},
+        {"worlds": [1, 2], "relational": {"edges": {"1": "2"}}},
+        {"worlds": [1, 2, 5], "relational": {"non_normal": "5"}},
+        {"worlds": [1, 2], "valuation": {"p": "2"}, "standard": {}},
+        {"worlds": [1, 2], "standard": {"1": "12"}},
+        {"worlds": [1, 2], "standard": {"1": ["12"]}},
+        {"worlds": [1, 2], "bi": {"1": [{"plus": "1", "minus": []}]}},
+        {"worlds": [1], "valuation": [1], "standard": {}},
+        {"worlds": [1], "standard": []},
+        [1],
+    ])
+    def test_anything_but_a_list_of_worlds_is_rejected(self, capsys, tmp_path, data):
+        # A string of digits used to load as the worlds it spells.
+        path = self.write_model(tmp_path, data)
+        code, out, err = run(capsys, "check-model", path, "p", "--logic", "MCNP")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot load model: ")
 
     def test_bad_formula(self, capsys, tmp_path):
         path = self.write_model(tmp_path, PAPER_MODEL)

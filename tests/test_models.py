@@ -4,13 +4,13 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import rngs
 from nnml.formula import Atom, Box, BOTTOM, TOP, And, Imp, parse, subformula_closure, to_text
 from nnml.gen import random_bi_model, random_formula, random_standard_model
 from nnml.hypersequent import interpret, parse_hypersequent, parse_input
-from nnml.logic import parse_logic_name
+from nnml.logic import LogicSpec, parse_logic_name
 from nnml.models import (
     BiModel,
     RelationalModel,
@@ -136,8 +136,13 @@ def _rd_fails_exhaustively(m, k: int) -> bool:
     return any(
         not m.worlds.intersection(*map(inner, chosen))
         for w in m.worlds
-        for chosen in combinations(m.nbhd[w], k)
+        for chosen in combinations(_neighbourhoods(m, w), k)
     )
+
+
+def _neighbourhoods(m, w):
+    """The pairs of a bi model's world, or a standard model's sets."""
+    return m.nbhd[w] if isinstance(m, BiModel) else m.neighbourhoods(w)
 
 
 class TestGradedConditions:
@@ -155,7 +160,7 @@ class TestGradedConditions:
                 verdicts.add(fails)
                 if fails:
                     w, sets = witness
-                    inner = {n[0] if isinstance(m, BiModel) else n for n in m.nbhd[w]}
+                    inner = {n[0] if isinstance(m, BiModel) else n for n in _neighbourhoods(m, w)}
                     assert len(m.nbhd[w]) >= k and len(sets) <= k
                     assert set(sets) <= inner and not frozenset.intersection(*sets)
         assert verdicts == {True, False}
@@ -183,6 +188,172 @@ class TestStandardConditions:
         assert check_conditions(bad, ED)["D"][0] == "fail"
         good = StandardModel.make([1, 2], {}, {1: [(1,), (1, 2)]})
         assert check_conditions(good, ED)["D"][0] == "pass"
+
+
+# An independent oracle for the standard frame checks: the clauses as
+# they were written on frozensets of worlds, before neighbourhoods became
+# bitmasks, with their own report order. It reads a map from each world
+# to its neighbourhoods as frozensets.
+
+
+def _oracle_set_key(s):
+    return (len(s), tuple(sorted(s)))
+
+
+def _oracle_order(x):
+    if isinstance(x, frozenset):
+        return _oracle_set_key(x)
+    if isinstance(x, tuple):
+        return (len(x), tuple(map(_oracle_order, x)))
+    return x
+
+
+def _oracle_verdict(witnesses):
+    witness = min(witnesses, key=_oracle_order, default=None)
+    return ("pass", None) if witness is None else ("fail", witness)
+
+
+def _oracle_graded(l, nbhd):
+    if not l.dplus:
+        return {}
+    minimal = {}
+    for w, ns in nbhd.items():
+        found = []
+        for alpha in sorted(ns, key=_oracle_set_key):
+            if not any(low <= alpha for low in found):
+                found.append(alpha)
+        minimal[w] = found
+    return {
+        f"RD{k}+": _oracle_verdict(
+            (w, chosen)
+            for w, ns in nbhd.items()
+            if len(ns) >= k
+            for j in range(1, k + 1)
+            for chosen in combinations(minimal[w], j)
+            if not frozenset.intersection(*chosen)
+        )
+        for k in range(1, l.dplus + 1)
+    }
+
+
+def _oracle_standard(ws, nbhd, l):
+    report = {}
+    if l.monotonic:
+        report["M"] = _oracle_verdict(
+            (w, alpha, x)
+            for w, ns in nbhd.items()
+            for alpha in ns
+            for x in ws - alpha
+            if alpha | {x} not in ns
+        )
+    if l.has_n:
+        report["N"] = _oracle_verdict(w for w, ns in nbhd.items() if ws not in ns)
+    if l.has_c:
+        report["C"] = _oracle_verdict(
+            (w, a1, a2) for w, ns in nbhd.items() for a1 in ns for a2 in ns if a1 & a2 not in ns
+        )
+    if l.has_t:
+        report["T"] = _oracle_verdict(
+            (w, alpha) for w, ns in nbhd.items() for alpha in ns if w not in alpha
+        )
+    if l.has_p:
+        report["P"] = _oracle_verdict(w for w, ns in nbhd.items() if frozenset() in ns)
+    if l.has_d:
+        report["D"] = _oracle_verdict(
+            (w, alpha) for w, ns in nbhd.items() for alpha in ns if ws - alpha in ns
+        )
+    report.update(_oracle_graded(l, nbhd))
+    return report
+
+
+EVERY_CLAUSE = LogicSpec(
+    monotonic=True, has_c=True, has_n=True, has_t=True, has_p=True, has_d=True, dplus=4
+)
+
+
+def _renumbered(rng, m):
+    """m's frames as frozensets, on distinct sparse world numbers, some
+    negative, given in an order that need not follow the old one; half
+    the time each world's neighbourhoods are closed upward, so that M
+    passes too. Returns the world set, the neighbourhoods and the model."""
+    new = dict(zip(sorted(m.worlds), rng.sample(range(-40, 1000), len(m.worlds))))
+    ws = frozenset(new.values())
+    nbhd = {
+        new[w]: frozenset(frozenset(map(new.get, a)) for a in m.neighbourhoods(w))
+        for w in m.worlds
+    }
+    if rng.random() < 0.5:
+        nbhd = {
+            w: frozenset(
+                a | frozenset(extra)
+                for a in ns
+                for k in range(len(ws - a) + 1)
+                for extra in combinations(sorted(ws - a), k)
+            )
+            for w, ns in nbhd.items()
+        }
+    valuation = {a: frozenset(map(new.get, v)) for a, v in m.valuation.items()}
+    return ws, nbhd, StandardModel.make(ws, valuation, nbhd)
+
+
+class TestStandardConditionsAgainstTheOracle:
+    @given(rngs)
+    @settings(max_examples=100)
+    def test_whole_reports_agree(self, rng):
+        for _ in range(10):
+            ws, nbhd, m = _renumbered(rng, random_standard_model(rng, max_worlds=6, max_sets=5))
+            assert m.order == tuple(sorted(ws))
+            assert check_conditions(m, EVERY_CLAUSE) == _oracle_standard(ws, nbhd, EVERY_CLAUSE)
+
+    def test_every_clause_both_passes_and_fails(self):
+        rng = random.Random(3)
+        seen = set()
+        for _ in range(300):
+            ws, nbhd, m = _renumbered(rng, random_standard_model(rng, max_worlds=4, max_sets=4))
+            report = check_conditions(m, EVERY_CLAUSE)
+            assert report == _oracle_standard(ws, nbhd, EVERY_CLAUSE)
+            seen |= {(k, status) for k, (status, _) in report.items()}
+        assert seen == {(k, s) for k in _oracle_standard(ws, nbhd, EVERY_CLAUSE) for s in ("pass", "fail")}
+
+    def test_a_rough_model_missing_one_set_fails_m(self):
+        # Hansson n=3: the rough model of its MD countermodel has many
+        # sets at world 1; taking one out of the middle of the report
+        # order breaks upward closure.
+        goal = "~(box p1 & box p2 & box p3 & box ~(p1 & p2 & p3))"
+        md = parse_logic_name("MD")
+        out = prove(parse_input(goal), md)
+        rough = standard_from_bi_rough(extract_bi_countermodel(out.leaf, md))
+        assert conditions_ok(check_conditions(rough, md))
+        sets = sorted(rough.neighbourhoods(1), key=_oracle_set_key)
+        dropped = sets[len(sets) // 2]
+        nbhd = {w: rough.neighbourhoods(w) for w in rough.worlds}
+        nbhd[1] = nbhd[1] - {dropped}
+        mutant = StandardModel.make(rough.worlds, rough.valuation, nbhd)
+        status, witness = check_conditions(mutant, md)["M"]
+        assert status == "fail"
+        assert (status, witness) == _oracle_standard(rough.worlds, nbhd, md)["M"]
+        assert witness[0] == 1 and witness[1] | {witness[2]} == dropped
+
+
+class TestReportOrder:
+    @given(
+        st.sets(st.integers(-10**6, 10**6), min_size=1, max_size=9).flatmap(
+            lambda ws: st.tuples(
+                st.just(sorted(ws)), st.sets(st.frozensets(st.sampled_from(sorted(ws))), max_size=12)
+            )
+        )
+    )
+    def test_the_int_key_orders_sets_as_the_set_key_does(self, drawn):
+        worlds, sets = drawn
+        m = StandardModel.make(worlds, {}, {worlds[0]: sets})
+        by_mask = [m.decode(a) for a in sorted(m.nbhd[worlds[0]], key=m.key)]
+        assert by_mask == sorted(sets, key=_oracle_set_key)
+
+    @given(rngs)
+    @settings(max_examples=60)
+    def test_round_trips_on_renumbered_models(self, rng):
+        _, _, m = _renumbered(rng, random_standard_model(rng))
+        assert model_from_dict(model_to_dict(m)) == m
 
 
 class TestRelationalConditions:
@@ -302,16 +473,16 @@ class TestBiFromStandard:
 class TestStandardFromBiRough:
     def test_the_interval_is_enumerated(self):
         out = standard_from_bi_rough(PAPER_BI)
-        assert out.nbhd[1] == {frozenset(), frozenset({1})}
-        assert out.nbhd[2] == frozenset()
+        assert out.neighbourhoods(1) == {frozenset(), frozenset({1})}
+        assert out.neighbourhoods(2) == frozenset()
 
     def test_degenerate_interval(self):
         m = BiModel.make([1], {}, {1: [((1,), ())]})
-        assert standard_from_bi_rough(m).nbhd[1] == {frozenset({1})}
+        assert standard_from_bi_rough(m).neighbourhoods(1) == {frozenset({1})}
 
     def test_crossed_bounds_contribute_nothing(self):
         m = BiModel.make([1], {}, {1: [((1,), (1,))]})
-        assert standard_from_bi_rough(m).nbhd[1] == frozenset()
+        assert standard_from_bi_rough(m).neighbourhoods(1) == frozenset()
 
     def test_world_cap(self):
         m = BiModel.make(range(25), {}, {})
@@ -332,8 +503,8 @@ class TestStandardFromBiFine:
     def test_the_monotonicity_example(self):
         s = subformula_closure([parse("box (p & q) -> box p")])
         out = standard_from_bi_fine(PAPER_BI, s, supplement=False)
-        assert out.nbhd[1] == {frozenset()}
-        assert out.nbhd[2] == frozenset()
+        assert out.neighbourhoods(1) == {frozenset()}
+        assert out.neighbourhoods(2) == frozenset()
 
     def test_no_boxes_means_no_neighbourhoods(self):
         out = standard_from_bi_fine(PAPER_BI, {p, q}, supplement=False)
@@ -413,7 +584,8 @@ def supplement(m: StandardModel) -> StandardModel:
 
     ws = sorted(m.worlds)
     closed = {}
-    for w, sets in m.nbhd.items():
+    for w in m.worlds:
+        sets = m.neighbourhoods(w)
         grown = set(sets)
         for alpha in sets:
             free = [x for x in ws if x not in alpha]
