@@ -22,6 +22,7 @@ other two kinds of model keep frozensets of worlds.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -86,8 +87,9 @@ class StandardModel:
     masks. ``order`` is the worlds ascending, so the world of rank i has
     bit ``1 << (n-1-i)``, and ``bit`` maps each world to its bit; both
     follow from ``worlds``. ``key`` orders masks as their sets are
-    reported, ``decode`` turns a mask back into its worlds and
-    ``neighbourhoods`` decodes a whole world's.
+    reported. ``members`` is the one decoder, from a mask to its worlds
+    ascending; ``decode`` gives them as a set and ``neighbourhoods``
+    decodes a whole world's.
     """
 
     worlds: frozenset[int]
@@ -129,14 +131,13 @@ class StandardModel:
         n = len(self.order)
         return (mask.bit_count() << n) | (((1 << n) - 1) ^ mask)
 
+    @property
+    def members(self) -> Callable[[int], list[int]]:
+        """A function from a mask to the list of its worlds ascending."""
+        return _lister(self.order)
+
     def decode(self, mask: int) -> frozenset[int]:
-        order, n = self.order, len(self.order)
-        out = []
-        while mask:
-            top = mask.bit_length()
-            out.append(order[n - top])
-            mask ^= 1 << (top - 1)
-        return frozenset(out)
+        return frozenset(self.members(mask))
 
     def neighbourhoods(self, w: int) -> frozenset[frozenset[int]]:
         return frozenset(map(self.decode, self.nbhd[w]))
@@ -147,6 +148,33 @@ def _layout(worlds) -> tuple[tuple[int, ...], dict[int, int]]:
     order = tuple(sorted(worlds))
     top = len(order) - 1
     return order, {w: 1 << (top - i) for i, w in enumerate(order)}
+
+
+@lru_cache(maxsize=32)
+def _lister(order: tuple[int, ...]):
+    """A function from a mask to the list of its worlds ascending. It
+    reads the mask 8 bits at a time, from the top, through one table per
+    8 bits: from their value to their worlds. The top 8 may be fewer.
+    Countermodels number their worlds from 1, so most calls share a few
+    world orders and the tables are kept for the last 32."""
+    n = len(order)
+    chunks = []
+    for low in reversed(range(0, n, 8)):
+        # Each world of the 8, from the lowest bit up, doubles the table:
+        # the values with its bit set follow, and it is less than every
+        # world of a lower bit.
+        table = [()]
+        for w in reversed(order[max(n - low - 8, 0) : n - low]):
+            table += [(w, *rest) for rest in table]
+        chunks.append((low, table))
+
+    def members(mask: int) -> list[int]:
+        out: list[int] = []
+        for low, table in chunks:
+            out += table[mask >> low & 255]
+        return out
+
+    return members
 
 
 def _encode(bit: dict[int, int], ws: frozenset[int]) -> int:
@@ -592,33 +620,6 @@ def standard_from_bi_fine(
 # --- serialization ----------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _lister(order: tuple[int, ...]):
-    """A function from a mask to the list of its worlds ascending. It
-    reads the mask 8 bits at a time, from the top, through one table per
-    8 bits: from their value to their worlds. The top 8 may be fewer.
-    Countermodels number their worlds from 1, so most calls share a few
-    world orders and the tables are kept for the last 32."""
-    n = len(order)
-    chunks = []
-    for low in reversed(range(0, n, 8)):
-        # Each world of the 8, from the lowest bit up, doubles the table:
-        # the values with its bit set follow, and it is less than every
-        # world of a lower bit.
-        table = [()]
-        for w in reversed(order[max(n - low - 8, 0) : n - low]):
-            table += [(w, *rest) for rest in table]
-        chunks.append((low, table))
-
-    def members(mask: int) -> list[int]:
-        out: list[int] = []
-        for low, table in chunks:
-            out += table[mask >> low & 255]
-        return out
-
-    return members
-
-
 def model_to_dict(m: Model) -> dict:
     base = {
         "worlds": sorted(m.worlds),
@@ -633,7 +634,7 @@ def model_to_dict(m: Model) -> dict:
             for w, pairs in sorted(m.nbhd.items())
         }
     elif isinstance(m, StandardModel):
-        members = _lister(m.order)
+        members = m.members
         base["standard"] = {
             str(w): [members(a) for a in sorted(masks, key=m.key)]
             for w, masks in sorted(m.nbhd.items())

@@ -337,7 +337,7 @@ class TestStandardConditionsAgainstTheOracle:
 
 class TestReportOrder:
     @given(
-        st.sets(st.integers(-10**6, 10**6), min_size=1, max_size=9).flatmap(
+        st.sets(st.integers(-10**6, 10**6), min_size=1, max_size=17).flatmap(
             lambda ws: st.tuples(
                 st.just(sorted(ws)), st.sets(st.frozensets(st.sampled_from(sorted(ws))), max_size=12)
             )
@@ -346,8 +346,10 @@ class TestReportOrder:
     def test_the_int_key_orders_sets_as_the_set_key_does(self, drawn):
         worlds, sets = drawn
         m = StandardModel.make(worlds, {}, {worlds[0]: sets})
-        by_mask = [m.decode(a) for a in sorted(m.nbhd[worlds[0]], key=m.key)]
-        assert by_mask == sorted(sets, key=_oracle_set_key)
+        masks = sorted(m.nbhd[worlds[0]], key=m.key)
+        expected = sorted(sets, key=_oracle_set_key)
+        assert [m.decode(a) for a in masks] == expected
+        assert [m.members(a) for a in masks] == [sorted(s) for s in expected]
 
     @given(rngs)
     @settings(max_examples=60)
