@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rngs
-from nnml.formula import Atom, Box, BOTTOM, TOP, And, Imp, parse, subformula_closure, to_text
+from nnml.formula import Atom, Box, BOTTOM, TOP, And, Imp, Or, parse, subformula_closure, to_text
 from nnml.gen import random_bi_model, random_formula, random_standard_model
 from nnml.hypersequent import interpret, parse_hypersequent, parse_input
 from nnml.logic import LogicSpec, parse_logic_name
@@ -333,6 +333,190 @@ class TestStandardConditionsAgainstTheOracle:
         assert status == "fail"
         assert (status, witness) == _oracle_standard(rough.worlds, nbhd, md)["M"]
         assert witness[0] == 1 and witness[1] | {witness[2]} == dropped
+
+
+# The same kind of oracle for the bi-neighbourhood and relational frame
+# checks, and for forcing in all three semantics. Each random frame is
+# drawn as frozensets on distinct sparse world numbers, some negative;
+# the oracles read those frozensets, never the model made from them.
+
+
+def _sparse_worlds(rng, max_worlds):
+    ws = sorted(rng.sample(range(-40, 1000), rng.randint(1, max_worlds)))
+    return frozenset(ws), lambda prob=0.5: frozenset(w for w in ws if rng.random() < prob)
+
+
+def _merge_closed(pairs):
+    pairs = set(pairs)
+    while True:
+        new = {(a1 & a2, b1 | b2) for a1, b1 in pairs for a2, b2 in pairs} - pairs
+        if not new:
+            return frozenset(pairs)
+        pairs |= new
+
+
+def _sparse_bi(rng, max_worlds=5, max_pairs=4):
+    """A random bi-neighbourhood frame: world set, valuation, pairs per
+    world, and the model. Some draws drop every outer bound, give every
+    world one shared pair with no outer bound, close each world's pairs
+    under merging, or put each world in its own inner bounds, so that
+    M, N, C, T, P, D and RDk+ all pass on some models."""
+    ws, pick = _sparse_worlds(rng, max_worlds)
+    valuation = {a: pick() for a in ("p", "q", "r")}
+    nbhd = {w: {(pick(), pick(0.3)) for _ in range(rng.randint(0, max_pairs))} for w in sorted(ws)}
+    if rng.random() < 0.5:
+        nbhd = {w: {(a, frozenset()) for a, _ in ps} for w, ps in nbhd.items()}
+    if rng.random() < 0.3:
+        shared = pick()
+        nbhd = {w: ps | {(shared, frozenset())} for w, ps in nbhd.items()}
+    if rng.random() < 0.3:
+        nbhd = {w: {(a | {w}, b - {w}) for a, b in ps} for w, ps in nbhd.items()}
+    nbhd = {w: _merge_closed(ps) if rng.random() < 0.5 else frozenset(ps) for w, ps in nbhd.items()}
+    return ws, valuation, nbhd, BiModel.make(ws, valuation, nbhd)
+
+
+def _sparse_relational(rng, max_worlds=5):
+    """A random relational frame: world set, valuation, non-normal worlds,
+    successors per world, and the model."""
+    ws, pick = _sparse_worlds(rng, max_worlds)
+    valuation = {a: pick() for a in ("p", "q", "r")}
+    non_normal = pick(0.2)
+    succ = {w: pick(0.4) | ({w} if rng.random() < 0.5 else set()) for w in sorted(ws)}
+    return ws, valuation, non_normal, succ, RelationalModel.make(ws, non_normal, succ, valuation)
+
+
+def _sparse_standard(rng, max_worlds=5, max_sets=4):
+    ws, pick = _sparse_worlds(rng, max_worlds)
+    valuation = {a: pick() for a in ("p", "q", "r")}
+    nbhd = {w: frozenset(pick() for _ in range(rng.randint(0, max_sets))) for w in sorted(ws)}
+    return ws, valuation, nbhd, StandardModel.make(ws, valuation, nbhd)
+
+
+def _oracle_bi(ws, nbhd, l):
+    report = {}
+    if l.monotonic:
+        report["M"] = _oracle_verdict((w, p) for w, ps in nbhd.items() for p in ps if p[1])
+    if l.has_n:
+        # some inner bound is paired with no outer bound at every world
+        unbounded = [{a for a, b in ps if not b} for ps in nbhd.values()]
+        report["N"] = ("pass", None) if not ws or set.intersection(*unbounded) else ("fail", None)
+    if l.has_c:
+        report["C"] = _oracle_verdict(
+            (w, p1, p2)
+            for w, ps in nbhd.items()
+            for p1 in ps
+            for p2 in ps
+            if (p1[0] & p2[0], p1[1] | p2[1]) not in ps
+        )
+    if l.has_t:
+        report["T"] = _oracle_verdict((w, p) for w, ps in nbhd.items() for p in ps if w not in p[0])
+    if l.has_p:
+        report["P"] = _oracle_verdict((w, p) for w, ps in nbhd.items() for p in ps if not p[0])
+    if l.has_d:
+        report["D"] = _oracle_verdict(
+            (w, p1, p2)
+            for w, ps in nbhd.items()
+            for p1 in ps
+            for p2 in ps
+            if not p1[0] & p2[0] and not p1[1] & p2[1]
+        )
+    # RDk+ reads inner bounds, one per pair: a list keeps repeated ones
+    report.update(_oracle_graded(l, {w: [a for a, _ in ps] for w, ps in nbhd.items()}))
+    return report
+
+
+def _oracle_relational(ws, non_normal, succ, l):
+    report = {}
+    normal = ws - non_normal
+    if l.has_t:
+        report["T"] = _oracle_verdict(w for w in normal if w not in succ[w])
+    if l.has_n:
+        report["N"] = _oracle_verdict(non_normal)
+    serial = [l.has_p and "P", l.has_d and "D", *(f"RD{k}+" for k in range(1, (l.dplus or 0) + 1))]
+    for key in filter(None, serial):
+        report[key] = _oracle_verdict(w for w in normal if not succ[w])
+    return report
+
+
+def _oracle_truth_set(ws, valuation, box, f):
+    """The worlds where f holds, by recursion on f; ``box`` maps the truth
+    set of a box's body to the worlds where the box holds."""
+    if isinstance(f, Atom):
+        return frozenset(valuation.get(f.name, ()))
+    if f is TOP:
+        return ws
+    if f is BOTTOM:
+        return frozenset()
+    if isinstance(f, Box):
+        return box(_oracle_truth_set(ws, valuation, box, f.body))
+    a = _oracle_truth_set(ws, valuation, box, f.left)
+    b = _oracle_truth_set(ws, valuation, box, f.right)
+    if isinstance(f, And):
+        return a & b
+    if isinstance(f, Or):
+        return a | b
+    return (ws - a) | b
+
+
+def _sparse_with_oracle(rng, kind):
+    """A random model of the kind on sparse worlds, and the oracle's box
+    clause on the frame it was made from."""
+    if kind == "bi":
+        ws, valuation, nbhd, m = _sparse_bi(rng)
+        box = lambda t: frozenset(w for w in ws if any(a <= t and not t & b for a, b in nbhd[w]))
+    elif kind == "standard":
+        ws, valuation, nbhd, m = _sparse_standard(rng)
+        box = lambda t: frozenset(w for w in ws if t in nbhd[w])
+    else:
+        ws, valuation, non_normal, succ, m = _sparse_relational(rng)
+        box = lambda t: frozenset(w for w in ws - non_normal if succ[w] <= t)
+    return ws, valuation, box, m
+
+
+class TestBiAndRelationalConditionsAgainstTheOracle:
+    @given(rngs)
+    @settings(max_examples=100)
+    def test_whole_bi_reports_agree(self, rng):
+        for _ in range(10):
+            ws, _, nbhd, m = _sparse_bi(rng)
+            assert check_conditions(m, EVERY_CLAUSE) == _oracle_bi(ws, nbhd, EVERY_CLAUSE)
+
+    @given(rngs)
+    @settings(max_examples=100)
+    def test_whole_relational_reports_agree(self, rng):
+        for _ in range(10):
+            ws, _, non_normal, succ, m = _sparse_relational(rng)
+            expected = _oracle_relational(ws, non_normal, succ, EVERY_CLAUSE)
+            assert check_conditions(m, EVERY_CLAUSE) == expected
+
+    def test_every_clause_both_passes_and_fails(self):
+        rng = random.Random(4)
+        seen = {"bi": set(), "relational": set()}
+        for _ in range(300):
+            ws, _, nbhd, m = _sparse_bi(rng, max_worlds=3, max_pairs=3)
+            report = check_conditions(m, EVERY_CLAUSE)
+            assert report == _oracle_bi(ws, nbhd, EVERY_CLAUSE)
+            seen["bi"] |= {(k, status) for k, (status, _) in report.items()}
+            ws, _, non_normal, succ, m = _sparse_relational(rng, max_worlds=3)
+            report = check_conditions(m, EVERY_CLAUSE)
+            assert report == _oracle_relational(ws, non_normal, succ, EVERY_CLAUSE)
+            seen["relational"] |= {(k, status) for k, (status, _) in report.items()}
+        assert seen["bi"] == {(k, s) for k in _oracle_bi(ws, nbhd, EVERY_CLAUSE) for s in ("pass", "fail")}
+        keys = _oracle_relational(ws, non_normal, succ, EVERY_CLAUSE)
+        assert seen["relational"] == {(k, s) for k in keys for s in ("pass", "fail")}
+
+
+class TestForcingAgainstTheOracle:
+    @pytest.mark.parametrize("kind", ["bi", "standard", "relational"])
+    @given(rng=rngs)
+    @settings(max_examples=60)
+    def test_truth_sets_and_forcing_agree(self, kind, rng):
+        ws, valuation, box, m = _sparse_with_oracle(rng, kind)
+        for _ in range(5):
+            f = random_formula(rng, max_nodes=14, max_modal_depth=3, atoms=("p", "q", "r", "s"))
+            expected = _oracle_truth_set(ws, valuation, box, f)
+            assert truth_set(m, f) == expected
+            assert all(force(m, w, f) == (w in expected) for w in ws)
 
 
 class TestReportOrder:
