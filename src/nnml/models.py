@@ -657,6 +657,16 @@ def _listed(x, what: str) -> list:
     return x
 
 
+def _worlds(x, what: str) -> list[int]:
+    """x if it is a JSON list of integers. A float or a bool is not a
+    world, though Python would round the one and count the other as 0 or
+    1 (and ``int(1e400)`` overflows)."""
+    for w in _listed(x, what):
+        if type(w) is not int:
+            raise ValueError(f"{what} must list integers, not {type(w).__name__}")
+    return x
+
+
 def _mapped(x, what: str) -> dict:
     if not isinstance(x, dict):
         raise ValueError(f"{what} must be an object, not {type(x).__name__}")
@@ -667,15 +677,15 @@ def model_from_dict(data: dict) -> Model:
     """The model of a payload in the form ``model_to_dict`` writes, read
     from JSON: every list and object in it must be one."""
     data = _mapped(data, "model")
-    worlds = _listed(data["worlds"], "worlds")
+    worlds = _worlds(data["worlds"], "worlds")
     valuation = {
-        a: _listed(ws, f"valuation of {a!r}")
+        a: _worlds(ws, f"valuation of {a!r}")
         for a, ws in _mapped(data.get("valuation", {}), "valuation").items()
     }
     if "bi" in data:
         nbhd = {
             int(w): [
-                (_listed(p["plus"], "plus"), _listed(p["minus"], "minus"))
+                (_worlds(p["plus"], "plus"), _worlds(p["minus"], "minus"))
                 for p in _listed(pairs, f"neighbourhoods of {w}")
             ]
             for w, pairs in _mapped(data["bi"], "bi").items()
@@ -683,7 +693,7 @@ def model_from_dict(data: dict) -> Model:
         return BiModel.make(worlds, valuation, nbhd)
     if "standard" in data:
         nbhd = {
-            int(w): [_listed(a, "neighbourhood") for a in _listed(sets, f"neighbourhoods of {w}")]
+            int(w): [_worlds(a, "neighbourhood") for a in _listed(sets, f"neighbourhoods of {w}")]
             for w, sets in _mapped(data["standard"], "standard").items()
         }
         return StandardModel.make(worlds, valuation, nbhd)
@@ -691,9 +701,9 @@ def model_from_dict(data: dict) -> Model:
         rel = _mapped(data["relational"], "relational")
         return RelationalModel.make(
             worlds,
-            _listed(rel.get("non_normal", []), "non_normal"),
+            _worlds(rel.get("non_normal", []), "non_normal"),
             {
-                int(w): _listed(v, f"edges of {w}")
+                int(w): _worlds(v, f"edges of {w}")
                 for w, v in _mapped(rel.get("edges", {}), "edges").items()
             },
             valuation,

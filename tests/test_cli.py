@@ -1,5 +1,7 @@
 """Command-line behaviour: exit codes, output schemas, verification."""
 
+import contextlib
+import io
 import json
 import os
 import runpy
@@ -9,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nnml.cli import _dumps, main
 from nnml.models import BiModel, model_from_dict, model_to_dict
@@ -217,6 +219,53 @@ json_values = st.recursive(
     max_leaves=30,
 )
 
+# Model files for check-model: payloads of the shape model_to_dict
+# writes, where any part may be an arbitrary JSON value instead, and any
+# world a float, a bool, null, a string or a huge int. Worlds are mostly
+# small ints, so that some files load.
+model_scalars = (
+    st.integers()
+    | st.sampled_from([10**400, -(10**30)])
+    | st.floats()
+    | st.booleans()
+    | st.none()
+    | json_strings
+)
+model_values = st.recursive(
+    model_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _or_junk(part):
+    """Mostly ``part``; one draw in ten is any JSON value."""
+    return st.integers(0, 9).flatmap(lambda i: part if i else model_values)
+
+
+world_lists = _or_junk(st.lists(_or_junk(st.integers(-1, 3)), max_size=4))
+world_keys = st.sampled_from(["-1", "0", "1", "2", "3"]) | json_strings
+model_files = _or_junk(
+    st.fixed_dictionaries(
+        {"worlds": _or_junk(st.just([-1, 0, 1, 2, 3]) | world_lists)},
+        optional={
+            "valuation": _or_junk(st.dictionaries(st.sampled_from(["p", "q"]), world_lists)),
+            "bi": _or_junk(
+                st.dictionaries(
+                    world_keys,
+                    _or_junk(st.lists(_or_junk(st.fixed_dictionaries({"plus": world_lists, "minus": world_lists})))),
+                )
+            ),
+            "standard": _or_junk(st.dictionaries(world_keys, _or_junk(st.lists(world_lists)))),
+            "relational": _or_junk(
+                st.fixed_dictionaries(
+                    {}, optional={"non_normal": world_lists, "edges": _or_junk(st.dictionaries(world_keys, world_lists))}
+                )
+            ),
+        },
+    )
+)
+
 
 class TestJsonWriter:
     """``_dumps`` prints what ``json.dumps(value, indent=2)`` prints."""
@@ -321,13 +370,36 @@ class TestCheckModel:
         {"worlds": [1], "valuation": [1], "standard": {}},
         {"worlds": [1], "standard": []},
         [1],
+        {"worlds": [1e400], "standard": {}},
+        {"worlds": [1, 2], "relational": {"edges": {"1": [1e400]}}},
+        {"worlds": [1, 2], "relational": {"non_normal": [1e400]}},
+        {"worlds": [1.5], "standard": {}},
+        {"worlds": [True], "standard": {}},
+        {"worlds": [1], "valuation": {"p": [1.0]}, "standard": {}},
+        {"worlds": [1, 2], "standard": {"1": [[True]]}},
+        {"worlds": [1, 2], "bi": {"1": [{"plus": [], "minus": [2.0]}]}},
     ])
     def test_anything_but_a_list_of_worlds_is_rejected(self, capsys, tmp_path, data):
-        # A string of digits used to load as the worlds it spells.
+        # A string of digits used to load as the worlds it spells, 1.5 and
+        # true as world 1, and 1e400 (infinity) raised OverflowError.
         path = self.write_model(tmp_path, data)
         code, out, err = run(capsys, "check-model", path, "p", "--logic", "MCNP")
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot load model: ")
+
+    @given(model_files, st.sampled_from(["p", "box (p -> q) | ~box true"]))
+    @settings(max_examples=300)
+    def test_any_json_loads_or_is_rejected(self, tmp_path_factory, data, formula):
+        path = self.write_model(tmp_path_factory.mktemp("fuzz"), data)
+        for output in ("text", "json"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["check-model", path, formula, "--logic", "MCND2+", "--output", output])
+            assert code in (0, 2), err.getvalue()
+            if code == 2:
+                assert err.getvalue().startswith("error: cannot load model: ")
+            elif output == "json":
+                json.loads(out.getvalue())
 
     def test_bad_formula(self, capsys, tmp_path):
         path = self.write_model(tmp_path, PAPER_MODEL)
