@@ -581,14 +581,18 @@ def standard_from_bi_rough(m: BiModel, cap: int = 20) -> StandardModel:
 
 
 def standard_from_bi_fine(
-    m: BiModel, s, supplement: bool, cap: int = 20
+    m: BiModel, s, supplement: bool, cap: int = 20, intersect: bool = False
 ) -> StandardModel:
     """Neighbourhoods are the truth sets of boxed members of s forced
     there; agreement with the source holds on every formula in s.
 
-    With supplement, close the neighbourhoods upward (needed when the
-    target is read as a supplemented model); this enumerates supersets
-    and so shares the rough transformation's world cap.
+    With intersect, close each world's neighbourhoods under pairwise
+    intersection (needed for C): where the source has C, the merge of
+    the pairs that sandwich two truth sets sandwiches their intersection,
+    so agreement on s still holds. With supplement, then close them
+    upward (needed when the target is read as a supplemented model);
+    this enumerates supersets and so shares the rough transformation's
+    world cap.
     """
     fs = frozenset(s)
     for f in fs:
@@ -608,10 +612,16 @@ def standard_from_bi_fine(
     for f in boxed:
         body = _encode(bit, truth_set(m, f.body))
         for w in truth_set(m, f):
-            if supplement:
-                masks[w].update(_between(body, full))
-            else:
-                masks[w].add(body)
+            masks[w].add(body)
+    for w, ns in masks.items():
+        todo = list(ns) if intersect else []
+        while todo:
+            a = todo.pop()
+            new = {a & b for b in ns} - ns
+            ns |= new
+            todo += new
+        if supplement:
+            masks[w] = {a for body in ns for a in _between(body, full)}
     return StandardModel.of_masks(
         m.worlds, m.valuation, {w: frozenset(ns) for w, ns in masks.items()}, order, bit
     )

@@ -137,6 +137,22 @@ class TestProve:
         fine = model_from_dict(json.loads(out)["countermodels"]["standard-fine"])
         assert all(fine.worlds in fine.neighbourhoods(w) for w in fine.worlds)
 
+    @pytest.mark.parametrize("goal, logic", [
+        ("box box box true & box box q -> false & (p & false)", "MCP"),
+        ("box p -> box ((box box p | (q | ((r & q & true | p) & true & true & p -> r)) & q) & true & r) & r & q", "ECN"),
+    ])
+    def test_standard_fine_keeps_c(self, capsys, goal, logic):
+        # Both exited 3: two fine neighbourhoods of one world whose
+        # intersection was none.
+        code, out, _ = run(
+            capsys, "prove", goal, "--logic", logic, "--model", "standard-fine", "--output", "json"
+        )
+        assert code == 1
+        fine = model_from_dict(json.loads(out)["countermodels"]["standard-fine"])
+        for w in fine.worlds:
+            sets = fine.neighbourhoods(w)
+            assert {a & b for a in sets for b in sets} <= sets
+
     def test_world_cap_is_a_usage_error(self, capsys):
         code, _, err = run(
             capsys, "prove", AXIOM_M, "--logic", "E", "--model", "standard-rough",
