@@ -10,14 +10,17 @@ alpha below and the complement of beta above. Standard neighbourhoods
 demand the truth set itself; relational models read boxes as universal
 quantification over successors at normal worlds.
 
-A standard model holds each neighbourhood as an int bitmask, since the
-rough and supplemented transformations make thousands of them. Bits go
-by rank, not by world number: with the n worlds sorted ascending, the
-i-th one gets bit ``1 << (n-1-i)``, so the least world is the highest
-bit. Then the report order of sets (by size, then members ascending) is
-the order of one int, ``StandardModel.key``: the set's size above n bits
-that hold the complement of the mask. Truth sets, valuations and the
-other two kinds of model keep frozensets of worlds.
+Every set of worlds a model computes with is an int mask over one layout
+of its worlds (``_layout``): with the n worlds ascending, the i-th has
+bit ``1 << (n-1-i)``, so the least world is the highest bit. Truth sets
+are masks (``&``, ``|``, ``full ^ a | b``), a bi-neighbourhood pair is
+two, a standard neighbourhood one, and so are a world's relational
+successors; the transformations pass masks on unchanged. ``key`` orders
+masks as their sets are reported, by size and then members ascending.
+``members`` decodes a mask, only where a set leaves the module: in
+``truth_set``, in the witness of a failed frame check, and in
+``model_to_dict``. Valuations and non-normal worlds keep the frozensets
+they are given.
 """
 
 from __future__ import annotations
@@ -26,137 +29,27 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, itemgetter, or_
 
 from .calculus import is_saturated
 from .formula import And, Atom, Bottom, Box, Formula, Imp, Or, Top, operands, sort_key
 from .hypersequent import Hypersequent, block_sets, left_set, right_set
 from .logic import LogicSpec
 
-Pair = tuple[frozenset[int], frozenset[int]]
-
 
 class UnknownWorldError(ValueError):
     pass
 
 
-def _world_set(worlds) -> frozenset[int]:
-    return frozenset(int(w) for w in worlds)
-
-
-def _check_valuation(worlds: frozenset[int], valuation: dict) -> dict:
-    out = {}
-    for atom, ws in valuation.items():
-        ws = frozenset(ws)
-        if not ws <= worlds:
-            raise ValueError(f"valuation of {atom!r} mentions unknown worlds")
-        out[str(atom)] = ws
-    return out
-
-
-@dataclass(frozen=True, slots=True)
-class BiModel:
-    worlds: frozenset[int]
-    valuation: dict[str, frozenset[int]]
-    nbhd: dict[int, frozenset[Pair]]
-
-    @classmethod
-    def make(cls, worlds, valuation, nbhd) -> "BiModel":
-        ws = _world_set(worlds)
-        val = _check_valuation(ws, valuation)
-        out: dict[int, frozenset[Pair]] = {w: frozenset() for w in ws}
-        for w, pairs in nbhd.items():
-            w = int(w)
-            if w not in ws:
-                raise ValueError(f"neighbourhood of unknown world {w}")
-            norm = []
-            for alpha, beta in pairs:
-                alpha, beta = frozenset(alpha), frozenset(beta)
-                if not (alpha <= ws and beta <= ws):
-                    raise ValueError("neighbourhood pair leaves the world set")
-                norm.append((alpha, beta))
-            out[w] = frozenset(norm)
-        return cls(ws, val, out)
-
-
-@dataclass(frozen=True, slots=True)
-class StandardModel:
-    """A standard neighbourhood model with its neighbourhoods as bitmasks.
-
-    ``nbhd`` maps each world to the frozenset of its neighbourhoods'
-    masks. ``order`` is the worlds ascending, so the world of rank i has
-    bit ``1 << (n-1-i)``, and ``bit`` maps each world to its bit; both
-    follow from ``worlds``. ``key`` orders masks as their sets are
-    reported. ``members`` is the one decoder, from a mask to its worlds
-    ascending; ``decode`` gives them as a set and ``neighbourhoods``
-    decodes a whole world's.
-    """
-
-    worlds: frozenset[int]
-    valuation: dict[str, frozenset[int]]
-    nbhd: dict[int, frozenset[int]]
-    order: tuple[int, ...] = field(compare=False, repr=False)
-    bit: dict[int, int] = field(compare=False, repr=False)
-
-    @classmethod
-    def make(cls, worlds, valuation, nbhd) -> "StandardModel":
-        ws = _world_set(worlds)
-        val = _check_valuation(ws, valuation)
-        order, bit = _layout(ws)
-        masks: dict[int, frozenset[int]] = {}
-        for w, sets in nbhd.items():
-            w = int(w)
-            if w not in ws:
-                raise ValueError(f"neighbourhood of unknown world {w}")
-            try:
-                masks[w] = frozenset(_encode(bit, frozenset(alpha)) for alpha in sets)
-            except KeyError:
-                raise ValueError("neighbourhood leaves the world set") from None
-        return cls.of_masks(ws, val, masks, order, bit)
-
-    @classmethod
-    def of_masks(cls, worlds, valuation, masks, order, bit) -> "StandardModel":
-        """The model whose worlds without an entry in ``masks`` have no
-        neighbourhoods; the masks must already be within the worlds."""
-        return cls(worlds, valuation, {w: masks.get(w, frozenset()) for w in order}, order, bit)
-
-    @property
-    def full(self) -> int:
-        """The mask of the whole world set."""
-        return (1 << len(self.order)) - 1
-
-    def key(self, mask: int) -> int:
-        """The report order of masks as one int: by size, then by
-        members ascending, as ``_set_key`` orders the decoded sets."""
-        n = len(self.order)
-        return (mask.bit_count() << n) | (((1 << n) - 1) ^ mask)
-
-    @property
-    def members(self) -> Callable[[int], list[int]]:
-        """A function from a mask to the list of its worlds ascending."""
-        return _lister(self.order)
-
-    def decode(self, mask: int) -> frozenset[int]:
-        return frozenset(self.members(mask))
-
-    def neighbourhoods(self, w: int) -> frozenset[frozenset[int]]:
-        return frozenset(map(self.decode, self.nbhd[w]))
-
-
-def _layout(worlds) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The worlds ascending, and each world's bit by its rank."""
-    order = tuple(sorted(worlds))
-    top = len(order) - 1
-    return order, {w: 1 << (top - i) for i, w in enumerate(order)}
-
-
 @lru_cache(maxsize=32)
-def _lister(order: tuple[int, ...]):
-    """A function from a mask to the list of its worlds ascending. It
-    reads the mask 8 bits at a time, from the top, through one table per
-    8 bits: from their value to their worlds. The top 8 may be fewer.
+def _layout(worlds: frozenset[int]) -> tuple:
+    """The worlds ascending, each world's bit by its rank, and the one
+    decoder, from a mask to its worlds ascending. The decoder reads the
+    mask 8 bits at a time, from the top, through one table per 8 bits:
+    from their value to their worlds. The top 8 may be fewer.
     Countermodels number their worlds from 1, so most calls share a few
-    world orders and the tables are kept for the last 32."""
+    world sets and the layouts are kept for the last 32."""
+    order = tuple(sorted(worlds))
     n = len(order)
     chunks = []
     for low in reversed(range(0, n, 8)):
@@ -174,11 +67,141 @@ def _lister(order: tuple[int, ...]):
             out += table[mask >> low & 255]
         return out
 
-    return members
+    return order, {w: 1 << (n - 1 - i) for i, w in enumerate(order)}, members
 
 
-def _encode(bit: dict[int, int], ws: frozenset[int]) -> int:
-    return sum(map(bit.__getitem__, ws))
+def _mask(bit: dict[int, int], ws) -> int:
+    """The mask of the worlds ws, which may repeat; KeyError if one has no bit."""
+    return reduce(or_, map(bit.__getitem__, ws), 0)
+
+
+def _made(ws: frozenset[int], valuation: dict, entries: dict, encode, unknown: str, outside: str):
+    """What each ``make`` checks and builds on the world set ws: the
+    valuation, and each world's entry of ``entries``, keyed by world
+    number, as ``encode(bit, entry)``; a world without one gets
+    ``encode(bit, ())``. ``unknown`` and ``outside`` are the errors of an
+    entry for a world not in ws and of one that leaves ws."""
+    val = {}
+    for atom, vs in valuation.items():
+        vs = frozenset(vs)
+        if not vs <= ws:
+            raise ValueError(f"valuation of {atom!r} mentions unknown worlds")
+        val[str(atom)] = vs
+    bit = _layout(ws)[1]
+    out = dict.fromkeys(bit, encode(bit, ()))
+    for w, x in entries.items():
+        w = int(w)
+        if w not in ws:
+            raise ValueError(f"{unknown} {w}")
+        try:
+            out[w] = encode(bit, x)
+        except KeyError:
+            raise ValueError(outside) from None
+    return val, out
+
+
+@dataclass(frozen=True, slots=True)
+class _Ranked:
+    """What every kind of model derives from its ``worlds`` and
+    ``valuation``: the rank layout from ``_layout`` (``order``, the worlds
+    ascending; ``bit``, each world's bit; and ``members``, the one
+    decoder, from a mask to its worlds ascending), and ``atoms``, the
+    mask of each atom's worlds."""
+
+    order: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    bit: dict[int, int] = field(init=False, compare=False, repr=False)
+    members: Callable[[int], list[int]] = field(init=False, compare=False, repr=False)
+    atoms: dict[str, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        order, bit, members = _layout(self.worlds)
+        atoms = {a: sum(map(bit.__getitem__, ws)) for a, ws in self.valuation.items()}
+        for name, value in zip(("order", "bit", "members", "atoms"), (order, bit, members, atoms)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def full(self) -> int:
+        """The mask of the whole world set."""
+        return (1 << len(self.worlds)) - 1
+
+    def key(self, mask: int) -> int:
+        """The report order of masks as one int: the set's size above n
+        bits that hold the complement of the mask."""
+        n = len(self.worlds)
+        return (mask.bit_count() << n) | (((1 << n) - 1) ^ mask)
+
+    def decode(self, mask: int) -> frozenset[int]:
+        return frozenset(self.members(mask))
+
+
+@dataclass(frozen=True, slots=True)
+class BiModel(_Ranked):
+    """A bi-neighbourhood model: ``nbhd`` maps each world to the frozenset
+    of its pairs, each a (plus, minus) pair of masks. ``pairs`` decodes a
+    world's pairs."""
+
+    worlds: frozenset[int]
+    valuation: dict[str, frozenset[int]]
+    nbhd: dict[int, frozenset[tuple[int, int]]]
+
+    @classmethod
+    def make(cls, worlds, valuation, nbhd) -> "BiModel":
+        def pairs(bit, ps):
+            return frozenset((_mask(bit, a), _mask(bit, b)) for a, b in ps)
+
+        ws = frozenset(map(int, worlds))
+        errors = ("neighbourhood of unknown world", "neighbourhood pair leaves the world set")
+        return cls(ws, *_made(ws, valuation, nbhd, pairs, *errors))
+
+    def pairs(self, w: int) -> frozenset[tuple[frozenset[int], frozenset[int]]]:
+        return frozenset((self.decode(a), self.decode(b)) for a, b in self.nbhd[w])
+
+
+@dataclass(frozen=True, slots=True)
+class StandardModel(_Ranked):
+    """A standard neighbourhood model: ``nbhd`` maps each world to the
+    frozenset of its neighbourhoods' masks. ``neighbourhoods`` decodes a
+    world's."""
+
+    worlds: frozenset[int]
+    valuation: dict[str, frozenset[int]]
+    nbhd: dict[int, frozenset[int]]
+
+    @classmethod
+    def make(cls, worlds, valuation, nbhd) -> "StandardModel":
+        def masks(bit, sets):
+            return frozenset(_mask(bit, a) for a in sets)
+
+        ws = frozenset(map(int, worlds))
+        errors = ("neighbourhood of unknown world", "neighbourhood leaves the world set")
+        return cls(ws, *_made(ws, valuation, nbhd, masks, *errors))
+
+    def neighbourhoods(self, w: int) -> frozenset[frozenset[int]]:
+        return frozenset(map(self.decode, self.nbhd[w]))
+
+
+@dataclass(frozen=True, slots=True)
+class RelationalModel(_Ranked):
+    """A relational model: ``relation`` maps each world to the mask of its
+    successors, and no box holds at the ``non_normal`` worlds."""
+
+    worlds: frozenset[int]
+    non_normal: frozenset[int]
+    relation: dict[int, int]
+    valuation: dict[str, frozenset[int]]
+
+    @classmethod
+    def make(cls, worlds, non_normal, relation, valuation) -> "RelationalModel":
+        ws = frozenset(map(int, worlds))
+        nn = frozenset(map(int, non_normal))
+        if not nn <= ws:
+            raise ValueError("non-normal worlds outside the world set")
+        errors = ("relation at unknown world", "relation targets outside the world set")
+        val, rel = _made(ws, valuation, relation, _mask, *errors)
+        return cls(ws, nn, rel, val)
+
+
+Model = BiModel | StandardModel | RelationalModel
 
 
 def _between(low: int, high: int):
@@ -193,37 +216,19 @@ def _between(low: int, high: int):
         sub = (sub - 1) & free
 
 
-@dataclass(frozen=True, slots=True)
-class RelationalModel:
-    worlds: frozenset[int]
-    non_normal: frozenset[int]
-    relation: dict[int, frozenset[int]]
-    valuation: dict[str, frozenset[int]]
-
-    @classmethod
-    def make(cls, worlds, non_normal, relation, valuation) -> "RelationalModel":
-        ws = _world_set(worlds)
-        nn = frozenset(int(w) for w in non_normal)
-        if not nn <= ws:
-            raise ValueError("non-normal worlds outside the world set")
-        val = _check_valuation(ws, valuation)
-        rel: dict[int, frozenset[int]] = {w: frozenset() for w in ws}
-        for w, targets in relation.items():
-            w = int(w)
-            if w not in ws:
-                raise ValueError(f"relation at unknown world {w}")
-            targets = frozenset(int(v) for v in targets)
-            if not targets <= ws:
-                raise ValueError("relation targets outside the world set")
-            rel[w] = targets
-        return cls(ws, nn, rel, val)
-
-
-Model = BiModel | StandardModel | RelationalModel
-
-
 def truth_set(m: Model, f: Formula) -> frozenset[int]:
-    """Worlds of m where f holds.
+    """Worlds of m where f holds."""
+    return m.decode(_truth_mask(m, f))
+
+
+def force(m: Model, w: int, f: Formula) -> bool:
+    if w not in m.worlds:
+        raise UnknownWorldError(f"world {w} is not in the model")
+    return bool(_truth_mask(m, f) & m.bit[w])
+
+
+def _truth_mask(m: Model, f: Formula) -> int:
+    """The mask of the worlds of m where f holds.
 
     Subformulas are evaluated bottom-up from an explicit stack, each
     distinct one once (formulas are interned, so the memo is keyed by
@@ -231,7 +236,8 @@ def truth_set(m: Model, f: Formula) -> frozenset[int]:
     whose operands are not yet evaluated goes back on the stack under
     them.
     """
-    memo: dict[Formula, frozenset[int]] = {}
+    full = m.full
+    memo: dict[Formula, int] = {}
     stack = [f]
     while stack:
         g = stack.pop()
@@ -239,7 +245,7 @@ def truth_set(m: Model, f: Formula) -> frozenset[int]:
             continue
         kind = type(g)
         if kind is Atom:
-            memo[g] = m.valuation.get(g.name, _NO_WORLDS)
+            memo[g] = m.atoms.get(g.name, 0)
         elif kind is Box:
             ts = memo.get(g.body)
             if ts is None:
@@ -247,53 +253,41 @@ def truth_set(m: Model, f: Formula) -> frozenset[int]:
             else:
                 memo[g] = _box_truth_set(m, ts)
         elif kind is Top:
-            memo[g] = m.worlds
+            memo[g] = full
         elif kind is Bottom:
-            memo[g] = _NO_WORLDS
+            memo[g] = 0
         elif kind in _BINARY:
             a = memo.get(g.left)
             b = memo.get(g.right)
             if a is None or b is None:
-                stack.append(g)
-                if a is None:
-                    stack.append(g.left)
-                if b is None:
-                    stack.append(g.right)
+                # an operand already evaluated is popped and skipped
+                stack += (g, g.left, g.right)
             elif kind is And:
                 memo[g] = a & b
             elif kind is Or:
                 memo[g] = a | b
             else:
-                memo[g] = (m.worlds - a) | b
+                memo[g] = full ^ a | b
         else:
             raise TypeError(f"not a formula: {g!r}")
     return memo[f]
 
 
-_NO_WORLDS: frozenset[int] = frozenset()
 _BINARY = (And, Or, Imp)
 
 
-def _box_truth_set(m: Model, ts: frozenset[int]) -> frozenset[int]:
-    """Worlds of m where a box holds whose body holds at ts."""
+def _box_truth_set(m: Model, ts: int) -> int:
+    """The mask of the worlds of m where a box holds whose body holds at
+    the mask ts."""
+    bit, outside = m.bit, ~ts
     if isinstance(m, BiModel):
-        return frozenset(
-            w
-            for w in m.worlds
-            if any(alpha <= ts and ts <= m.worlds - beta for alpha, beta in m.nbhd.get(w, frozenset()))
+        # a pair sandwiches ts: plus within it, minus outside it
+        return sum(
+            bit[w] for w, ps in m.nbhd.items() if any(not a & outside and not b & ts for a, b in ps)
         )
     if isinstance(m, StandardModel):
-        mask = _encode(m.bit, ts)
-        return frozenset(w for w, ns in m.nbhd.items() if mask in ns)
-    return frozenset(
-        w for w in m.worlds if w not in m.non_normal and m.relation.get(w, frozenset()) <= ts
-    )
-
-
-def force(m: Model, w: int, f: Formula) -> bool:
-    if w not in m.worlds:
-        raise UnknownWorldError(f"world {w} is not in the model")
-    return w in truth_set(m, f)
+        return sum(bit[w] for w, ns in m.nbhd.items() if ts in ns)
+    return sum(bit[w] for w, r in m.relation.items() if not r & outside and w not in m.non_normal)
 
 
 # --- frame conditions -------------------------------------------------------
@@ -310,35 +304,32 @@ def _order(x):
     """The report order of witnesses: worlds by number, sets by size and
     then members, tuples by length and then item by item."""
     if isinstance(x, frozenset):
-        return _set_key(x)
+        return (len(x), tuple(sorted(x)))
     if isinstance(x, tuple):
         return (len(x), tuple(map(_order, x)))
     return x
 
 
-def _graded_conditions(l: LogicSpec, nbhd: dict, inner, key, decode=frozenset) -> dict:
+def _graded_conditions(l: LogicSpec, m: BiModel | StandardModel, inner) -> dict:
     """RDk+ for each k up to the logic's n: no k neighbourhoods of one
     world whose inner sets have an empty intersection. Only the inner sets
     with no other one below them matter: a world fails RDk+ exactly when
     it has at least k neighbourhoods and at most k of those minimal sets
     have an empty intersection, and the witness is the world and those
-    sets. ``nbhd`` maps each world to its neighbourhoods, ``inner`` gives
-    a neighbourhood's inner set, frozenset or mask alike, ``key`` orders
-    those sets as ``_set_key`` does, and ``decode`` turns one into the
-    frozenset a witness reports."""
+    sets. ``inner`` gives a neighbourhood's inner set."""
     if not l.dplus:
         return {}
     minimal = {}
-    for w, ns in nbhd.items():
+    for w, ns in m.nbhd.items():
         found = []
-        for alpha in sorted(map(inner, ns), key=key):
+        for alpha in sorted(map(inner, ns), key=m.key):
             if not any(low & alpha == low for low in found):
                 found.append(alpha)
         minimal[w] = found
     return {
         f"RD{k}+": _verdict(
-            (w, tuple(map(decode, chosen)))
-            for w, ns in nbhd.items()
+            (w, tuple(map(m.decode, chosen)))
+            for w, ns in m.nbhd.items()
             if len(ns) >= k
             for j in range(1, k + 1)
             for chosen in combinations(minimal[w], j)
@@ -349,48 +340,53 @@ def _graded_conditions(l: LogicSpec, nbhd: dict, inner, key, decode=frozenset) -
 
 
 # Each check reports the first witness of a failure in world order, then
-# in neighbourhood order: its least witness under ``_order``.
+# in neighbourhood order: its least witness under ``_order``. The clauses
+# test masks; a witness is decoded only when a check fails, so that
+# ``_order`` sees frozensets of worlds.
 
 
 def _bi_conditions(m: BiModel, l: LogicSpec) -> dict:
     report = {}
-    ws = m.worlds
-    nbhd = m.nbhd
+    nbhd, dec, bit = m.nbhd, m.decode, m.bit
+
+    def pair(p):
+        return dec(p[0]), dec(p[1])
+
     if l.monotonic:
-        report["M"] = _verdict((w, p) for w, ps in nbhd.items() for p in ps if p[1])
+        report["M"] = _verdict((w, pair(p)) for w, ps in nbhd.items() for p in ps if p[1])
     if l.has_n:
-        outer_free = {a for w in ws for a, b in m.nbhd[w] if not b}
-        shared = any(all((a, frozenset()) in m.nbhd[w] for w in ws) for a in outer_free)
-        report["N"] = ("pass", None) if shared or not ws else ("fail", None)
+        outer_free = {a for ps in nbhd.values() for a, b in ps if not b}
+        shared = any(all((a, 0) in ps for ps in nbhd.values()) for a in outer_free)
+        report["N"] = ("pass", None) if shared or not m.worlds else ("fail", None)
     if l.has_c:
         report["C"] = _verdict(
-            (w, p1, p2)
+            (w, pair(p1), pair(p2))
             for w, ps in nbhd.items()
             for p1 in ps
             for p2 in ps
             if (p1[0] & p2[0], p1[1] | p2[1]) not in ps
         )
     if l.has_t:
-        report["T"] = _verdict((w, p) for w, ps in nbhd.items() for p in ps if w not in p[0])
+        report["T"] = _verdict(
+            (w, pair(p)) for w, ps in nbhd.items() for p in ps if not p[0] & bit[w]
+        )
     if l.has_p:
-        report["P"] = _verdict((w, p) for w, ps in nbhd.items() for p in ps if not p[0])
+        report["P"] = _verdict((w, pair(p)) for w, ps in nbhd.items() for p in ps if not p[0])
     if l.has_d:
         report["D"] = _verdict(
-            (w, p1, p2)
+            (w, pair(p1), pair(p2))
             for w, ps in nbhd.items()
             for p1 in ps
             for p2 in ps
-            if not (p1[0] & p2[0]) and not (p1[1] & p2[1])
+            if not p1[0] & p2[0] and not p1[1] & p2[1]
         )
-    report.update(_graded_conditions(l, nbhd, lambda p: p[0], _set_key))
+    report.update(_graded_conditions(l, m, itemgetter(0)))
     return report
 
 
 def _standard_conditions(m: StandardModel, l: LogicSpec) -> dict:
-    """The clauses test masks; a witness is decoded only when a check
-    fails, so that ``_order`` sees the same frozensets as ever."""
     report = {}
-    nbhd, full, dec, n = m.nbhd, m.full, m.decode, len(m.order)
+    nbhd, full, dec, bit, n = m.nbhd, m.full, m.decode, m.bit, len(m.worlds)
     if l.monotonic:
         # The witness world x is the one whose rank sets the bit b.
         report["M"] = _verdict(
@@ -407,14 +403,12 @@ def _standard_conditions(m: StandardModel, l: LogicSpec) -> dict:
             if a1 & a2 not in ns
         )
     if l.has_t:
-        report["T"] = _verdict(
-            (w, dec(a)) for w, ns in nbhd.items() for a in ns if not a & m.bit[w]
-        )
+        report["T"] = _verdict((w, dec(a)) for w, ns in nbhd.items() for a in ns if not a & bit[w])
     if l.has_p:
         report["P"] = _verdict(w for w, ns in nbhd.items() if 0 in ns)
     if l.has_d:
         report["D"] = _verdict((w, dec(a)) for w, ns in nbhd.items() for a in ns if full ^ a in ns)
-    report.update(_graded_conditions(l, nbhd, lambda a: a, m.key, dec))
+    report.update(_graded_conditions(l, m, lambda a: a))
     return report
 
 
@@ -439,10 +433,10 @@ def _relational_conditions(m: RelationalModel, l: LogicSpec) -> dict:
     report = {}
     normal = m.worlds - m.non_normal
     if l.has_t:
-        report["T"] = _verdict(w for w in normal if w not in m.relation.get(w, frozenset()))
+        report["T"] = _verdict(w for w in normal if not m.relation[w] & m.bit[w])
     if l.has_n:
         report["N"] = _verdict(m.non_normal)
-    serial = _verdict(w for w in normal if not m.relation.get(w))
+    serial = _verdict(w for w in normal if not m.relation[w])
     keys = [key for flag, key in ((l.has_p, "P"), (l.has_d, "D")) if flag]
     keys += [f"RD{k}+" for k in range(1, (l.dplus or 0) + 1)]
     report.update(dict.fromkeys(keys, serial))
@@ -467,15 +461,21 @@ def conditions_ok(report: dict) -> bool:
     return all(status != "fail" for status, _ in report.values())
 
 
-def _set_key(s: frozenset) -> tuple:
-    return (len(s), tuple(sorted(s)))
-
-
-def _pair_key(p: Pair) -> tuple:
-    return (_set_key(p[0]), _set_key(p[1]))
-
-
 # --- countermodel extraction ------------------------------------------------
+
+
+def _leaf_worlds(leaf: Hypersequent):
+    """The n-th component as world n: the components numbered, the world
+    set, each world's bit, and the valuation, where each atom holds at
+    the components with it on the left."""
+    comps = tuple(enumerate(leaf.components, 1))
+    valuation: dict[str, set[int]] = {}
+    for w, s in comps:
+        for f in left_set(s):
+            if isinstance(f, Atom):
+                valuation.setdefault(f.name, set()).add(w)
+    worlds = frozenset(range(1, len(comps) + 1))
+    return comps, worlds, _layout(worlds)[1], {a: frozenset(ws) for a, ws in valuation.items()}
 
 
 def extract_bi_countermodel(leaf: Hypersequent, l: LogicSpec) -> BiModel:
@@ -488,19 +488,16 @@ def extract_bi_countermodel(leaf: Hypersequent, l: LogicSpec) -> BiModel:
     """
     if not is_saturated(leaf, l):
         raise ValueError("countermodel extraction needs a saturated hypersequent")
-    comps = tuple(enumerate(leaf.components, 1))
-    valuation: dict[str, set[int]] = {}
-    nbhd: dict[int, set[Pair]] = {}
+    comps, worlds, bit, valuation = _leaf_worlds(leaf)
+    nbhd = {}
     for w, s in comps:
-        for f in left_set(s):
-            if isinstance(f, Atom):
-                valuation.setdefault(f.name, set()).add(w)
-        nbhd[w] = set()
+        pairs = set()
         for sigma in block_sets(s):
-            plus = frozenset(v for v, s2 in comps if sigma <= left_set(s2))
-            minus = frozenset() if l.monotonic else frozenset(v for v, s2 in comps if sigma & right_set(s2))
-            nbhd[w].add((plus, minus))
-    return BiModel.make(range(1, len(comps) + 1), valuation, nbhd)
+            plus = sum(bit[v] for v, s2 in comps if sigma <= left_set(s2))
+            minus = 0 if l.monotonic else sum(bit[v] for v, s2 in comps if sigma & right_set(s2))
+            pairs.add((plus, minus))
+        nbhd[w] = frozenset(pairs)
+    return BiModel(worlds, valuation, nbhd)
 
 
 def extract_relational_countermodel(leaf: Hypersequent, l: LogicSpec) -> RelationalModel:
@@ -515,29 +512,23 @@ def extract_relational_countermodel(leaf: Hypersequent, l: LogicSpec) -> Relatio
         raise ValueError("relational extraction needs a monotone logic with C")
     if not is_saturated(leaf, l):
         raise ValueError("countermodel extraction needs a saturated hypersequent")
-    comps = tuple(enumerate(leaf.components, 1))
-    valuation: dict[str, set[int]] = {}
+    comps, worlds, bit, valuation = _leaf_worlds(leaf)
     non_normal = set()
-    relation: dict[int, frozenset[int]] = {}
+    relation = {}
     for w, s in comps:
-        for f in left_set(s):
-            if isinstance(f, Atom):
-                valuation.setdefault(f.name, set()).add(w)
         sets = block_sets(s)
         if not sets:
             non_normal.add(w)
-            relation[w] = frozenset()
+            relation[w] = 0
             continue
         maximal = [b for b in sets if all(other <= b for other in sets)]
         if not maximal:
-            raise ValueError(
-                "no maximal block; the hypersequent is not closed under merging"
-            )
-        successor_sets = {frozenset(v for v, s2 in comps if b <= left_set(s2)) for b in maximal}
+            raise ValueError("no maximal block; the hypersequent is not closed under merging")
+        successor_sets = {sum(bit[v] for v, s2 in comps if b <= left_set(s2)) for b in maximal}
         if len(successor_sets) != 1:
             raise ValueError("maximal blocks disagree on successors")
         relation[w] = next(iter(successor_sets))
-    return RelationalModel.make(range(1, len(comps) + 1), non_normal, relation, valuation)
+    return RelationalModel(worlds, frozenset(non_normal), relation, valuation)
 
 
 # --- transformations --------------------------------------------------------
@@ -548,13 +539,9 @@ def bi_from_standard(m: StandardModel, supplemented: bool) -> BiModel:
     empty outer bound when the source is supplemented (upward closed)."""
     full = m.full
     nbhd = {
-        w: frozenset(
-            (m.decode(a), frozenset() if supplemented else m.decode(full ^ a))
-            for a in masks
-        )
-        for w, masks in m.nbhd.items()
+        w: frozenset((a, 0 if supplemented else full ^ a) for a in ns) for w, ns in m.nbhd.items()
     }
-    return BiModel.make(m.worlds, m.valuation, nbhd)
+    return BiModel(m.worlds, m.valuation, nbhd)
 
 
 def standard_from_bi_rough(m: BiModel, cap: int = 20) -> StandardModel:
@@ -567,17 +554,15 @@ def standard_from_bi_rough(m: BiModel, cap: int = 20) -> StandardModel:
         raise ValueError(
             f"rough transformation needs at most {cap} worlds, got {len(m.worlds)}"
         )
-    order, bit = _layout(m.worlds)
-    full = (1 << len(order)) - 1
-    masks = {}
+    full = m.full
+    nbhd = {}
     for w, pairs in m.nbhd.items():
         sets: set[int] = set()
-        for alpha, beta in pairs:
-            low, high = _encode(bit, alpha), full ^ _encode(bit, beta)
-            if low & high == low:
-                sets.update(_between(low, high))
-        masks[w] = frozenset(sets)
-    return StandardModel.of_masks(m.worlds, m.valuation, masks, order, bit)
+        for a, b in pairs:
+            if not a & b:
+                sets.update(_between(a, full ^ b))
+        nbhd[w] = frozenset(sets)
+    return StandardModel(m.worlds, m.valuation, nbhd)
 
 
 def standard_from_bi_fine(
@@ -606,55 +591,46 @@ def standard_from_bi_fine(
         raise ValueError(
             f"supplemented transformation needs at most {cap} worlds, got {len(m.worlds)}"
         )
-    order, bit = _layout(m.worlds)
-    full = (1 << len(order)) - 1
-    masks: dict[int, set[int]] = {w: set() for w in order}
+    full = m.full
+    bodies: dict[int, set[int]] = {w: set() for w in m.order}
     for f in boxed:
-        body = _encode(bit, truth_set(m, f.body))
-        for w in truth_set(m, f):
-            masks[w].add(body)
-    for w, ns in masks.items():
-        todo = list(ns) if intersect else []
-        while todo:
-            a = todo.pop()
-            new = {a & b for b in ns} - ns
+        body = _truth_mask(m, f.body)
+        for w in m.members(_box_truth_set(m, body)):
+            bodies[w].add(body)
+    nbhd = {}
+    for w, ns in bodies.items():
+        while intersect and (new := {a & b for a in ns for b in ns} - ns):
             ns |= new
-            todo += new
-        if supplement:
-            masks[w] = {a for body in ns for a in _between(body, full)}
-    return StandardModel.of_masks(
-        m.worlds, m.valuation, {w: frozenset(ns) for w, ns in masks.items()}, order, bit
-    )
+        nbhd[w] = frozenset({a for body in ns for a in _between(body, full)} if supplement else ns)
+    return StandardModel(m.worlds, m.valuation, nbhd)
 
 
 # --- serialization ----------------------------------------------------------
 
 
 def model_to_dict(m: Model) -> dict:
+    members = m.members
     base = {
-        "worlds": sorted(m.worlds),
+        "worlds": list(m.order),
         "valuation": {a: sorted(ws) for a, ws in sorted(m.valuation.items())},
     }
     if isinstance(m, BiModel):
         base["bi"] = {
             str(w): [
-                {"plus": sorted(alpha), "minus": sorted(beta)}
-                for alpha, beta in sorted(pairs, key=_pair_key)
+                {"plus": members(a), "minus": members(b)}
+                for a, b in sorted(pairs, key=lambda p: (m.key(p[0]), m.key(p[1])))
             ]
             for w, pairs in sorted(m.nbhd.items())
         }
     elif isinstance(m, StandardModel):
-        members = m.members
         base["standard"] = {
-            str(w): [members(a) for a in sorted(masks, key=m.key)]
-            for w, masks in sorted(m.nbhd.items())
+            str(w): [members(a) for a in sorted(ns, key=m.key)]
+            for w, ns in sorted(m.nbhd.items())
         }
     else:
         base["relational"] = {
             "non_normal": sorted(m.non_normal),
-            "edges": {
-                str(w): sorted(v) for w, v in sorted(m.relation.items())
-            },
+            "edges": {str(w): members(r) for w, r in sorted(m.relation.items())},
         }
     return base
 
@@ -671,9 +647,8 @@ def _worlds(x, what: str) -> list[int]:
     """x if it is a JSON list of integers. A float or a bool is not a
     world, though Python would round the one and count the other as 0 or
     1 (and ``int(1e400)`` overflows)."""
-    for w in _listed(x, what):
-        if type(w) is not int:
-            raise ValueError(f"{what} must list integers, not {type(w).__name__}")
+    if any(type(w) is not int for w in _listed(x, what)):
+        raise ValueError(f"{what} must list integers")
     return x
 
 
