@@ -20,7 +20,7 @@ masks as their sets are reported, by size and then members ascending.
 ``members`` decodes a mask, only where a set leaves the module: in
 ``truth_set``, in the witness of a failed frame check, and in
 ``model_to_dict``. Valuations and non-normal worlds keep the frozensets
-they are given.
+they are given; a model derives its atoms' masks once, when it is built.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import combinations
 from operator import and_, itemgetter, or_
 
 from .calculus import is_saturated
-from .formula import And, Atom, Bottom, Box, Formula, Imp, Or, Top, operands, sort_key
+from .formula import BOTTOM, TOP, And, Atom, Box, Formula, Imp, Or, operands, sort_key
 from .hypersequent import Hypersequent, block_sets, left_set, right_set
 from .logic import LogicSpec
 
@@ -48,7 +48,8 @@ def _layout(worlds: frozenset[int]) -> tuple:
     mask 8 bits at a time, from the top, through one table per 8 bits:
     from their value to their worlds. The top 8 may be fewer.
     Countermodels number their worlds from 1, so most calls share a few
-    world sets and the layouts are kept for the last 32."""
+    world sets and the layouts are kept for the last 32. Every model of
+    the same worlds shares one layout; nothing writes to it."""
     order = tuple(sorted(worlds))
     n = len(order)
     chunks = []
@@ -237,7 +238,7 @@ def _truth_mask(m: Model, f: Formula) -> int:
     them.
     """
     full = m.full
-    memo: dict[Formula, int] = {}
+    memo: dict[Formula, int] = {TOP: full, BOTTOM: 0}
     stack = [f]
     while stack:
         g = stack.pop()
@@ -252,10 +253,6 @@ def _truth_mask(m: Model, f: Formula) -> int:
                 stack += (g, g.body)
             else:
                 memo[g] = _box_truth_set(m, ts)
-        elif kind is Top:
-            memo[g] = full
-        elif kind is Bottom:
-            memo[g] = 0
         elif kind in _BINARY:
             a = memo.get(g.left)
             b = memo.get(g.right)
