@@ -264,7 +264,8 @@ def _countermodels(outcome: Refuted, root: Hypersequent, l: LogicSpec, kinds, ro
                 m = standard_from_bi_rough(bi, cap=rough_cap)
             else:
                 m = standard_from_bi_fine(
-                    bi, _fine_formulas(root, l), supplement=l.monotonic, cap=rough_cap, intersect=l.has_c
+                    bi, _fine_formulas(root, l), supplement=l.monotonic, cap=rough_cap,
+                    intersect=l.has_c,
                 )
         except ValueError as e:
             raise CliError(f"{kind} countermodel: {e}; --rough-cap sets the cap") from None
