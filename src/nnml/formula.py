@@ -14,6 +14,12 @@ labelled formulas and labelled sequents of the labelled calculi. The
 intern table holds values weakly, and what is derived from a value is
 kept on it (``derived``), so both go when the value does.
 
+The lexer is one pattern, ``_TOKEN``: after whitespace, a punctuation
+mark (longest first), a word, or any other character, which is an error.
+``_KINDS`` gives the kind of each mark and keyword; any other word is an
+atom, which must start with a lowercase letter. Whitespace and word
+characters are those of ``str.isspace`` and ``str.isalnum`` or ``_``.
+
 A formula's text is one of those derived values. It is set when the
 formula is built, from its operands' texts, so printing a formula reads
 a field, and no formula is rendered twice or by recursion.
@@ -21,6 +27,7 @@ a field, and no formula is rendered twice or by recursion.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from weakref import ref
@@ -116,11 +123,6 @@ class Formula(Syntax):
     _node_count: int = derived()
     _text: str = derived()
     _top_bar: bool = derived()
-    # The formula itself is left out: a value kept on a formula that
-    # refers back to it would keep it alive after its last use.
-    _proper_subformulas: frozenset[Formula] = derived(
-        lambda f: frozenset().union(*map(subformulas, operands(f)))
-    )
     _prec = _PREC_ATOM  # atoms and the constants; each connective sets its own
 
     def __post_init__(self):
@@ -231,14 +233,20 @@ def dia(f: Formula) -> Formula:
 
 def subformulas(f: Formula) -> frozenset[Formula]:
     """The subformula-closed set generated by ``f``, including ``f``."""
-    return f._proper_subformulas | {f}
+    return subformula_closure((f,))
 
 
 def subformula_closure(fs) -> frozenset[Formula]:
-    out: frozenset[Formula] = frozenset()
-    for f in fs:
-        out |= subformulas(f)
-    return out
+    """The subformula-closed set generated by the formulas ``fs``, walked
+    from an explicit stack, so no depth of nesting overflows it."""
+    out: set[Formula] = set()
+    stack = list(fs)
+    while stack:
+        f = stack.pop()
+        if f not in out:
+            out.add(f)
+            stack.extend(operands(f))
+    return frozenset(out)
 
 
 class ParseError(ValueError):
@@ -249,25 +257,14 @@ class ParseError(ValueError):
         self.position = position
 
 
-# Token kinds: ident true false box dia lparen rparen and or imp iff neg
-# comma langle rangle seq end
-_PUNCT = (
-    ("<->", "iff"),
-    ("<>", "dia"),
-    ("=>", "seq"),
-    ("->", "imp"),
-    ("[]", "box"),
-    ("(", "lparen"),
-    (")", "rparen"),
-    ("&", "and"),
-    ("|", "or"),
-    ("~", "neg"),
-    (",", "comma"),
-    ("<", "langle"),
-    (">", "rangle"),
-)
-
-_KEYWORDS = {"true": "true", "false": "false", "box": "box", "dia": "dia"}
+_TOKEN = re.compile(r"\s*(?:(<->|<>|=>|->|\[\]|[()&|~,<>])|(\w+)|(\S))")
+_KINDS = {
+    "<->": "iff", "<>": "dia", "=>": "seq", "->": "imp", "[]": "box", "(": "lparen", ")": "rparen",
+    "&": "and", "|": "or", "~": "neg", ",": "comma", "<": "langle", ">": "rangle",
+    "true": "true", "false": "false", "box": "box", "dia": "dia",
+}
+_PREFIX = {"neg": neg, "box": Box, "dia": dia}
+_CONSTANTS = {"true": TOP, "false": BOTTOM}
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,42 +277,29 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     """Shared lexer for formulas and for the sequent notation around them."""
     toks: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = _KEYWORDS.get(word)
-            if kind is None:
-                if not word[0].islower():
-                    raise ParseError(f"atom must start lowercase: {word!r}", i)
-                kind = "ident"
-            toks.append(Token(kind, word, i))
-            i = j
-            continue
-        for lit, kind in _PUNCT:
-            if text.startswith(lit, i):
-                toks.append(Token(kind, lit, i))
-                i += len(lit)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        lexeme, pos = m[m.lastindex], m.start(m.lastindex)
+        kind = _KINDS.get(lexeme)
+        if kind is None:
+            if m.lastindex == 3 or not lexeme[0].isalpha():
+                raise ParseError(f"unexpected character {lexeme[0]!r}", pos)
+            if not lexeme[0].islower():
+                raise ParseError(f"atom must start lowercase: {lexeme!r}", pos)
+            kind = "ident"
+        toks.append(Token(kind, lexeme, pos))
+    toks.append(Token("end", "", len(text)))
     return toks
 
 
-class _FormulaParser:
-    """Recursive descent over a token slice, lowest precedence first."""
+class Parser:
+    """Recursive descent over the tokens of a text, lowest precedence
+    first. A ``|`` at a token index in ``stops`` ends the formula before
+    it rather than joining a disjunct: the hypersequent reader passes the
+    bars that separate components."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], stops=frozenset()):
         self.tokens = tokens
+        self.stops = stops
         self.i = 0
 
     def peek(self) -> Token:
@@ -326,86 +310,75 @@ class _FormulaParser:
         self.i += 1
         return t
 
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind}, found {t.text or 'end'!r}", t.pos)
-        return self.take()
+    def skip(self, kind: str) -> bool:
+        """Take the next token if it is of this kind."""
+        if self.tokens[self.i].kind == kind:
+            self.i += 1
+            return True
+        return False
+
+    def at_stop(self) -> bool:
+        """Whether the next token ends the part being read: the end of
+        the text or a bar in ``stops``."""
+        return self.tokens[self.i].kind == "end" or self.i in self.stops
+
+    def fail(self, message: str, t: Token | None = None):
+        """Raise a ParseError at t, by default the next token."""
+        t = t or self.peek()
+        raise ParseError(f"{message}, found {t.text or 'end'!r}", t.pos)
 
     def formula(self) -> Formula:
         f = self.implication()
-        while self.peek().kind == "iff":
-            self.take()
+        while self.skip("iff"):
             g = self.implication()
             f = And(Imp(f, g), Imp(g, f))
         return f
 
     def implication(self) -> Formula:
         f = self.disjunction()
-        if self.peek().kind == "imp":
-            self.take()
+        if self.skip("imp"):
             return Imp(f, self.implication())
         return f
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
-        while self.peek().kind == "or":
+        while self.peek().kind == "or" and self.i not in self.stops:
             self.take()
             f = Or(f, self.conjunction())
         return f
 
     def conjunction(self) -> Formula:
         f = self.unary()
-        while self.peek().kind == "and":
-            self.take()
+        while self.skip("and"):
             f = And(f, self.unary())
         return f
 
     def unary(self) -> Formula:
-        t = self.peek()
-        if t.kind == "neg":
-            self.take()
-            return neg(self.unary())
-        if t.kind == "box":
-            self.take()
-            return Box(self.unary())
-        if t.kind == "dia":
-            self.take()
-            return dia(self.unary())
-        if t.kind == "true":
-            self.take()
-            return TOP
-        if t.kind == "false":
-            self.take()
-            return BOTTOM
+        t = self.take()
+        if t.kind in _PREFIX:
+            return _PREFIX[t.kind](self.unary())
+        if t.kind in _CONSTANTS:
+            return _CONSTANTS[t.kind]
         if t.kind == "ident":
-            self.take()
             return Atom(t.text)
         if t.kind == "lparen":
-            self.take()
             f = self.formula()
-            self.expect("rparen")
+            if not self.skip("rparen"):
+                self.fail("expected ')'")
             return f
-        raise ParseError(f"expected a formula, found {t.text or 'end'!r}", t.pos)
-
-
-def parse_formula_tokens(tokens: list[Token]) -> Formula:
-    """Parse a token slice that must hold exactly one formula."""
-    if not tokens or tokens[-1].kind != "end":
-        tokens = list(tokens) + [Token("end", "", tokens[-1].pos + 1 if tokens else 0)]
-    p = _FormulaParser(tokens)
-    f = p.formula()
-    leftover = p.peek()
-    if leftover.kind != "end":
-        raise ParseError(f"unexpected {leftover.text!r} after formula", leftover.pos)
-    return f
+        self.fail("expected a formula", t)
 
 
 def parse(text: str) -> Formula:
+    p = Parser(tokenize(text))
     try:
-        return parse_formula_tokens(tokenize(text))
+        f = p.formula()
     except RecursionError:
         raise ParseError("nested too deeply", 0) from None
+    if not p.at_stop():
+        t = p.peek()
+        raise ParseError(f"unexpected {t.text!r} after formula", t.pos)
+    return f
 
 
 def to_text(f: Formula) -> str:

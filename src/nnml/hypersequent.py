@@ -11,6 +11,17 @@ commas, blocks written ``<A, B>``, and the two sides split by ``=>``.
 Disjunctions rendered inside a sequent are parenthesized so that the
 component separator stays unambiguous.
 
+The reader is the formula parser (``formula.Parser``), told which bars
+separate components. The tokens are cut at each ``|`` outside
+parentheses and blocks, where a ``<`` opens a block only at the start of
+an antecedent item: at the start of the text, or after ``,``, ``|`` or
+``=>``. A cut separates components exactly when ``=>`` stands both in
+the segment after it and in some segment before it; any other ``|`` is
+a disjunction, so ``=> p | q | r => p`` has the components ``=> p | q``
+and ``r => p``. One function then reads each component: antecedent
+formulas and blocks, ``=>``, and the succedent formulas, each formula up
+to the next comma, ``=>`` or separating bar.
+
 Blocks, sequents and hypersequents are interned like formulas (see
 ``formula.Syntax``), so equal ones are one object. What is derived
 from a block or sequent is kept on it. A sequent's
@@ -37,11 +48,12 @@ from .formula import (
     ParseError,
     Box,
     Syntax,
+    Parser,
     Token,
     TOP,
     derived,
     node_count,
-    parse_formula_tokens,
+    parse,
     sort_key,
     syntax,
     tokenize,
@@ -211,105 +223,90 @@ def render_hypersequent(h: Hypersequent) -> str:
     return " | ".join([s._text for s in h.components])
 
 
-def _split_top_level(tokens: list[Token], kind: str) -> list[list[Token]]:
-    """Split a token list on a delimiter kind at bracket depth zero.
-
-    Parentheses always nest. An angle bracket opens a block only at the
-    start of an antecedent item, which keeps it distinct from the ``<->``
-    and ``<>`` operators the lexer already folded into single tokens.
-    """
-    parts: list[list[Token]] = [[]]
-    depth = 0
-    block_depth = 0
-    prev_kind = None
-    for t in tokens:
-        if t.kind == "end":
-            continue
-        if t.kind == "lparen":
+def _separators(tokens: list[Token]) -> set[int]:
+    """The indices of the ``|`` tokens that separate components (see the
+    module docstring)."""
+    depth = blocks = 0
+    prev = "comma"  # a block may open at the start
+    bars: list[int] = []
+    arrows = [False]  # whether each segment between cuts has a =>
+    for i, t in enumerate(tokens):
+        kind = t.kind
+        if kind == "lparen":
             depth += 1
-        elif t.kind == "rparen":
+        elif kind == "rparen":
             depth -= 1
-        elif t.kind == "langle" and prev_kind in (None, "comma", "or", "seq"):
-            block_depth += 1
-        elif t.kind == "rangle" and block_depth > 0:
-            block_depth -= 1
-        elif t.kind == kind and depth == 0 and block_depth == 0:
-            parts.append([])
-            prev_kind = t.kind
-            continue
-        parts[-1].append(t)
-        prev_kind = t.kind
-    return parts
+        elif kind == "langle" and prev in ("comma", "or", "seq"):
+            blocks += 1
+        elif kind == "rangle" and blocks:
+            blocks -= 1
+        elif kind == "or" and not depth and not blocks:
+            bars.append(i)
+            arrows.append(False)
+        elif kind == "seq":
+            arrows[-1] = True
+        prev = kind
+    first = arrows.index(True) if True in arrows else len(bars)
+    return {bar for n, bar in enumerate(bars) if n >= first and arrows[n + 1]}
 
 
-def _has_kind(tokens: list[Token], kind: str) -> bool:
-    return any(t.kind == kind for t in tokens)
+def _items(p: Parser, read) -> list:
+    """The comma-separated items of one side, each read by ``read``; none
+    when the side is empty."""
+    if p.at_stop() or p.peek().kind == "seq":
+        return []
+    items = [read(p)]
+    while p.skip("comma"):
+        items.append(read(p))
+    return items
 
 
-def _parse_block(tokens: list[Token]) -> Block:
-    if not tokens or tokens[0].kind != "langle" or tokens[-1].kind != "rangle":
-        raise ParseError("malformed block", tokens[0].pos if tokens else 0)
-    inner = tokens[1:-1]
-    if not inner:
-        raise ParseError("blocks are nonempty", tokens[0].pos)
-    members = [parse_formula_tokens(part) for part in _split_top_level(inner, "comma")]
+def _antecedent_item(p: Parser) -> Formula | Block:
+    if not p.skip("langle"):
+        return p.formula()
+    if p.peek().kind == "rangle":
+        raise ParseError("blocks are nonempty", p.peek().pos)
+    members = [p.formula()]
+    while p.skip("comma"):
+        members.append(p.formula())
+    if not p.skip("rangle"):
+        raise ParseError("malformed block", p.peek().pos)
     return Block.of(members)
 
 
-def parse_sequent_tokens(tokens: list[Token]) -> Sequent:
-    sides = _split_top_level(tokens, "seq")
-    if len(sides) != 2:
-        pos = tokens[0].pos if tokens else 0
-        raise ParseError("a sequent needs exactly one =>", pos)
-    ante_toks, succ_toks = sides
-    left: list[Formula] = []
-    blocks: list[Block] = []
-    if any(t.kind != "end" for t in ante_toks):
-        for item in _split_top_level(ante_toks, "comma"):
-            if item and item[0].kind == "langle":
-                blocks.append(_parse_block(item))
-            else:
-                left.append(parse_formula_tokens(item))
-    right: list[Formula] = []
-    if any(t.kind != "end" for t in succ_toks):
-        right = [parse_formula_tokens(part) for part in _split_top_level(succ_toks, "comma")]
-    return Sequent.of(left, blocks, right)
+def _component(p: Parser) -> Sequent:
+    """One component: antecedent formulas and blocks, ``=>``, then the
+    succedent formulas, up to the end or a separating ``|``."""
+    ante = _items(p, _antecedent_item)
+    if not p.skip("seq"):
+        if p.at_stop():
+            raise ParseError("not a sequent (missing =>)", p.peek().pos)
+        p.fail("expected ',' or '=>'")
+    right = _items(p, Parser.formula)
+    if not p.at_stop():
+        if p.peek().kind == "seq":
+            raise ParseError("a sequent needs exactly one =>", p.peek().pos)
+        p.fail("expected ',' or '|'")
+    left = [f for f in ante if not isinstance(f, Block)]
+    return Sequent.of(left, [b for b in ante if isinstance(b, Block)], right)
 
 
 def parse_hypersequent(text: str) -> Hypersequent:
-    """Parse hypersequent notation.
-
-    Segments between top-level ``|`` that contain no ``=>`` belong to a
-    neighbouring component (they are disjuncts of a formula), so they are
-    rejoined before the per-component parse.
-    """
+    """Parse hypersequent notation (see the module docstring)."""
     tokens = tokenize(text)
-    segments = _split_top_level(tokens, "or")
-    merged: list[list[Token]] = []
-    pending: list[Token] | None = None
-    for seg in segments:
-        if pending is not None:
-            seg = pending + [Token("or", "|", seg[0].pos if seg else 0)] + seg
-            pending = None
-        if _has_kind(seg, "seq"):
-            merged.append(seg)
-        elif merged:
-            merged[-1] = merged[-1] + [Token("or", "|", seg[0].pos if seg else 0)] + seg
-        else:
-            pending = seg
-    if pending is not None or not merged:
-        raise ParseError("not a sequent (missing =>)", 0)
-    return Hypersequent.of([parse_sequent_tokens(seg) for seg in merged])
+    p = Parser(tokens, _separators(tokens))
+    try:
+        components = [_component(p)]
+        while p.skip("or"):  # a separator: _component stops only there
+            components.append(_component(p))
+    except RecursionError:
+        raise ParseError("nested too deeply", 0) from None
+    return Hypersequent.of(components)
 
 
 def parse_input(text: str) -> Hypersequent:
     """Accept either hypersequent notation or a bare formula ``f``, the
     latter read as the single-component sequent ``=> f``."""
     if "=>" not in text:
-        from .formula import parse
-
         return Hypersequent.of([Sequent.of((), (), (parse(text),))])
-    try:
-        return parse_hypersequent(text)
-    except RecursionError:
-        raise ParseError("nested too deeply", 0) from None
+    return parse_hypersequent(text)

@@ -11,7 +11,8 @@ letters T, P, D and/or a graded suffix like ``D3+``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,60 +96,26 @@ class LogicNameError(ValueError):
     pass
 
 
+# A base, longest first, then suffixes; each suffix at most once.
+_NAME = re.compile(r"(ECN|MCN|EC|EN|MC|MN|E|M|K)((?:T|P|D\d+\+|D)*)")
+_SUFFIX = re.compile(r"T|P|D(\d+)\+|D")
+
+
 def parse_logic_name(text: str) -> LogicSpec:
     """Resolve a short name like ``MCNT`` or ``ED3+`` to a LogicSpec."""
-    name = text.strip()
-    base = None
-    for candidate in sorted(_BASES, key=len, reverse=True):
-        if name.startswith(candidate):
-            base = candidate
-            break
-    if base is None:
+    m = _NAME.fullmatch(text.strip())
+    if m is None:
         raise LogicNameError(f"unrecognized logic name {text!r}")
-    spec = _BASES[base]
-    rest = name[len(base):]
-    has_t = has_p = has_d = False
-    dplus: int | None = None
-    i = 0
-    while i < len(rest):
-        c = rest[i]
-        if c == "T":
-            if has_t:
-                raise LogicNameError(f"duplicate suffix T in {text!r}")
-            has_t = True
-            i += 1
-        elif c == "P":
-            if has_p:
-                raise LogicNameError(f"duplicate suffix P in {text!r}")
-            has_p = True
-            i += 1
-        elif c == "D":
-            j = i + 1
-            while j < len(rest) and rest[j].isdigit():
-                j += 1
-            if j > i + 1 and j < len(rest) and rest[j] == "+":
-                if dplus is not None:
-                    raise LogicNameError(f"duplicate graded suffix in {text!r}")
-                dplus = int(rest[i + 1:j])
-                if dplus < 1:
-                    raise LogicNameError(f"graded suffix needs n >= 1 in {text!r}")
-                i = j + 1
-            else:
-                if has_d:
-                    raise LogicNameError(f"duplicate suffix D in {text!r}")
-                has_d = True
-                i += 1
-        else:
-            raise LogicNameError(f"unrecognized suffix {rest[i:]!r} in {text!r}")
-    return LogicSpec(
-        monotonic=spec.monotonic,
-        has_c=spec.has_c,
-        has_n=spec.has_n,
-        has_t=has_t,
-        has_p=has_p,
-        has_d=has_d,
-        dplus=dplus,
-    )
+    suffixes: dict[str, str | None] = {}
+    for s in _SUFFIX.finditer(m[2]):
+        name = "Dn+" if s[1] else s[0]
+        if name in suffixes:
+            raise LogicNameError(f"duplicate suffix {name} in {text!r}")
+        suffixes[name] = s[1]
+    dplus = int(suffixes["Dn+"]) if "Dn+" in suffixes else None
+    if dplus == 0:
+        raise LogicNameError(f"graded suffix needs n >= 1 in {text!r}")
+    return replace(_BASES[m[1]], has_t="T" in suffixes, has_p="P" in suffixes, has_d="D" in suffixes, dplus=dplus)
 
 
 def canonical_name(l: LogicSpec) -> str:
