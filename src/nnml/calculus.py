@@ -41,8 +41,7 @@ component, or the component it creates. The rest is read off the entry:
   first time a sequent and rule group are asked for, their moves are
   made, and one search's ``Moves`` table keeps them for every later ask.
   ``lean_premiss`` builds one premiss from a move, already normal
-  (``normalize``), when lean search reaches it; the instance's key, read
-  off the move, tells which premiss sets were tried;
+  (``normalize``), when lean search reaches it;
 - the propositional rules and BoxL stay invertible in the deleting
   reading, and their entries say so (``RuleDef.commits``). The
   cumulative rule is invertible, so each cumulative premiss of a
@@ -329,9 +328,12 @@ def rule_groups(l: LogicSpec, lean: bool = False) -> tuple[tuple[RuleDef, ...], 
     """The logic's rules in strategy order, as groups (see ``_ORDER``).
 
     The lean procedure has no N: every component carries the verum block
-    N would add.
+    N would add. With P, D1+ is left out: its instances are P's, with the
+    same premisses, after them in the order.
     """
     rules = rule_set(l) - {RULE_N} if lean else rule_set(l)
+    if l.has_p:
+        rules -= {dn_plus(1)}
     groups = [tuple(_TABLE[r] for r in group if r in rules) for group in _ORDER]
     arities = sorted(r.arity for r in rules if r.name == "DnPlus")
     groups += [(_graded(arity),) for arity in arities]
@@ -524,8 +526,8 @@ class Moves(dict):
 
 def lean_premisses(seqs: tuple[Sequent, ...], moves: Moves) -> Iterator[tuple]:
     """The principal-deleting instances of a normal hypersequent, given
-    as its sequence of components, in strategy order, as ``(j, base, new,
-    key)``: every instance up to the first one of a rule that commits,
+    as its sequence of components, in strategy order, as ``(j, base,
+    new)``: every instance up to the first one of a rule that commits,
     which ends them (see the module docstring), or every instance when
     there is none.
 
@@ -534,10 +536,10 @@ def lean_premisses(seqs: tuple[Sequent, ...], moves: Moves) -> Iterator[tuple]:
     ``base`` is what the principal's component keeps and ``new`` the
     component each premiss adds; for the others ``base`` is None and each
     premiss replaces the component by its item of ``new``.
-    ``lean_premiss`` builds each premiss from them. Every premiss of an
-    instance shares its component and base, so ``key``, that is ``(j,
-    base, new sorted by id)``, is equal for two instances exactly when
-    their premiss sets are.
+    ``lean_premiss`` builds each premiss from them. Two instances of one
+    goal never have the same move: distinct principals leave distinct
+    bases, and the one rule whose instances repeat another's, D1+ beside
+    P, is left out of the lean groups (``rule_groups``).
 
     A move depends on the sequent alone. So the first time a (sequent,
     group) pair is asked for, its moves are made, in the order of
@@ -556,12 +558,12 @@ def lean_premisses(seqs: tuple[Sequent, ...], moves: Moves) -> Iterator[tuple]:
                 for rd, principal in _principals(s, group):
                     base = _without_principal(rd, s, principal)
                     new = _new_sequents(rd, base, rd.schema(*principal), fresh)
-                    entry.append((base if rd.spawns else None, new, new if len(new) == 1 else tuple(sorted(new, key=id))))
+                    entry.append((base if rd.spawns else None, new))
                     if commits:
                         break
                 entry = row[gi] = tuple(entry)
-            for base, new, by_id in entry:
-                yield j, base, new, (j, base, by_id)
+            for base, new in entry:
+                yield j, base, new
             if commits and entry:
                 return
 

@@ -227,13 +227,13 @@ def _verify_countermodel(m, leaf: Hypersequent, l: LogicSpec) -> None:
 
 def _fine_formulas(root: Hypersequent, l: LogicSpec):
     """The formulas the fine standard model must agree on: the subformulas
-    of the goal."""
+    of what the goal asserts, each block read as its boxed conjunction,
+    as ``_verify_countermodel`` reads it."""
     pool = []
     for s in root.components:
         pool.extend(s.left)
         pool.extend(s.right)
-        for b in s.blocks:
-            pool.extend(b.members)
+        pool.extend(Box(conjunction(b.members)) for b in s.blocks)
     if l.has_n:
         # box true holds everywhere in the bi model, which has N,
         # so every world's neighbourhoods then hold the world set.

@@ -649,6 +649,19 @@ def _worlds(x, what: str) -> list[int]:
     return x
 
 
+def _world(key: str) -> int:
+    """The world a key names, which must be the decimal an int prints as:
+    ``int`` alone takes whitespace, ``_`` and other scripts' digits, and
+    lets two spellings of one world overwrite each other."""
+    try:
+        w = int(key)
+    except ValueError:
+        w = None
+    if str(w) != key:
+        raise ValueError(f"world key {key!r} is not an integer as JSON prints it")
+    return w
+
+
 def _mapped(x, what: str) -> dict:
     if not isinstance(x, dict):
         raise ValueError(f"{what} must be an object, not {type(x).__name__}")
@@ -666,7 +679,7 @@ def model_from_dict(data: dict) -> Model:
     }
     if "bi" in data:
         nbhd = {
-            int(w): [
+            _world(w): [
                 (_worlds(p["plus"], "plus"), _worlds(p["minus"], "minus"))
                 for p in _listed(pairs, f"neighbourhoods of {w}")
             ]
@@ -675,7 +688,7 @@ def model_from_dict(data: dict) -> Model:
         return BiModel.make(worlds, valuation, nbhd)
     if "standard" in data:
         nbhd = {
-            int(w): [_worlds(a, "neighbourhood") for a in _listed(sets, f"neighbourhoods of {w}")]
+            _world(w): [_worlds(a, "neighbourhood") for a in _listed(sets, f"neighbourhoods of {w}")]
             for w, sets in _mapped(data["standard"], "standard").items()
         }
         return StandardModel.make(worlds, valuation, nbhd)
@@ -685,7 +698,7 @@ def model_from_dict(data: dict) -> Model:
             worlds,
             _worlds(rel.get("non_normal", []), "non_normal"),
             {
-                int(w): _worlds(v, f"edges of {w}")
+                _world(w): _worlds(v, f"edges of {w}")
                 for w, v in _mapped(rel.get("edges", {}), "edges").items()
             },
             valuation,

@@ -21,8 +21,8 @@ scan of every goal.
 The lean mode takes the deleting reading: principals leave the
 premisses, which keeps hypersequents polynomially small but loses the
 invertibility of T, C and the rules that create components. So the loop
-backtracks over the instances of a goal, in the same strategy order, and
-skips instances whose premisses it has already tried. The propositional
+backtracks over the instances of a goal, in the same strategy order. No
+two instances of a goal have the same premisses. The propositional
 rules and BoxL stay invertible, so a goal with an instance of one of
 them has that instance alone: ``calculus.lean_premisses`` yields nothing
 after it. It works on normalized goals (``calculus.normalize``),
@@ -152,18 +152,17 @@ class _Frame:
     components, ``premisses`` holds the new sequents of the instance's
     move and ``inst`` its position and base (see
     ``calculus.lean_premisses``), ``rest`` yields the instances not yet
-    tried, ``tried`` holds their keys, and ``lowest`` is the lowest stack
-    depth a cycle cut under the goal pointed at. In invertible mode
+    tried, and ``lowest`` is the lowest stack depth a cycle cut under the
+    goal pointed at. In invertible mode
     ``rest`` is the resume point of the instance, where the scan of each
     premiss starts (see ``calculus._candidates``)."""
 
-    __slots__ = ("h", "inst", "premisses", "proved", "rest", "tried", "lowest")
+    __slots__ = ("h", "inst", "premisses", "proved", "rest", "lowest")
 
     def __init__(self, h, inst: RuleInstance | tuple[int, Sequent | None] | None, rest):
         self.h, self.inst, self.rest = h, inst, rest
         self.premisses = None if inst is None else inst.premisses
         self.proved: list = []
-        self.tried: set[tuple] = set()
         self.lowest = _NO_CUT
 
 
@@ -180,11 +179,8 @@ def _search(
     and the memo and the ancestors are keyed by it. Only the root is
     normalized: the loop builds each premiss normal, and only when it
     reaches it (``calculus.lean_premiss``), so no premiss after a failed
-    one is built. An instance is skipped when its key, (component
-    position, base, new sequents), is in ``tried``; the key is read off
-    the instance's move, before any premiss is built. Moves come from
-    ``moves``, the move table of this search, which goes when the search
-    returns, like the memo.
+    one is built. Moves come from ``moves``, the move table of this
+    search, which goes when the search returns, like the memo.
     """
     visited = 0
     memo: dict[tuple[Sequent, ...], bool] = {}
@@ -249,12 +245,10 @@ def _search(
                         goal, after = fr.premisses[len(fr.proved)], fr.rest
                     break
             else:
-                for j, base, new, key in fr.rest:
-                    if key not in fr.tried:
-                        fr.tried.add(key)
-                        fr.inst, fr.premisses, fr.proved = (j, base), new, []
-                        goal = lean_premiss(fr.h, j, base, new[0])
-                        break
+                for j, base, new in fr.rest:
+                    fr.inst, fr.premisses, fr.proved = (j, base), new, []
+                    goal = lean_premiss(fr.h, j, base, new[0])
+                    break
                 if fr.premisses is not None:
                     break
             # Every premiss is proved, or (lean) every instance failed.
@@ -319,12 +313,8 @@ def prove_unkleened(
 
     Premisses come normal and are built only when the search reaches
     them; each sequent's moves are made the first time they are asked
-    for and kept in a table that goes when the search returns. An
-    instance is skipped when an earlier one of the same goal had the
-    same key: the position of the principal's component, the base a
-    component-creating rule leaves there, and the new sequents sorted by
-    ``id``. Equal keys mean equal premiss sets. With ``stats``, lean
-    search also counts memo hits and cycle cuts.
+    for and kept in a table that goes when the search returns. With
+    ``stats``, lean search also counts memo hits and cycle cuts.
     """
     if l.has_n:
         h = Hypersequent(tuple(s.adding(blocks=(_TOP_BLOCK,)) for s in h.components))

@@ -53,6 +53,7 @@ from nnml.logic import (
     TOP_R,
     dn_plus,
     parse_logic_name,
+    rule_set,
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -359,9 +360,9 @@ class TestResumedScan:
 def check_lean_premisses(seqs, logic):
     """The premisses lean search builds, normal and one at a time, equal
     the normalized premisses of each deleting instance built in full, up
-    to and including the first instance of a rule that commits, and the
-    instances' keys are equal exactly when those full premiss sets are.
-    Returns the keys."""
+    to and including the first instance of a rule that commits, and no
+    two instances have the same move, so none repeats another's
+    premisses. Returns the moves."""
     h = Hypersequent.of(seqs)
     fresh = (Block.of((TOP,)),) if logic.has_n else ()
     built, expected = [], []
@@ -380,11 +381,9 @@ def check_lean_premisses(seqs, logic):
     passes = [*map(list, zip(*steps)), list(lean_premisses(seqs, moves))]
     assert all(entry is None or type(entry) is tuple for row in moves.values() for entry in row)
     for instances in passes:
-        assert [tuple(lean_premiss(seqs, j, base, s) for s in new) for j, base, new, _ in instances] == expected
-    keys = [key for _, _, _, key in passes[0]]
-    full = [tuple(sorted(prems, key=id)) for prems in built]
-    assert len(set(keys)) == len(set(full)) == len(set(zip(keys, full)))
-    return keys
+        assert [tuple(lean_premiss(seqs, j, base, s) for s in new) for j, base, new in instances] == expected
+    assert len(set(passes[0])) == len(passes[0]) == len(set(map(frozenset, built)))
+    return passes[0]
 
 
 class TestLeanPremisses:
@@ -402,14 +401,15 @@ class TestLeanPremisses:
             ("<p>, <q, r>, <p, q>, <r> =>", ED2, False),
             # AndL turns the first component into a copy of the second.
             ("p & q => | p, q =>", E, False),
-            # P and D1+ on <p> both leave the base => q and add the
-            # component p =>, so their keys and premiss sets are equal.
+            # P and D1+ on <p> would both leave the base => q and add the
+            # component p =>, so the lean groups leave D1+ out.
             ("<p> => q", MDP, True),
         ],
     )
     def test_match_on_instances_that_share_new_sequents(self, text, logic, repeats):
-        keys = check_lean_premisses(normalize(hs(text).components), logic)
-        assert (len(set(keys)) < len(keys)) == repeats
+        check_lean_premisses(normalize(hs(text).components), logic)
+        lean = {rd.rule for group in rule_groups(logic, lean=True) for rd in group}
+        assert (dn_plus(1) in rule_set(logic) and dn_plus(1) not in lean) == repeats
 
     def test_commit_to_the_first_instance_of_an_invertible_rule(self):
         # The first component has no principal of the first group; AndL
@@ -417,7 +417,7 @@ class TestLeanPremisses:
         # other principals and every later group are never asked for.
         seqs = normalize(hs("p & q, r | s => p -> q | box p => q & r").components)
         moves = Moves(E)
-        ((j, base, new, _),) = lean_premisses(seqs, moves)
+        ((j, base, new),) = lean_premisses(seqs, moves)
         assert render_hypersequent(Hypersequent(lean_premiss(seqs, j, base, *new))) == (
             "p, q, (r | s) => p -> q | box p => q & r"
         )

@@ -13,7 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import _extend
 from nnml.cli import _dumps, main
+from nnml.formula import Atom, TOP
+from nnml.hypersequent import Block, Hypersequent, Sequent, render_hypersequent
 from nnml.models import BiModel, model_from_dict, model_to_dict
 
 AXIOM_M = "box (p & q) -> box p"
@@ -152,6 +155,24 @@ class TestProve:
         for w in fine.worlds:
             sets = fine.neighbourhoods(w)
             assert {a & b for a in sets for b in sets} <= sets
+
+    @pytest.mark.parametrize("goal, logic", [
+        ("<p> =>", "E"), ("<p, q> =>", "E"), ("<p, q> =>", "M"), ("<p, q> =>", "EN"), ("<p, q> =>", "K"),
+    ])
+    def test_standard_fine_agrees_on_blocks(self, capsys, goal, logic):
+        # Each exited 3: the fine model agreed on a block's members, but
+        # the check reads the block as the box of their conjunction.
+        code, out, err = run(
+            capsys, "prove", goal, "--logic", logic, "--model", "standard-fine", "--output", "json"
+        )
+        assert (code, err) == (1, "")
+        assert "standard-fine" in json.loads(out)["countermodels"]
+
+    def test_standard_fine_of_a_deep_formula(self, capsys):
+        # This exited 2: the subformula closure recursed once a level.
+        goal = "box " + "~" * 400 + "p"
+        code, _, err = run(capsys, "prove", goal, "--logic", "E", "--model", "standard-fine")
+        assert (code, err) == (1, "")
 
     def test_world_cap_is_a_usage_error(self, capsys):
         code, _, err = run(
@@ -394,10 +415,16 @@ class TestCheckModel:
         {"worlds": [1], "valuation": {"p": [1.0]}, "standard": {}},
         {"worlds": [1, 2], "standard": {"1": [[True]]}},
         {"worlds": [1, 2], "bi": {"1": [{"plus": [], "minus": [2.0]}]}},
+        {"worlds": [1, 10], "standard": {" 1_0 ": [[1]], "\u0661": [[10]]}},
+        {"worlds": [1], "standard": {"01": [[1]]}},
+        {"worlds": [1], "bi": {"\u0661": []}},
+        {"worlds": [1, 2], "relational": {"edges": {" 1": [2]}}},
     ])
     def test_anything_but_a_list_of_worlds_is_rejected(self, capsys, tmp_path, data):
         # A string of digits used to load as the worlds it spells, 1.5 and
-        # true as world 1, and 1e400 (infinity) raised OverflowError.
+        # true as world 1, and 1e400 (infinity) raised OverflowError. A
+        # world key read with int() took " 1_0 " as 10, an Arabic-Indic
+        # one as 1, and "01" as 1 too.
         path = self.write_model(tmp_path, data)
         code, out, err = run(capsys, "check-model", path, "p", "--logic", "MCNP")
         assert (code, out) == (2, "")
@@ -428,6 +455,14 @@ class TestCheckModel:
 
 
 class TestTranslate:
+    @pytest.mark.parametrize("goal", ["p & q -> p & q", "(p -> q) -> (p -> q)", "p | q -> p | q"])
+    def test_derivation_with_a_compound_leaf(self, capsys, goal):
+        # Search closes p & q => p & q and its kind by Init on the
+        # compound; the labelled derivation must take it apart to close.
+        code, out, err = run(capsys, "translate", goal, "--logic", "E", "--derive", "--output", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["outcome"] == "proved"
+
     def test_static_translation(self, capsys):
         code, out, _ = run(capsys, "translate", "p => q", "--logic", "E")
         assert code == 0
@@ -474,6 +509,69 @@ class TestTranslate:
             assert out.startswith("[L-and]") and err == ""
         else:
             assert (out, err) == ("", "error: derivation nested too deeply to translate\n")
+
+
+# Goal texts of at most 10 tokens: the notation's marks and words, a
+# non-ASCII letter and digit, an uppercase word, NUL and a newline.
+_PIECES = ["p", "q", "box", "dia", "true", "false", "~", "&", "|", "->", "<->", "<>", "=>", "[]",
+           "(", ")", ",", "<", ">", "\u00e9", "\u0661", "P", "\x00", "\n"]
+# Well-formed goals of one or two components, with blocks, half the time.
+_goal_formulas = st.recursive(st.sampled_from([Atom("p"), Atom("q"), TOP]), _extend, max_leaves=3)
+_components = st.tuples(
+    st.lists(_goal_formulas, max_size=2),
+    st.lists(st.lists(_goal_formulas, min_size=1, max_size=2).map(Block.of), max_size=2),
+    st.lists(_goal_formulas, max_size=2),
+).map(lambda sides: Sequent.of(*sides))
+fuzz_texts = st.lists(st.sampled_from(_PIECES), max_size=10).flatmap(
+    lambda pieces: st.sampled_from([" ", ""]).map(lambda sep: sep.join(pieces))
+) | st.lists(_components, min_size=1, max_size=2).map(lambda cs: render_hypersequent(Hypersequent.of(cs)))
+fuzz_logics = st.sampled_from(["E", "M", "EC", "EN", "ECN", "K", "MT", "EP", "ED", "MD", "ED2+", "MCNTPD2+"]) | st.text(
+    "EMCNKTPD0123+ \u0661\u00b2", max_size=6
+)
+
+
+@st.composite
+def fuzz_argvs(draw, model_file: str) -> list[str]:
+    command = draw(st.sampled_from(["prove", "translate", "check-model"]))
+    text = draw(fuzz_texts)
+    argv = [command, model_file, text] if command == "check-model" else [command, text]
+    argv += ["--logic", draw(fuzz_logics), "--output", draw(st.sampled_from(["text", "json"]))]
+    if command != "check-model" and draw(st.booleans()):
+        argv += ["--budget", str(draw(st.integers(-1, 2000)))]
+    if command == "prove":
+        argv += ["--mode", draw(st.sampled_from(["invertible", "unkleened"]))]
+        for kind in draw(st.lists(st.sampled_from(["bi", "standard-fine", "standard-rough", "relational"]), max_size=2)):
+            argv += ["--model", kind]
+        argv += ["--rough-cap", str(draw(st.integers(0, 8)))]
+    if command == "translate" and draw(st.booleans()):
+        argv.append("--derive")
+    return argv
+
+
+class TestFuzz:
+    @given(st.data())
+    @settings(max_examples=400)
+    def test_any_call_exits_with_a_documented_code(self, tmp_path_factory, data):
+        # Exit 3 would be a countermodel or proof that failed its own
+        # check; a traceback, input the CLI does not handle.
+        model_file = tmp_path_factory.getbasetemp() / "fuzz-model.json"
+        if not model_file.exists():
+            model_file.write_text(json.dumps(PAPER_MODEL))
+        argv = data.draw(fuzz_argvs(str(model_file)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse's usage errors, such as a text read as a flag
+                code = e.code
+        assert code in (0, 1, 2, 4), err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+        elif argv[0] == "translate" and "--derive" in argv and code == 1:
+            # Left as it is: perfbench/verify.py reads this line.
+            assert out.getvalue() == "refuted: no derivation to translate\n"
+        elif "json" in argv:
+            json.loads(out.getvalue())
 
 
 class TestRepeatedCalls:

@@ -26,8 +26,9 @@ from nnml.labelled import (
     translate_derivation,
     translate_hypersequent,
 )
-from nnml.logic import parse_logic_name
-from nnml.search import Proved, prove
+from nnml.calculus import build_premisses
+from nnml.logic import AND_L, AND_R, IMP_L, IMP_R, INIT, OR_L, OR_R, parse_logic_name
+from nnml.search import Derivation, Proved, check_derivation, prove
 
 p, q = Atom("p"), Atom("q")
 
@@ -241,6 +242,51 @@ class TestDerivationTranslation:
         report = check_labelled(ld, logic)
         assert report.ok, report.reason
         assert ld.conclusion == translate_hypersequent(parse_input(to_text(f)), logic)
+
+
+def compound_leaf_derivation(text: str, rules) -> Derivation:
+    """A derivation of a one-component goal ``f => f`` that applies each
+    rule in turn to f on every branch, then closes each leaf with Init
+    on f."""
+    h = parse_hypersequent(text)
+    (f,) = h.component(1).left
+
+    def build(h, rules):
+        if not rules:
+            return Derivation(h, INIT, 1, (f,), ())
+        premisses = build_premisses(h, rules[0], 1, (f,))
+        return Derivation(h, rules[0], 1, (f,), tuple(build(g, rules[1:]) for g in premisses))
+
+    return build(h, rules)
+
+
+class TestCompoundLeaves:
+    """Init closes a leaf on a compound formula; its labelled translation
+    closes it by the formula's rules."""
+
+    @pytest.mark.parametrize("text", ["p & q -> p & q", "(p -> q) -> (p -> q)", "p | q -> p | q", "~p -> ~p"])
+    def test_leaves_search_closes_on_a_compound(self, text):
+        out = prove(parse_input(text), E)
+        assert isinstance(out, Proved)
+        leaf = out.derivation.children[0]
+        assert leaf.rule == INIT and not isinstance(leaf.principal[0], Atom)
+        ld = translate_derivation(out.derivation, E)
+        report = check_labelled(ld, E)
+        assert report.ok, report.reason
+
+    @pytest.mark.parametrize(
+        "text, rules",
+        [("p | q => p | q", (OR_L, OR_R)), ("p -> q => p -> q", (IMP_L, IMP_R)), ("p & q => p & q", (AND_L, AND_R))],
+    )
+    def test_leaves_after_both_rules_on_the_compound(self, text, rules):
+        # Both rules have taken the compound apart before the leaf, so
+        # closing it chooses a side by what still supports it.
+        d = compound_leaf_derivation(text, rules)
+        assert check_derivation(d, E)
+        ld = translate_derivation(d, E)
+        report = check_labelled(ld, E)
+        assert report.ok, report.reason
+        assert ld.conclusion == translate_hypersequent(d.conclusion, E)
 
 
 class TestChecker:

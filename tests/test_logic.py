@@ -53,7 +53,7 @@ class TestNames:
         assert parse_logic_name("ECD").has_c
         assert parse_logic_name("ECD").has_d
 
-    @pytest.mark.parametrize("bad", ["", "X", "EE", "ETT", "EDD", "ED0+", "EZ", "e"])
+    @pytest.mark.parametrize("bad", ["", "X", "EE", "ETT", "EDD", "ED0+", "EZ", "e", "ED\u00b2+"])
     def test_bad_names_raise(self, bad):
         with pytest.raises(LogicNameError):
             parse_logic_name(bad)
