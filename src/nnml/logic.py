@@ -106,7 +106,7 @@ def parse_logic_name(text: str) -> LogicSpec:
     m = _NAME.fullmatch(text.strip())
     if m is None:
         raise LogicNameError(f"unrecognized logic name {text!r}")
-    suffixes: dict[str, str | None] = {}
+    suffixes: dict[str, str] = {}  # each suffix, Dn+ for a graded one, and its n
     for s in _SUFFIX.finditer(m[2]):
         name = "Dn+" if s[1] else s[0]
         if name in suffixes:
@@ -115,7 +115,9 @@ def parse_logic_name(text: str) -> LogicSpec:
     dplus = int(suffixes["Dn+"]) if "Dn+" in suffixes else None
     if dplus == 0:
         raise LogicNameError(f"graded suffix needs n >= 1 in {text!r}")
-    return replace(_BASES[m[1]], has_t="T" in suffixes, has_p="P" in suffixes, has_d="D" in suffixes, dplus=dplus)
+    return replace(
+        _BASES[m[1]], has_t="T" in suffixes, has_p="P" in suffixes, has_d="D" in suffixes, dplus=dplus
+    )
 
 
 def canonical_name(l: LogicSpec) -> str:

@@ -654,12 +654,11 @@ def _world(key: str) -> int:
     ``int`` alone takes whitespace, ``_`` and other scripts' digits, and
     lets two spellings of one world overwrite each other."""
     try:
-        w = int(key)
+        if str(w := int(key)) == key:
+            return w
     except ValueError:
-        w = None
-    if str(w) != key:
-        raise ValueError(f"world key {key!r} is not an integer as JSON prints it")
-    return w
+        pass
+    raise ValueError(f"world key {key!r} is not an integer as JSON prints it")
 
 
 def _mapped(x, what: str) -> dict:
