@@ -13,10 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _extend
 from nnml.cli import _dumps, main
-from nnml.formula import Atom, TOP
-from nnml.hypersequent import Block, Hypersequent, Sequent, render_hypersequent
 from nnml.models import BiModel, model_from_dict, model_to_dict
 
 AXIOM_M = "box (p & q) -> box p"
@@ -512,19 +509,20 @@ class TestTranslate:
 
 
 # Goal texts of at most 10 tokens: the notation's marks and words, a
-# non-ASCII letter and digit, an uppercase word, NUL and a newline.
+# non-ASCII letter and digit, an uppercase word, NUL and a newline; or,
+# half the time, well-formed goals of one or two components with blocks.
 _PIECES = ["p", "q", "box", "dia", "true", "false", "~", "&", "|", "->", "<->", "<>", "=>", "[]",
            "(", ")", ",", "<", ">", "\u00e9", "\u0661", "P", "\x00", "\n"]
-# Well-formed goals of one or two components, with blocks, half the time.
-_goal_formulas = st.recursive(st.sampled_from([Atom("p"), Atom("q"), TOP]), _extend, max_leaves=3)
-_components = st.tuples(
-    st.lists(_goal_formulas, max_size=2),
-    st.lists(st.lists(_goal_formulas, min_size=1, max_size=2).map(Block.of), max_size=2),
-    st.lists(_goal_formulas, max_size=2),
-).map(lambda sides: Sequent.of(*sides))
+_ITEMS = st.sampled_from(["p", "q", "true", "box p", "p & q", "(p | q)", "p -> q", "~box q"])
+_components = st.builds(
+    lambda left, blocks, right: f"{', '.join(left + blocks)} => {', '.join(right)}",
+    st.lists(_ITEMS, max_size=2),
+    st.lists(st.lists(_ITEMS, min_size=1, max_size=2).map(lambda b: f"<{', '.join(b)}>"), max_size=2),
+    st.lists(_ITEMS, max_size=2),
+)
 fuzz_texts = st.lists(st.sampled_from(_PIECES), max_size=10).flatmap(
     lambda pieces: st.sampled_from([" ", ""]).map(lambda sep: sep.join(pieces))
-) | st.lists(_components, min_size=1, max_size=2).map(lambda cs: render_hypersequent(Hypersequent.of(cs)))
+) | st.lists(_components, min_size=1, max_size=2).map(" | ".join)
 fuzz_logics = st.sampled_from(["E", "M", "EC", "EN", "ECN", "K", "MT", "EP", "ED", "MD", "ED2+", "MCNTPD2+"]) | st.text(
     "EMCNKTPD0123+ \u0661\u00b2", max_size=6
 )

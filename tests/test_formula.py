@@ -1,5 +1,7 @@
 """Formula syntax: parsing, printing, measures, and the structural order."""
 
+import re
+
 import pytest
 from hypothesis import given
 
@@ -86,6 +88,24 @@ class TestParse:
         assert parse("(" * 150 + "p" + ")" * 150) == p
         with pytest.raises(ParseError, match="nested too deeply"):
             parse("(" * 200 + "p" + ")" * 200)
+
+    def test_non_ascii_letters_digits_and_whitespace(self):
+        assert parse("p\u0661 &\u3000q_\u00e9") == And(Atom("p\u0661"), Atom("q_\u00e9"))
+        assert parse("\u2003p\u00a0\n") == p
+        for bad, position in (("\u0661p", 0), ("p & \u00b2", 4), ("p &\x00 q", 3), ("_p", 0)):
+            with pytest.raises(ParseError, match="unexpected character") as err:
+                parse(bad)
+            assert err.value.position == position
+        with pytest.raises(ParseError, match="lowercase"):
+            parse("\u00c9")
+
+    def test_word_and_space_characters_are_those_of_str(self):
+        # The lexer's pattern reads words by \w and skips \s; in every
+        # script these are the characters str.isalnum (or _) and
+        # str.isspace accept.
+        chars = "".join(map(chr, range(0x110000)))
+        assert re.findall(r"\w", chars) == [c for c in chars if c.isalnum() or c == "_"]
+        assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
 
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError) as err:

@@ -2,6 +2,7 @@
 interning they share with formulas."""
 
 import gc
+import re
 import weakref
 
 import pytest
@@ -164,6 +165,24 @@ class TestNotation:
     def test_malformed_notation_raises(self, bad):
         with pytest.raises(ParseError):
             parse_hypersequent(bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("p", "missing =>"),
+            ("p | q", "missing =>"),
+            ("p => q => r", "exactly one =>"),
+            ("=> p | q => r => s", "exactly one =>"),
+            ("< > => p", "blocks are nonempty"),
+            ("<p, q => r", "malformed block"),
+            ("<p q> =>", "malformed block"),
+            ("p ) => q", "expected ',' or '=>'"),
+        ],
+    )
+    def test_malformed_notation_messages(self, bad, message):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_hypersequent(bad)
+        assert not re.search(r"\b(seq|langle|rangle|lparen|rparen|comma|ident)\b", str(err.value))
 
     @given(rngs)
     def test_round_trip(self, rng):
