@@ -15,7 +15,10 @@ search may visit. Each command builds one payload, which ``--output
 json`` prints as JSON and ``--output text`` as lines read off it. The
 JSON is indented two spaces a level, as ``json.dumps(payload, indent=2)``
 would print it, but written without recursion, so a proof tree of any
-depth prints; every formula and sequent text in it was made once.
+depth prints; every formula and sequent text in it was made once. Each
+countermodel goes into the payload already written, as the text of
+``model_to_json``, which the writer splices in at its indent and text
+output prints as it is.
 
 Exit codes are a stable contract: 0 proved, 1 refuted, 2 usage or parse
 error, 3 internal verification failure, 4 budget exceeded. Input nested
@@ -47,6 +50,9 @@ from .labelled import (
     translate_hypersequent,
 )
 from .logic import LogicNameError, LogicSpec, canonical_name, parse_logic_name
+# ``force`` and ``model_to_dict`` are not called here, but stay names of
+# this module: the benchmark's tracer (perfbench/spans.py) times each
+# layer by wrapping the functions this module names, these among them.
 from .models import (
     check_conditions,
     conditions_ok,
@@ -55,8 +61,10 @@ from .models import (
     force,
     model_from_dict,
     model_to_dict,
+    model_to_json,
     standard_from_bi_fine,
     standard_from_bi_rough,
+    truth_masks,
     truth_set,
 )
 from .search import (
@@ -117,13 +125,20 @@ _SCALARS = {
 }
 
 
+class _Fragment(str):
+    """JSON text that ``_dumps`` writes where it sits: text printed as
+    ``json.dumps(value, indent=2)`` prints a value at the top level."""
+
+
 def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2)`` for dicts with str keys, lists, str,
-    int, bool and None, written without recursion.
+    int, bool, None and fragments, written without recursion.
 
     A stack holds the open containers. The scalar items of a container are
-    written in one inner loop, and a list of only ints or only strings in
-    one join, since payloads are mostly proof trees and models.
+    written in one inner loop. A ``_Fragment``, such as a countermodel's
+    text, is written as the value it prints: indented to its place by
+    putting that place's indent after each of its newlines. That is
+    exact, since ASCII-escaped JSON holds no newline inside a string.
     """
     out: list[str] = []
     # Each open container: its items not yet written, whether it is a dict,
@@ -140,21 +155,18 @@ def _dumps(obj) -> str:
             pad += "  "
             continue
         if t is list and value:
-            inner = pad + "  "
-            head = type(value[0])
-            if (head is int or head is str) and all(type(v) is head for v in value):
-                out.append("[" + inner + ("," + inner).join(map(_SCALARS[head], value)) + pad + "]")
-            else:
-                items = iter(value)
-                value = next(items)
-                out.append("[" + inner)
-                stack.append((items, False, "," + inner, pad + "]"))
-                pad = inner
-                continue
-        elif t is dict:
+            items = iter(value)
+            value = next(items)
+            out.append("[" + pad + "  ")
+            stack.append((items, False, "," + pad + "  ", pad + "]"))
+            pad += "  "
+            continue
+        if t is dict:
             out.append("{}")
         elif t is list:
             out.append("[]")
+        elif t is _Fragment:
+            out.append(value.replace("\n", pad))
         elif t in _SCALARS:
             out.append(_SCALARS[t](value))
         else:
@@ -218,10 +230,16 @@ def _verify_countermodel(m, leaf: Hypersequent, l: LogicSpec) -> None:
         bad = [k for k, (status, _) in report.items() if status == "fail"]
         raise InternalError(f"extracted model fails frame conditions: {', '.join(bad)}")
     # Formula by formula: the one formula a wide sequent asserts nests as
-    # deep as the sequent is wide.
-    for w, s in enumerate(leaf.components, 1):
-        holds = [*s.left, *(Box(conjunction(b.members)) for b in s.blocks)]
-        if not all(force(m, w, f) for f in holds) or any(force(m, w, f) for f in s.right):
+    # deep as the sequent is wide. All of them are evaluated together, so
+    # that subformulas the components share are evaluated once.
+    tests = [
+        (w, [*s.left, *(Box(conjunction(b.members)) for b in s.blocks)], s.right)
+        for w, s in enumerate(leaf.components, 1)
+    ]
+    masks = truth_masks(m, [f for _, holds, fails in tests for f in (*holds, *fails)])
+    for w, holds, fails in tests:
+        here = m.bit[w]
+        if not all(masks[f] & here for f in holds) or any(masks[f] & here for f in fails):
             raise InternalError(f"extracted model does not falsify component {w} at world {w}")
 
 
@@ -243,21 +261,21 @@ def _fine_formulas(root: Hypersequent, l: LogicSpec):
 
 def _countermodels(outcome: Refuted, root: Hypersequent, l: LogicSpec, kinds, rough_cap: int) -> dict:
     """Build and verify the bi countermodel and every other requested kind;
-    each goes out as its dict."""
+    each goes out as its JSON text, a fragment of the payload."""
     leaf = outcome.leaf
     bi = extract_bi_countermodel(leaf, l)
     _verify_countermodel(bi, leaf, l)
     out = {}
     for kind in dict.fromkeys(kinds if "bi" in kinds else ["bi", *kinds]):
         if kind == "bi":
-            out[kind] = model_to_dict(bi)
+            out[kind] = _Fragment(model_to_json(bi))
             continue
         if kind == "relational":
             if not l.regular:
                 raise CliError("relational countermodels need a regular logic (M and C)")
             m = extract_relational_countermodel(leaf, l)
             _verify_countermodel(m, leaf, l)
-            out[kind] = model_to_dict(m)
+            out[kind] = _Fragment(model_to_json(m))
             continue
         try:
             if kind == "standard-rough":
@@ -270,7 +288,7 @@ def _countermodels(outcome: Refuted, root: Hypersequent, l: LogicSpec, kinds, ro
         except ValueError as e:
             raise CliError(f"{kind} countermodel: {e}; --rough-cap sets the cap") from None
         _verify_countermodel(m, leaf, l)
-        out[kind] = model_to_dict(m)
+        out[kind] = _Fragment(model_to_json(m))
     return out
 
 
@@ -280,7 +298,7 @@ def _refuted_text(p: dict) -> str:
         f"saturated leaf: {p['saturated_leaf']}",
     ]
     for kind, m in p["countermodels"].items():
-        lines += [f"countermodel [{kind}]:", _dumps(m)]
+        lines += [f"countermodel [{kind}]:", m]
     return "\n".join(lines)
 
 

@@ -17,14 +17,18 @@ are masks (``&``, ``|``, ``full ^ a | b``), a bi-neighbourhood pair is
 two, a standard neighbourhood one, and so are a world's relational
 successors; the transformations pass masks on unchanged. ``key`` orders
 masks as their sets are reported, by size and then members ascending.
-``members`` decodes a mask, only where a set leaves the module: in
-``truth_set``, in the witness of a failed frame check, and in
-``model_to_dict``. Valuations and non-normal worlds keep the frozensets
-they are given; a model derives its atoms' masks once, when it is built.
+``members`` decodes a mask, only where a set leaves the module as a
+set: in ``truth_set`` and in the witness of a failed frame check. A
+model's payload leaves it as JSON text, which ``model_to_json`` writes
+from the masks through tables of the same 8-world chunks already
+written as text; ``model_to_dict`` reads that text back. Valuations and
+non-normal worlds keep the frozensets they are given; a model derives
+its atoms' masks once, when it is built.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -36,6 +40,8 @@ from .formula import BOTTOM, TOP, And, Atom, Box, Formula, Imp, Or, operands, so
 from .hypersequent import Hypersequent, block_sets, left_set, right_set
 from .logic import LogicSpec
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
 
 class UnknownWorldError(ValueError):
     pass
@@ -43,13 +49,14 @@ class UnknownWorldError(ValueError):
 
 @lru_cache(maxsize=32)
 def _layout(worlds: frozenset[int]) -> tuple:
-    """The worlds ascending, each world's bit by its rank, and the one
-    decoder, from a mask to its worlds ascending. The decoder reads the
-    mask 8 bits at a time, from the top, through one table per 8 bits:
-    from their value to their worlds. The top 8 may be fewer.
-    Countermodels number their worlds from 1, so most calls share a few
-    world sets and the layouts are kept for the last 32. Every model of
-    the same worlds shares one layout; nothing writes to it."""
+    """The worlds ascending, each world's bit by its rank, the one
+    decoder, from a mask to its worlds ascending, and the list writers
+    of ``_list_writer`` at depths 2, 3 and 4. The decoder reads the mask
+    8 bits at a time, from the top, through one table per 8 bits: from
+    their value to their worlds. The top 8 may be fewer. Countermodels
+    number their worlds from 1, so most calls share a few world sets and
+    the layouts are kept for the last 32. Every model of the same worlds
+    shares one layout; nothing writes to it."""
     order = tuple(sorted(worlds))
     n = len(order)
     chunks = []
@@ -68,7 +75,32 @@ def _layout(worlds: frozenset[int]) -> tuple:
             out += table[mask >> low & 255]
         return out
 
-    return order, {w: 1 << (n - 1 - i) for i, w in enumerate(order)}, members
+    bit = {w: 1 << (n - 1 - i) for i, w in enumerate(order)}
+    return order, bit, members, tuple(_list_writer(chunks, depth) for depth in (2, 3, 4))
+
+
+def _list_writer(chunks: list, depth: int) -> Callable[[int], str]:
+    """From a mask to the JSON text of its worlds as a list at ``depth``
+    in a payload that ``json.dumps(..., indent=2)`` prints. It reads the
+    mask as the decoder does, through tables of the chunks' worlds as
+    text, each world led by the separator; a list's text is the chunks'
+    text with its first comma dropped. A model's payload has lists of
+    worlds at depth 2 (valuations and non-normal worlds), 3 (standard
+    neighbourhoods and relational successors) and 4 (bi bounds)."""
+    sep = ",\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth + "]"
+    texts = [(low, ["".join([sep + str(w) for w in ws]) for ws in table]) for low, table in chunks]
+    if len(texts) == 1:
+        # At most 8 worlds: one lookup gives the whole list.
+        return ["[" + t[1:] + close if t else "[]" for t in texts[0][1]].__getitem__
+
+    def write(mask: int) -> str:
+        t = ""
+        for low, table in texts:
+            t += table[mask >> low & 255]
+        return "[" + t[1:] + close if t else "[]"
+
+    return write
 
 
 def _mask(bit: dict[int, int], ws) -> int:
@@ -105,19 +137,22 @@ def _made(ws: frozenset[int], valuation: dict, entries: dict, encode, unknown: s
 class _Ranked:
     """What every kind of model derives from its ``worlds`` and
     ``valuation``: the rank layout from ``_layout`` (``order``, the worlds
-    ascending; ``bit``, each world's bit; and ``members``, the one
-    decoder, from a mask to its worlds ascending), and ``atoms``, the
-    mask of each atom's worlds."""
+    ascending; ``bit``, each world's bit; ``members``, the one decoder,
+    from a mask to its worlds ascending; and ``lists``, the writers from
+    a mask to its worlds' JSON text at depths 2, 3 and 4), and ``atoms``,
+    the mask of each atom's worlds."""
 
     order: tuple[int, ...] = field(init=False, compare=False, repr=False)
     bit: dict[int, int] = field(init=False, compare=False, repr=False)
     members: Callable[[int], list[int]] = field(init=False, compare=False, repr=False)
+    lists: tuple[Callable[[int], str], ...] = field(init=False, compare=False, repr=False)
     atoms: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        order, bit, members = _layout(self.worlds)
+        order, bit, members, lists = _layout(self.worlds)
         atoms = {a: sum(map(bit.__getitem__, ws)) for a, ws in self.valuation.items()}
-        for name, value in zip(("order", "bit", "members", "atoms"), (order, bit, members, atoms)):
+        names = ("order", "bit", "members", "lists", "atoms")
+        for name, value in zip(names, (order, bit, members, lists, atoms)):
             object.__setattr__(self, name, value)
 
     @property
@@ -229,17 +264,23 @@ def force(m: Model, w: int, f: Formula) -> bool:
 
 
 def _truth_mask(m: Model, f: Formula) -> int:
-    """The mask of the worlds of m where f holds.
+    """The mask of the worlds of m where f holds."""
+    return truth_masks(m, (f,))[f]
+
+
+def truth_masks(m: Model, formulas) -> dict[Formula, int]:
+    """The mask of the worlds of m where each formula holds, keyed by
+    formula, with every subformula's among them.
 
     Subformulas are evaluated bottom-up from an explicit stack, each
-    distinct one once (formulas are interned, so the memo is keyed by
-    identity), so a deep formula needs no recursion. A compound formula
-    whose operands are not yet evaluated goes back on the stack under
-    them.
+    distinct one once, however many of the formulas share it (formulas
+    are interned, so the memo is keyed by identity), so a deep formula
+    needs no recursion. A compound formula whose operands are not yet
+    evaluated goes back on the stack under them.
     """
     full = m.full
     memo: dict[Formula, int] = {TOP: full, BOTTOM: 0}
-    stack = [f]
+    stack = list(formulas)
     while stack:
         g = stack.pop()
         if g in memo:
@@ -267,7 +308,7 @@ def _truth_mask(m: Model, f: Formula) -> int:
                 memo[g] = full ^ a | b
         else:
             raise TypeError(f"not a formula: {g!r}")
-    return memo[f]
+    return memo
 
 
 _BINARY = (And, Or, Imp)
@@ -605,31 +646,59 @@ def standard_from_bi_fine(
 # --- serialization ----------------------------------------------------------
 
 
-def model_to_dict(m: Model) -> dict:
-    members = m.members
-    base = {
-        "worlds": list(m.order),
-        "valuation": {a: sorted(ws) for a, ws in sorted(m.valuation.items())},
-    }
+def _joined(items: list[str], depth: int, brackets: str = "{}") -> str:
+    """A JSON object, or with ``brackets="[]"`` a list, at ``depth`` whose
+    items are already text, as ``json.dumps(..., indent=2)`` prints it."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * depth
+    return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
+
+
+def model_to_json(m: Model) -> str:
+    """The payload of m as JSON text, as ``json.dumps(payload, indent=2)``
+    prints it at the top level: ``worlds``, ``valuation`` (each atom's
+    worlds, atoms sorted), then ``bi``, ``standard`` or ``relational``,
+    each keyed by world in ascending order. Bi pairs and standard
+    neighbourhoods go in ``key`` order, bi pairs by plus then minus.
+
+    This is the one definition of the payload's shape: ``model_to_dict``
+    reads it back, and ``model_from_dict`` reads the same shape. Every
+    set of worlds in it is one call of a writer of ``lists`` on a mask."""
+    at_two, at_three, at_four = m.lists
+    key = m.key
+    valuation = _joined([_ESCAPE(a) + ": " + at_two(v) for a, v in sorted(m.atoms.items())], 1)
+    out = ['{\n  "worlds": ', _joined(list(map(str, m.order)), 1, "[]"), ',\n  "valuation": ', valuation]
+    if isinstance(m, RelationalModel):
+        edges = _joined([f'"{w}": ' + at_three(r) for w, r in sorted(m.relation.items())], 2)
+        relational = ['"non_normal": ' + at_two(_mask(m.bit, m.non_normal)), '"edges": ' + edges]
+        out += [',\n  "relational": ', _joined(relational, 1), "\n}"]
+        return "".join(out)
     if isinstance(m, BiModel):
-        base["bi"] = {
-            str(w): [
-                {"plus": members(a), "minus": members(b)}
-                for a, b in sorted(pairs, key=lambda p: (m.key(p[0]), m.key(p[1])))
-            ]
-            for w, pairs in sorted(m.nbhd.items())
-        }
-    elif isinstance(m, StandardModel):
-        base["standard"] = {
-            str(w): [members(a) for a in sorted(ns, key=m.key)]
-            for w, ns in sorted(m.nbhd.items())
-        }
+        out.append(',\n  "bi": ')
+
+        def listed(pairs) -> list[str]:
+            ordered = sorted(pairs, key=lambda p: (key(p[0]), key(p[1])))
+            return [_joined(['"plus": ' + at_four(a), '"minus": ' + at_four(b)], 3) for a, b in ordered]
     else:
-        base["relational"] = {
-            "non_normal": sorted(m.non_normal),
-            "edges": {str(w): members(r) for w, r in sorted(m.relation.items())},
-        }
-    return base
+        out.append(',\n  "standard": ')
+
+        def listed(ns) -> list[str]:
+            return list(map(at_three, sorted(ns, key=key)))
+
+    # The worlds' lists are most of the text: each goes straight into the
+    # one join of the whole, not into an object's text first.
+    sep = "{\n    "
+    for w, x in sorted(m.nbhd.items()):
+        out += (sep, f'"{w}": ', _joined(listed(x), 2, "[]"))
+        sep = ",\n    "
+    out.append("\n  }\n}" if m.nbhd else "{}\n}")
+    return "".join(out)
+
+
+def model_to_dict(m: Model) -> dict:
+    """The payload of m, read back from ``model_to_json``."""
+    return json.loads(model_to_json(m))
 
 
 def _listed(x, what: str) -> list:
@@ -668,7 +737,7 @@ def _mapped(x, what: str) -> dict:
 
 
 def model_from_dict(data: dict) -> Model:
-    """The model of a payload in the form ``model_to_dict`` writes, read
+    """The model of a payload in the form ``model_to_json`` writes, read
     from JSON: every list and object in it must be one."""
     data = _mapped(data, "model")
     worlds = _worlds(data["worlds"], "worlds")

@@ -13,8 +13,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nnml.cli import _dumps, main
-from nnml.models import BiModel, model_from_dict, model_to_dict
+from nnml.cli import InternalError, _Fragment, _dumps, _verify_countermodel, main
+from nnml.hypersequent import parse_input
+from nnml.logic import parse_logic_name
+from nnml.models import BiModel, extract_bi_countermodel, model_from_dict, model_to_dict
+from nnml.search import prove
 
 AXIOM_M = "box (p & q) -> box p"
 AXIOM_K = "box (p -> q) -> (box p -> box q)"
@@ -310,8 +313,20 @@ class TestJsonWriter:
 
     @given(st.lists(st.integers(-3, 3) | st.booleans(), min_size=1))
     def test_bools_among_ints_stay_json_literals(self, value):
-        # bool is a subclass of int, so an int fast path must not take them.
+        # bool is a subclass of int, yet prints as a JSON literal.
         assert _dumps(value) == json.dumps(value, indent=2)
+
+    @given(json_values, json_values)
+    def test_fragments_are_spliced_in_place(self, value, other):
+        # A fragment is the top-level text of its value; nested at any
+        # depth it prints as the value would, an escaped newline included.
+        for v in (value, {"line": "a\nb", "more": [other, "\n"]}):
+            fragment = _Fragment(json.dumps(v, indent=2))
+            spliced = {"a": fragment, "b": [fragment, [other, {"c": fragment}]], "d": {"e": [[fragment]]}}
+            plain = {"a": v, "b": [v, [other, {"c": v}]], "d": {"e": [[v]]}}
+            assert _dumps(spliced) == json.dumps(plain, indent=2)
+            assert _dumps([fragment]) == json.dumps([v], indent=2)
+            assert _dumps(fragment) == fragment
 
     def test_nesting_deeper_than_the_recursion_limit(self):
         value = []
@@ -320,6 +335,40 @@ class TestJsonWriter:
         text = _dumps(value)
         assert text.count("{") == 3 * sys.getrecursionlimit()
         assert text.endswith("\n}")
+
+
+class TestVerifyCountermodel:
+    """Each world must force its component's antecedent and blocks and
+    none of its succedent; the first component that fails is reported."""
+
+    # The leaf <p>, t => q | r => s and its countermodel: t holds at
+    # world 1 and r at world 2, and world 1's one pair (∅, ∅) makes every
+    # box hold there.
+    GOAL = "<p>, t => q | r => s"
+    GOOD = ({"r": [2], "t": [1]}, {1: [((), ())]})
+
+    def check(self, valuation, nbhd):
+        e = parse_logic_name("E")
+        leaf = prove(parse_input(self.GOAL), e).leaf
+        assert extract_bi_countermodel(leaf, e) == BiModel.make([1, 2], *self.GOOD)
+        _verify_countermodel(BiModel.make([1, 2], valuation, nbhd), leaf, e)
+
+    def test_the_extracted_model_passes(self):
+        self.check(*self.GOOD)
+
+    @pytest.mark.parametrize(
+        "valuation, nbhd, world",
+        [
+            ({"r": [2], "t": [1]}, {1: []}, 1),  # the block <p> fails at world 1
+            ({"r": [2]}, GOOD[1], 1),  # t, on the left, fails at world 1
+            ({"r": [2], "t": [1], "q": [1]}, GOOD[1], 1),  # q, on the right, holds at world 1
+            ({"t": [1]}, GOOD[1], 2),  # r, on the left, fails at world 2
+            ({"r": [2], "t": [1], "s": [2]}, GOOD[1], 2),  # s, on the right, holds at world 2
+        ],
+    )
+    def test_a_model_that_does_not_falsify_fails(self, valuation, nbhd, world):
+        with pytest.raises(InternalError, match=f"falsify component {world} at world {world}$"):
+            self.check(valuation, nbhd)
 
 
 class TestCheckModel:

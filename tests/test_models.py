@@ -1,5 +1,7 @@
 """Forcing, frame conditions, countermodel extraction, transformations."""
 
+import dataclasses
+import json
 import random
 from itertools import combinations
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rngs
+from nnml.cli import _Fragment, _dumps
 from nnml.formula import Atom, Box, BOTTOM, TOP, And, Imp, Or, parse, subformula_closure, to_text
 from nnml.gen import random_bi_model, random_formula, random_standard_model
 from nnml.hypersequent import interpret, parse_hypersequent, parse_input
@@ -24,6 +27,7 @@ from nnml.models import (
     force,
     model_from_dict,
     model_to_dict,
+    model_to_json,
     standard_from_bi_fine,
     standard_from_bi_rough,
     truth_set,
@@ -724,6 +728,96 @@ class TestStandardFromBiFine:
         out = standard_from_bi_fine(mono, s, supplement=True)
         for g in s:
             assert truth_set(out, g) == truth_set(mono, g)
+
+
+# An independent oracle for the payload: the dict a model's JSON text
+# must print, built value by value and written by ``json.dumps``.
+
+
+def _oracle_model_dict(m) -> dict:
+    members = m.members
+    base = {
+        "worlds": list(m.order),
+        "valuation": {a: sorted(ws) for a, ws in sorted(m.valuation.items())},
+    }
+    if isinstance(m, BiModel):
+        base["bi"] = {
+            str(w): [
+                {"plus": members(a), "minus": members(b)}
+                for a, b in sorted(pairs, key=lambda p: (m.key(p[0]), m.key(p[1])))
+            ]
+            for w, pairs in sorted(m.nbhd.items())
+        }
+    elif isinstance(m, StandardModel):
+        base["standard"] = {
+            str(w): [members(a) for a in sorted(ns, key=m.key)]
+            for w, ns in sorted(m.nbhd.items())
+        }
+    else:
+        base["relational"] = {
+            "non_normal": sorted(m.non_normal),
+            "edges": {str(w): members(r) for w, r in sorted(m.relation.items())},
+        }
+    return base
+
+
+@st.composite
+def sparse_models(draw, max_worlds=20):
+    """A bi, standard or relational model on distinct world numbers, some
+    negative, with as many as 20 worlds, so that the 8- and 16-world
+    chunk boundaries are crossed. Valuations, sets and entries may be
+    empty, atom names need escaping, and some worlds have no entry."""
+    n = draw(st.integers(0, max_worlds))
+    ws = draw(st.lists(st.integers(-60, 1000), min_size=n, max_size=n, unique=True))
+    sets = st.lists(st.sampled_from(ws), unique=True) if ws else st.just([])
+    valuation = draw(st.dictionaries(st.sampled_from(["p", "q", "r1", "\u00e9", "a\nb"]), sets, max_size=3))
+    kind = draw(st.sampled_from(["bi", "standard", "relational"]))
+    given_entries = draw(st.lists(st.sampled_from(ws), unique=True)) if ws else []
+    if kind == "bi":
+        entries = {w: draw(st.lists(st.tuples(sets, sets), max_size=3)) for w in given_entries}
+        m = BiModel.make(ws, valuation, entries)
+    elif kind == "standard":
+        entries = {w: draw(st.lists(sets, max_size=6)) for w in given_entries}
+        m = StandardModel.make(ws, valuation, entries)
+    else:
+        entries = {w: draw(sets) for w in given_entries}
+        m = RelationalModel.make(ws, draw(sets), entries, valuation)
+    # make gives every world an entry; these worlds lose theirs
+    dropped = set(draw(st.lists(st.sampled_from(ws), unique=True))) if ws else set()
+    field = "relation" if kind == "relational" else "nbhd"
+    kept = {w: x for w, x in getattr(m, field).items() if w not in dropped}
+    return dataclasses.replace(m, **{field: kept})
+
+
+class TestJsonText:
+    """``model_to_json`` prints what ``json.dumps`` prints of the oracle's
+    dict, at the top level and spliced into a payload by ``_dumps``."""
+
+    @given(sparse_models())
+    @settings(max_examples=300)
+    def test_same_text_as_the_oracle(self, m):
+        expected = _oracle_model_dict(m)
+        text = model_to_json(m)
+        assert text == json.dumps(expected, indent=2)
+        assert model_to_dict(m) == expected
+        nested = {"a": {"b": [1, _Fragment(text)], "c": {"d": _Fragment(text)}}, "e": [[_Fragment(text)]]}
+        plain = {"a": {"b": [1, expected], "c": {"d": expected}}, "e": [[expected]]}
+        assert _dumps(nested) == json.dumps(plain, indent=2)
+
+    @pytest.mark.parametrize("kind", ["bi", "standard", "relational"])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 16, 17, 20])
+    def test_every_chunk_boundary(self, kind, n):
+        rng = random.Random(n)
+        ws = rng.sample(range(-60, 1000), n)
+        pick = lambda: [w for w in ws if rng.random() < 0.5]
+        valuation = {"p": pick(), "q": []}
+        if kind == "bi":
+            m = BiModel.make(ws, valuation, {w: [(pick(), pick()), ([], ws)] for w in ws})
+        elif kind == "standard":
+            m = StandardModel.make(ws, valuation, {w: [pick(), pick(), [], ws] for w in ws})
+        else:
+            m = RelationalModel.make(ws, pick(), {w: pick() for w in ws}, valuation)
+        assert model_to_json(m) == json.dumps(_oracle_model_dict(m), indent=2)
 
 
 class TestSerialization:
