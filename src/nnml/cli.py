@@ -40,7 +40,7 @@ import sys
 from functools import cache
 
 from .formula import Box, TOP, parse, subformula_closure, to_text
-from .hypersequent import Hypersequent, conjunction, parse_input, render_hypersequent
+from .hypersequent import Hypersequent, assumptions, parse_input, render_hypersequent
 from .labelled import (
     TranslationError,
     check_labelled,
@@ -232,10 +232,7 @@ def _verify_countermodel(m, leaf: Hypersequent, l: LogicSpec) -> None:
     # Formula by formula: the one formula a wide sequent asserts nests as
     # deep as the sequent is wide. All of them are evaluated together, so
     # that subformulas the components share are evaluated once.
-    tests = [
-        (w, [*s.left, *(Box(conjunction(b.members)) for b in s.blocks)], s.right)
-        for w, s in enumerate(leaf.components, 1)
-    ]
+    tests = [(w, assumptions(s), s.right) for w, s in enumerate(leaf.components, 1)]
     masks = truth_masks(m, [f for _, holds, fails in tests for f in (*holds, *fails)])
     for w, holds, fails in tests:
         here = m.bit[w]
@@ -249,9 +246,8 @@ def _fine_formulas(root: Hypersequent, l: LogicSpec):
     as ``_verify_countermodel`` reads it."""
     pool = []
     for s in root.components:
-        pool.extend(s.left)
+        pool.extend(assumptions(s))
         pool.extend(s.right)
-        pool.extend(Box(conjunction(b.members)) for b in s.blocks)
     if l.has_n:
         # box true holds everywhere in the bi model, which has N,
         # so every world's neighbourhoods then hold the world set.

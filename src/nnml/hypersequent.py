@@ -192,11 +192,16 @@ def disjunction(fs) -> Formula:
     return out
 
 
+def assumptions(s: Sequent) -> list[Formula]:
+    """The formulas a sequent asserts on the left: its left formulas, then
+    each block read as the boxed conjunction of its members."""
+    return [*s.left, *(Box(conjunction(b.members)) for b in s.blocks)]
+
+
 def interpret(s: Sequent) -> Formula:
-    """The formula a sequent asserts: conjoined antecedent (blocks read as
-    boxed conjunctions) implying the disjoined succedent."""
-    ante = list(s.left) + [Box(conjunction(b.members)) for b in s.blocks]
-    return Imp(conjunction(ante), disjunction(s.right))
+    """The formula a sequent asserts: its conjoined assumptions implying
+    the disjoined succedent."""
+    return Imp(conjunction(assumptions(s)), disjunction(s.right))
 
 
 def _item_text(f: Formula) -> str:

@@ -4,12 +4,25 @@ Hypersequent components become labelled worlds, blocks become
 neighbourhood terms: a block's members each get a neighbourhood label
 carrying a universal forcing formula on the left and an existential one
 on the right, and the composite of the labels is paired with the
-component's world. Derivations translate rule by rule; the auxiliary
-unfoldings for the box right rule (one fresh world inside the term, one
-fresh world outside it) are generated on the fly, as are the closing
-steps for leaves whose shared formula is compound. Each labelled step
-takes its premisses from ``_rule_premisses``, the one schema of the
-labelled rules, which the checker audits derivations against.
+component's world.
+
+Every labelled rule is one entry of ``_RULES``, keyed by its name; the
+propositional entries are read off the calculus table
+(``calculus.rule_def``) at the principal's world. An entry gives the
+shape of the rule's principal and the logic flag that admits the rule,
+and, as functions of the principal: the formulas the conclusion must
+hold on each side, as a multiset; the world that must occur, or the
+world or label that must be fresh; the formula the premisses drop; and
+what each premiss adds. An axiom is a rule whose premisses are ``()``.
+One applier, ``_rule_premisses``, reads an entry: it gives an instance's
+premisses, or a string saying why the instance is not legal. The checker
+audits every node with it, so a malformed principal is rejected with a
+reason, and the translation builds every step with it.
+
+Derivations translate rule by rule; the auxiliary unfoldings for the box
+right rule (one fresh world inside the term, one fresh world outside it)
+are generated on the fly, as are the closing steps for leaves whose
+shared formula is compound.
 
 Terms, labelled formulas and labelled sequents are interned like
 formulas (see ``formula.Syntax``), so equal ones are one object, and the
@@ -21,10 +34,11 @@ use, from the texts of its formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
-from .calculus import rule_def
-from .formula import And, Atom, Bottom, Box, Formula, Imp, Or, TOP, Top, sort_key, to_text
+from .calculus import RuleDef, rule_def
+from .formula import And, Atom, BOTTOM, Bottom, Box, Formula, Imp, Or, TOP, Top, sort_key, to_text
 from .formula import Syntax, derived, syntax
 from .hypersequent import Block, Hypersequent, join_sides
 from .logic import (
@@ -172,17 +186,6 @@ class LabelledSequent(Syntax):
     def of(cls, left, right) -> "LabelledSequent":
         return cls(tuple(sorted(left, key=sort_key)), tuple(sorted(right, key=sort_key)))
 
-    def adding(self, left=(), right=()) -> "LabelledSequent":
-        return LabelledSequent.of(self.left + tuple(left), self.right + tuple(right))
-
-    def removing(self, left=(), right=()) -> "LabelledSequent":
-        ls, rs = list(self.left), list(self.right)
-        for f in left:
-            ls.remove(f)
-        for f in right:
-            rs.remove(f)
-        return LabelledSequent(tuple(ls), tuple(rs))
-
 
 @dataclass(frozen=True, slots=True)
 class LabelledDerivation:
@@ -286,8 +289,7 @@ def translate_hypersequent(h: Hypersequent, l: LogicSpec) -> LabelledSequent:
     term the assumption is simply omitted.
     """
     _require_cube(l)
-    s, _, _, _ = _translate_with_context(h)
-    return s
+    return _translate_with_context(h)[0]
 
 
 def _translate_with_context(h: Hypersequent):
@@ -319,27 +321,40 @@ def _translate_with_context(h: Hypersequent):
 
 # --- labelled rules -------------------------------------------------------------
 
+# The kinds of principal item besides formula classes. A term in a
+# principal is always a positive one.
+_WORLD, _LABEL, _TERM = "world", "label", "term"
+_KIND_TYPES = {_WORLD: str, _LABEL: str, _TERM: NbTerm}
 
-def _labels_of_term(t: NbTerm) -> set[str]:
-    return set(t.labels) - {TAU}
 
+@dataclass
+class _Rule:
+    """One labelled rule. ``shape`` gives the kind of each principal item.
+    The functions take the principal's items: ``needs`` gives the formulas
+    the conclusion must hold on each side, named in order by ``left`` and
+    ``right``, and ``premisses`` what each premiss adds on each side. The
+    premisses drop the first formula needed on the side ``drops``.
+    ``gate`` is the ``LogicSpec`` flag that admits the rule, and the rule's
+    title; ``occurs`` and ``fresh`` index the principal's items that must
+    occur in the conclusion and that must not. Not frozen: a frozen slotted
+    dataclass takes about 1 ms more to make, at every import.
+    """
 
-def _occurring(seq: LabelledSequent):
-    worlds: set[str] = set()
-    labels: set[str] = set()
-    for f in seq.left + seq.right:
-        match f:
-            case WorldAt(world, _):
-                worlds.add(world)
-            case MemberOf(world, term):
-                worlds.add(world)
-                labels |= _labels_of_term(term)
-            case PairOf(term, world):
-                worlds.add(world)
-                labels |= _labels_of_term(term)
-            case ForcesAll(term, _) | ForcesEx(term, _):
-                labels |= _labels_of_term(term)
-    return worlds, labels
+    shape: tuple
+    needs: Callable
+    left: tuple[str, ...] = ()
+    right: tuple[str, ...] = ()
+    drops: str | None = None
+    gate: tuple[str, str] | None = None
+    occurs: int | None = None
+    fresh: int | None = None
+    premisses: Callable = lambda *_: ()
+    types: tuple = field(init=False)
+    terms: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        self.types = tuple(_KIND_TYPES.get(k, k) for k in self.shape)
+        self.terms = tuple(i for i, k in enumerate(self.shape) if k == _TERM)
 
 
 # The labelled name of each propositional rule. Its side, connective and
@@ -353,172 +368,175 @@ _PROPOSITIONAL = {
     IMP_L: "L-imp",
     IMP_R: "R-imp",
 }
-_PROPOSITIONAL_DEFS = {name: rule_def(rule) for rule, name in _PROPOSITIONAL.items()}
-_RULE_FOR = {(rd.side, rd.connective): name for name, rd in _PROPOSITIONAL_DEFS.items()}
-_CONNECTIVE_NAMES = {And: "conjunction", Or: "disjunction", Imp: "implication"}
+_RULE_FOR = {(rule_def(rule).side, rule_def(rule).connective): name for rule, name in _PROPOSITIONAL.items()}
 
 
-def _rule_premisses(rule: str, p: tuple, seq: LabelledSequent, l: LogicSpec | None = None):
+def _propositional(rd: RuleDef) -> _Rule:
+    def needs(x, f):
+        principal = (WorldAt(x, f),)
+        return (principal, ()) if rd.side == "left" else ((), principal)
+
+    def premisses(x, f):
+        return [
+            (tuple([WorldAt(x, g) for g in prem.left]), tuple([WorldAt(x, g) for g in prem.right]))
+            for prem in rd.schema(f)
+        ]
+
+    names = {rd.side: ("the principal formula",)}
+    return _Rule((_WORLD, rd.connective), needs, **names, drops=rd.side, premisses=premisses)
+
+
+def _box_left(x: str, f: Box, a: str):
+    t = NbTerm.of((a,))
+    return (((PairOf(t, x), ForcesAll(t, f.body)), (ForcesEx(t.negated(), f.body),)),)
+
+
+_RULES: dict[str, _Rule] = {
+    **{name: _propositional(rule_def(rule)) for rule, name in _PROPOSITIONAL.items()},
+    "init": _Rule(
+        (_WORLD, Atom), lambda x, f: ((WorldAt(x, f),), (WorldAt(x, f),)), ("the atom",), ("the atom",)
+    ),
+    "L-bot": _Rule((_WORLD,), lambda x: ((WorldAt(x, BOTTOM),), ()), ("falsum",)),
+    "R-top": _Rule((_WORLD,), lambda x: ((), (WorldAt(x, TOP),)), right=("verum",)),
+    "M": _Rule(
+        (_TERM, _WORLD, _WORLD),
+        lambda t, x, y: ((PairOf(t, x), MemberOf(y, t.negated())), ()),
+        ("the term pairing", "the outside membership"),
+        gate=("monotonic", "the monotonicity axiom"),
+    ),
+    "tau-empty": _Rule((_WORLD,), lambda x: ((MemberOf(x, TAU_TERM.negated()),), ()), ("the membership",)),
+    "L-box": _Rule(
+        (_WORLD, Box, _LABEL),
+        lambda x, f, a: ((WorldAt(x, f),), ()),
+        ("the principal formula",),
+        drops="left",
+        fresh=2,
+        premisses=_box_left,
+    ),
+    "R-box": _Rule(
+        (_TERM, _WORLD, Box),
+        lambda t, x, f: ((PairOf(t, x),), (WorldAt(x, f),)),
+        ("the term pairing",),
+        ("the boxed formula",),
+        premisses=lambda t, x, f: (((), (ForcesAll(t, f.body),)), ((ForcesEx(t.negated(), f.body),), ())),
+    ),
+    "N": _Rule(
+        (_WORLD,),
+        lambda x: ((), ()),
+        gate=("has_n", "the verum term rule"),
+        occurs=0,
+        premisses=lambda x: (((PairOf(TAU_TERM, x),), ()),),
+    ),
+    "C": _Rule(
+        (_TERM, _TERM, _WORLD),
+        lambda t, s, x: ((PairOf(t, x), PairOf(s, x)), ()),
+        ("the first pairing", "the second pairing"),
+        gate=("has_c", "the term merge rule"),
+        premisses=lambda t, s, x: (((PairOf(t.merged(s), x),), ()),),
+    ),
+    "L-forall": _Rule(
+        (_WORLD, _TERM, Formula),
+        lambda x, t, f: ((MemberOf(x, t), ForcesAll(t, f)), ()),
+        ("the membership", "the universal forcing"),
+        premisses=lambda x, t, f: (((WorldAt(x, f),), ()),),
+    ),
+    "R-forall": _Rule(
+        (_TERM, Formula, _WORLD),
+        lambda t, f, y: ((), (ForcesAll(t, f),)),
+        right=("the universal forcing",),
+        drops="right",
+        fresh=2,
+        premisses=lambda t, f, y: (((MemberOf(y, t),), (WorldAt(y, f),)),),
+    ),
+    "L-exists": _Rule(
+        (_TERM, Formula, _WORLD),
+        lambda t, f, y: ((ForcesEx(t.negated(), f),), ()),
+        ("the existential forcing",),
+        drops="left",
+        fresh=2,
+        premisses=lambda t, f, y: (((MemberOf(y, t.negated()), WorldAt(y, f)), ()),),
+    ),
+    "R-exists": _Rule(
+        (_WORLD, _TERM, Formula),
+        lambda x, t, f: ((MemberOf(x, t.negated()),), (ForcesEx(t.negated(), f),)),
+        ("the membership",),
+        ("the existential forcing",),
+        premisses=lambda x, t, f: (((), (WorldAt(x, f),)),),
+    ),
+    "dec": _Rule(
+        (_WORLD, _TERM, _TERM),
+        lambda x, t, s: ((MemberOf(x, t.merged(s)),), ()),
+        ("the composite membership",),
+        premisses=lambda x, t, s: (((MemberOf(x, t), MemberOf(x, s)), ()),),
+    ),
+    "dec-bar": _Rule(
+        (_WORLD, _TERM, _TERM),
+        lambda x, t, s: ((MemberOf(x, t.merged(s).negated()),), ()),
+        ("the composite membership",),
+        premisses=lambda x, t, s: (((MemberOf(x, t.negated()),), ()), ((MemberOf(x, s.negated()),), ())),
+    ),
+}
+
+
+def _occurring(seq: LabelledSequent) -> tuple[set[str], set[str]]:
+    """The worlds of seq, and its labels with the verum constant, which is
+    never fresh."""
+    worlds: set[str] = set()
+    labels = {TAU}
+    for f in seq.left + seq.right:
+        match f:
+            case WorldAt(world, _):
+                worlds.add(world)
+            case MemberOf(world, term) | PairOf(term, world):
+                worlds.add(world)
+                labels.update(term.labels)
+            case ForcesAll(term, _) | ForcesEx(term, _):
+                labels.update(term.labels)
+    return worlds, labels
+
+
+def _dropping(side: tuple, f: LabelledFormula) -> tuple:
+    i = side.index(f)
+    return side[:i] + side[i + 1 :]
+
+
+def _rule_premisses(name: str, p: tuple, seq: LabelledSequent, l: LogicSpec | None = None):
     """Premisses of the labelled rule with principal p applied to seq, or a
     string saying why that is not a legal instance.
 
     The checker audits every node with it and the translation builds every
     step with it. With a logic, structural rules it lacks are not legal.
     """
-
-    def need_left(f, what):
-        return None if f in seq.left else f"{what} missing from the left side"
-
-    def need_right(f, what):
-        return None if f in seq.right else f"{what} missing from the right side"
-
-    if rule in _PROPOSITIONAL_DEFS:
-        rd = _PROPOSITIONAL_DEFS[rule]
-        x, f = p
-        if not isinstance(f, rd.connective):
-            return f"{_CONNECTIVE_NAMES[rd.connective]} expected"
-        principal = WorldAt(x, f)
-        err = (need_left if rd.side == "left" else need_right)(principal, "the principal formula")
-        if err:
-            return err
-        base = seq.removing(**{rd.side: (principal,)})
-        return tuple(
-            base.adding(left=[WorldAt(x, g) for g in prem.left], right=[WorldAt(x, g) for g in prem.right])
-            for prem in rd.schema(f)
-        )
-    if rule == "init":
-        x, f = p
-        if not isinstance(f, Atom):
-            return "the initial axiom needs an atom"
-        return (
-            need_left(WorldAt(x, f), "the atom")
-            or need_right(WorldAt(x, f), "the atom")
-            or ()
-        )
-    if rule == "L-bot":
-        (x,) = p
-        return need_left(WorldAt(x, Bottom()), "falsum") or ()
-    if rule == "R-top":
-        (x,) = p
-        return need_right(WorldAt(x, TOP), "verum") or ()
-    if rule == "M":
-        if l is not None and not l.monotonic:
-            return "the monotonicity axiom is not in this logic"
-        t, x, y = p
-        return (
-            need_left(PairOf(t, x), "the term pairing")
-            or need_left(MemberOf(y, t.negated()), "the outside membership")
-            or ()
-        )
-    if rule == "tau-empty":
-        (x,) = p
-        return need_left(MemberOf(x, TAU_TERM.negated()), "the membership") or ()
-    if rule == "L-box":
-        x, f, a = p
-        if not isinstance(f, Box):
-            return "boxed formula expected"
-        err = need_left(WorldAt(x, f), "the principal formula")
-        if err:
-            return err
-        if a == TAU or a in _occurring(seq)[1]:
-            return f"label {a} is not fresh"
-        single = NbTerm.of((a,))
-        return (
-            seq.removing(left=(WorldAt(x, f),)).adding(
-                left=(PairOf(single, x), ForcesAll(single, f.body)),
-                right=(ForcesEx(single.negated(), f.body),),
-            ),
-        )
-    if rule == "R-box":
-        t, x, f = p
-        if not isinstance(f, Box):
-            return "boxed formula expected"
-        err = need_left(PairOf(t, x), "the term pairing") or need_right(
-            WorldAt(x, f), "the boxed formula"
-        )
-        if err:
-            return err
-        return (
-            seq.adding(right=(ForcesAll(t, f.body),)),
-            seq.adding(left=(ForcesEx(t.negated(), f.body),)),
-        )
-    if rule == "N":
-        if l is not None and not l.has_n:
-            return "the verum term rule is not in this logic"
-        (x,) = p
-        if x not in _occurring(seq)[0]:
+    rule = _RULES.get(name)
+    if rule is None:
+        return f"unknown rule {name}"
+    types = rule.types
+    if len(p) != len(types) or not all(map(isinstance, p, types)) or any([p[i].negative for i in rule.terms]):
+        kinds = ", ".join(k if isinstance(k, str) else k.__name__ for k in rule.shape)
+        return f"{name} needs a principal of {kinds}"
+    if rule.gate is not None and l is not None and not getattr(l, rule.gate[0]):
+        return f"{rule.gate[1]} is not in this logic"
+    left, right = rule.needs(*p)
+    sides = (("left", seq.left, left, rule.left), ("right", seq.right, right, rule.right))
+    for where, side, needs, names in sides:
+        for i, f in enumerate(needs):
+            # a formula needed again needs one more copy
+            if f not in side or (i and f in needs[:i] and side.count(f) <= needs[:i].count(f)):
+                return f"{names[i]} missing from the {where} side"
+    if rule.occurs is not None or rule.fresh is not None:
+        worlds, labels = _occurring(seq)
+        if rule.occurs is not None and p[rule.occurs] not in worlds:
             return "the world of this rule must occur in the conclusion"
-        return (seq.adding(left=(PairOf(TAU_TERM, x),)),)
-    if rule == "C":
-        if l is not None and not l.has_c:
-            return "the term merge rule is not in this logic"
-        t, s, x = p
-        if t == s:
-            if seq.left.count(PairOf(t, x)) < 2:
-                return "merging one term with itself needs two pairings"
-        else:
-            err = need_left(PairOf(t, x), "the first pairing") or need_left(
-                PairOf(s, x), "the second pairing"
-            )
-            if err:
-                return err
-        return (seq.adding(left=(PairOf(t.merged(s), x),)),)
-    if rule == "L-forall":
-        x, t, f = p
-        err = need_left(MemberOf(x, t), "the membership") or need_left(
-            ForcesAll(t, f), "the universal forcing"
-        )
-        if err:
-            return err
-        return (seq.adding(left=(WorldAt(x, f),)),)
-    if rule == "R-forall":
-        t, f, y = p
-        err = need_right(ForcesAll(t, f), "the universal forcing")
-        if err:
-            return err
-        if y in _occurring(seq)[0]:
-            return f"world {y} is not fresh"
-        return (
-            seq.removing(right=(ForcesAll(t, f),)).adding(
-                left=(MemberOf(y, t),), right=(WorldAt(y, f),)
-            ),
-        )
-    if rule == "L-exists":
-        t, f, y = p
-        err = need_left(ForcesEx(t.negated(), f), "the existential forcing")
-        if err:
-            return err
-        if y in _occurring(seq)[0]:
-            return f"world {y} is not fresh"
-        return (
-            seq.removing(left=(ForcesEx(t.negated(), f),)).adding(
-                left=(MemberOf(y, t.negated()), WorldAt(y, f))
-            ),
-        )
-    if rule == "R-exists":
-        x, t, f = p
-        err = need_left(MemberOf(x, t.negated()), "the membership") or need_right(
-            ForcesEx(t.negated(), f), "the existential forcing"
-        )
-        if err:
-            return err
-        return (seq.adding(right=(WorldAt(x, f),)),)
-    if rule == "dec":
-        x, t, s = p
-        err = need_left(MemberOf(x, t.merged(s)), "the composite membership")
-        if err:
-            return err
-        return (seq.adding(left=(MemberOf(x, t), MemberOf(x, s))),)
-    if rule == "dec-bar":
-        x, t, s = p
-        err = need_left(MemberOf(x, t.merged(s).negated()), "the composite membership")
-        if err:
-            return err
-        return (
-            seq.adding(left=(MemberOf(x, t.negated()),)),
-            seq.adding(left=(MemberOf(x, s.negated()),)),
-        )
-    return f"unknown rule {rule}"
+        if rule.fresh is not None:
+            kind, item = rule.shape[rule.fresh], p[rule.fresh]
+            if item in (worlds if kind == _WORLD else labels):
+                return f"{kind} {item} is not fresh"
+    ls, rs = seq.left, seq.right
+    if rule.drops == "left":
+        ls = _dropping(ls, left[0])
+    elif rule.drops == "right":
+        rs = _dropping(rs, right[0])
+    return tuple([LabelledSequent.of(ls + lefts, rs + rights) for lefts, rights in rule.premisses(*p)])
 
 
 def _apply_rule(rule: str, p: tuple, seq: LabelledSequent) -> tuple[LabelledSequent, ...]:
@@ -533,22 +551,17 @@ def _apply_rule(rule: str, p: tuple, seq: LabelledSequent) -> tuple[LabelledSequ
 # --- derivation translation ---------------------------------------------------
 
 
-def _find_block(binfo: _BInfo, cid: int, b: Block) -> _BlockInfo:
-    for block, info in binfo[cid]:
-        if block == b:
-            return info
-    raise TranslationError("block has no recorded neighbourhood term")
-
-
-def _find_two_blocks(binfo: _BInfo, cid: int, b1: Block, b2: Block):
-    entries = binfo[cid]
-    idx1 = next((i for i, (block, _) in enumerate(entries) if block == b1), None)
-    if idx1 is None:
-        raise TranslationError("block has no recorded neighbourhood term")
-    for j, (block, info) in enumerate(entries):
-        if j != idx1 and block == b2:
-            return entries[idx1][1], info
-    raise TranslationError("block has no recorded neighbourhood term")
+def _find_blocks(binfo: _BInfo, cid: int, blocks) -> list[_BlockInfo]:
+    """The record of each block in turn: its first record in component
+    cid not yet taken."""
+    records = list(binfo[cid])
+    out = []
+    for b in blocks:
+        i = next((i for i, (block, _) in enumerate(records) if block == b), None)
+        if i is None:
+            raise TranslationError("block has no recorded neighbourhood term")
+        out.append(records.pop(i)[1])
+    return out
 
 
 def _with_record(binfo: _BInfo, cid: int, b: Block, info: _BlockInfo) -> _BInfo:
@@ -583,15 +596,12 @@ def _translate_node(
         """The labelled rule for d; each premiss goes on with the child of d
         in the same place."""
         prems = _apply_rule(name, principal, seq)
-        children = tuple(
-            _translate_node(child, prem, world_of, b, labels, l)
-            for child, prem in zip(d.children, prems)
-        )
-        return LabelledDerivation(name, principal, seq, children)
+        children = [_translate_node(c, s, world_of, b, labels, l) for c, s in zip(d.children, prems)]
+        return LabelledDerivation(name, principal, seq, tuple(children))
 
-    if rule in (BOT_L, TOP_R, INIT):
-        return _close_leaf(d, seq, world_of, labels)
     x = world_of[d.cid]
+    if rule in (BOT_L, TOP_R, INIT):
+        return _close(seq, x, BOTTOM if rule == BOT_L else TOP if rule == TOP_R else d.principal[0], labels)
     if rule in _PROPOSITIONAL:
         (f,) = d.principal
         return step(_PROPOSITIONAL[rule], (x, f), binfo)
@@ -605,11 +615,7 @@ def _translate_node(
         return step("N", (x,), _with_record(binfo, d.cid, Block.of((TOP,)), info))
     if rule == RULE_C:
         b1, b2 = d.principal
-        if b1 == b2:
-            info1, info2 = _find_two_blocks(binfo, d.cid, b1, b2)
-        else:
-            info1 = _find_block(binfo, d.cid, b1)
-            info2 = _find_block(binfo, d.cid, b2)
+        info1, info2 = _find_blocks(binfo, d.cid, d.principal)
         merged = _BlockInfo(info1.term.merged(info2.term), info1.members + info2.members)
         return step(
             "C", (info1.term, info2.term, x), _with_record(binfo, d.cid, b1.merged(b2), merged)
@@ -617,6 +623,13 @@ def _translate_node(
     if rule in (BOX_R, BOX_RM):
         return _translate_box_right(d, seq, world_of, binfo, labels, l)
     raise TranslationError(f"rule {rule.render()} has no labelled counterpart")
+
+
+def _step(rule: str, principal: tuple, seq: LabelledSequent, *then) -> LabelledDerivation:
+    """The labelled rule applied to seq, then[i](s) deriving its i-th
+    premiss s; an axiom takes no then."""
+    prems = _apply_rule(rule, principal, seq)
+    return LabelledDerivation(rule, principal, seq, tuple([k(s) for k, s in zip(then, prems, strict=True)]))
 
 
 def _chain(steps, seq: LabelledSequent, last) -> LabelledDerivation:
@@ -637,9 +650,9 @@ def _box_right(seq: LabelledSequent, t: NbTerm, x: str, box: Box, labels: _Label
     body = box.body
     s1, s2 = _apply_rule("R-box", (t, x, box), seq)
     y = labels.world()
-    p1 = _chain([("R-forall", (t, body, y))], s1, lambda s: inside(y, s))
+    p1 = _step("R-forall", (t, body, y), s1, lambda s: inside(y, s))
     z = labels.world()
-    p2 = _chain([("L-exists", (t, body, z))], s2, lambda s: outside(z, s))
+    p2 = _step("L-exists", (t, body, z), s2, lambda s: outside(z, s))
     return LabelledDerivation("R-box", (t, x, box), seq, (p1, p2))
 
 
@@ -651,19 +664,31 @@ def _translate_box_right(
     labels: _Labels,
     l: LogicSpec,
 ) -> LabelledDerivation:
+    """R-box on the block's term t. Inside t, membership is split down to
+    single labels and each member's universal formula read at the new
+    world, before the last child of d goes on. Outside t, the M axiom
+    closes the branch; without monotonicity, membership in the overlined
+    term is split down to one label, and the branch closed by the
+    empty-term axiom when that label is the verum constant, otherwise
+    through the member's existential formula and the child of d that
+    tests that member."""
     block, box = d.principal
     x = world_of[d.cid]
-    info = _find_block(binfo, d.cid, block)
+    (info,) = _find_blocks(binfo, d.cid, (block,))
     t = info.term
     # The last premiss is the one with the block on the left; without
     # monotonicity, each one before it tests one member on the right.
     *member_premisses, _ = rule_def(d.rule).schema(block, box)
     child_for = {prem.right[0]: child for prem, child in zip(member_premisses, d.children)}
-    sigma_child = d.children[-1]
+    label_formula = {lab: m for m, lab in info.members if lab is not None}
+
+    def descend(child: Derivation, world: str):
+        """Go on with child, whose new component is world."""
+        new_cid = len(child.conclusion.components)
+        world_of_child, binfo_child = {**world_of, new_cid: world}, {**binfo, new_cid: ()}
+        return lambda s: _translate_node(child, s, world_of_child, binfo_child, labels, l)
 
     def inside(y: str, s: LabelledSequent) -> LabelledDerivation:
-        # split membership in the composite term down to single labels,
-        # then read each member's universal formula at y
         steps = []
         rest = t
         while len(rest.labels) > 1:
@@ -674,83 +699,24 @@ def _translate_box_right(
             for member, label in info.members
             if label is not None
         ]
-        new_cid = len(sigma_child.conclusion.components)
-        return _chain(
-            steps,
-            s,
-            lambda s2: _translate_node(
-                sigma_child, s2, {**world_of, new_cid: y}, {**binfo, new_cid: ()}, labels, l
-            ),
-        )
+        return _chain(steps, s, descend(d.children[-1], y))
 
-    def outside(z: str, s: LabelledSequent) -> LabelledDerivation:
+    def outside(z: str, s: LabelledSequent, term: NbTerm = t) -> LabelledDerivation:
         if d.rule == BOX_RM:
-            return LabelledDerivation("M", (t, x, z), s, ())
-        return _negative_branches(t, z, s, info, child_for, world_of, binfo, labels, l)
+            return _step("M", (t, x, z), s)
+        if len(term.labels) > 1:
+            head, tail = NbTerm.of(term.labels[:1]), NbTerm.of(term.labels[1:])
+            branches = (lambda s1: outside(z, s1, head), lambda s2: outside(z, s2, tail))
+            return _step("dec-bar", (z, head, tail), s, *branches)
+        if term == TAU_TERM:
+            return _step("tau-empty", (z,), s)
+        member = label_formula[term.labels[0]]
+        return _step("R-exists", (z, term, member), s, descend(child_for[member], z))
 
     return _box_right(seq, t, x, box, labels, inside, outside)
 
 
-def _negative_branches(
-    term: NbTerm,
-    z: str,
-    seq: LabelledSequent,
-    info: _BlockInfo,
-    child_for: dict[Formula, Derivation],
-    world_of: dict[int, str],
-    binfo: _BInfo,
-    labels: _Labels,
-    l: LogicSpec,
-) -> LabelledDerivation:
-    """Split membership in the overlined composite down to one label and
-    close that branch: by the empty-term axiom when that label is the
-    verum constant, otherwise through the member's existential formula
-    and the matching subderivation."""
-    label_formula = {lab: m for m, lab in info.members if lab is not None}
-
-    def close_single(label: str, s: LabelledSequent) -> LabelledDerivation:
-        if label == TAU:
-            return LabelledDerivation("tau-empty", (z,), s, ())
-        member = label_formula[label]
-        child = child_for[member]
-        new_cid = len(child.conclusion.components)
-        return _chain(
-            [("R-exists", (z, NbTerm.of((label,)), member))],
-            s,
-            lambda s2: _translate_node(
-                child, s2, {**world_of, new_cid: z}, {**binfo, new_cid: ()}, labels, l
-            ),
-        )
-
-    def split(t: NbTerm, s: LabelledSequent) -> LabelledDerivation:
-        if len(t.labels) == 1:
-            return close_single(t.labels[0], s)
-        head, tail = NbTerm.of(t.labels[:1]), NbTerm.of(t.labels[1:])
-        s1, s2 = _apply_rule("dec-bar", (z, head, tail), s)
-        return LabelledDerivation(
-            "dec-bar", (z, head, tail), s, (split(head, s1), split(tail, s2))
-        )
-
-    return split(term, seq)
-
-
 # --- closing leaves ----------------------------------------------------------
-
-
-def _close_leaf(
-    d: Derivation, seq: LabelledSequent, world_of: dict[int, str], labels: _Labels
-) -> LabelledDerivation:
-    x = world_of[d.cid]
-    if d.rule == BOT_L:
-        if WorldAt(x, Bottom()) not in seq.left:
-            raise TranslationError("falsum leaf lost its labelled evidence")
-        return LabelledDerivation("L-bot", (x,), seq, ())
-    if d.rule == TOP_R:
-        if WorldAt(x, TOP) not in seq.right:
-            raise TranslationError("verum leaf lost its labelled evidence")
-        return LabelledDerivation("R-top", (x,), seq, ())
-    (f,) = d.principal
-    return _close(seq, x, f, labels)
 
 
 def _lsupp(seq: LabelledSequent, x: str, f: Formula) -> bool:
@@ -803,17 +769,11 @@ def _box_support(seq: LabelledSequent, x: str, body: Formula) -> NbTerm | None:
 def _close(seq: LabelledSequent, x: str, f: Formula, labels: _Labels) -> LabelledDerivation:
     """Derive a sequent in which f is supported on both sides at x."""
     if isinstance(f, Atom):
-        if WorldAt(x, f) in seq.left and WorldAt(x, f) in seq.right:
-            return LabelledDerivation("init", (x, f), seq, ())
-        raise TranslationError("atomic leaf lost its labelled evidence")
+        return _step("init", (x, f), seq)
     if isinstance(f, Top):
-        if WorldAt(x, f) in seq.right:
-            return LabelledDerivation("R-top", (x,), seq, ())
-        raise TranslationError("verum support vanished")
+        return _step("R-top", (x,), seq)
     if isinstance(f, Bottom):
-        if WorldAt(x, f) in seq.left:
-            return LabelledDerivation("L-bot", (x,), seq, ())
-        raise TranslationError("falsum support vanished")
+        return _step("L-bot", (x,), seq)
     if isinstance(f, (And, Or, Imp)):
         # Decompose f where it occurs, the side whose rule has one
         # premiss first; that premiss still supports f on both sides,
@@ -831,17 +791,17 @@ def _close(seq: LabelledSequent, x: str, f: Formula, labels: _Labels) -> Labelle
     if isinstance(f, Box):
         if WorldAt(x, f) in seq.left:
             a = labels.nb()
-            return _chain([("L-box", (x, f, a))], seq, lambda s: _close(s, x, f, labels))
+            return _step("L-box", (x, f, a), seq, lambda s: _close(s, x, f, labels))
         t = _box_support(seq, x, f.body)
         if t is None or WorldAt(x, f) not in seq.right:
             raise TranslationError("boxed leaf lost its labelled evidence")
         body = f.body
 
         def inside(y: str, s: LabelledSequent) -> LabelledDerivation:
-            return _chain([("L-forall", (y, t, body))], s, lambda s2: _close(s2, y, body, labels))
+            return _step("L-forall", (y, t, body), s, lambda s2: _close(s2, y, body, labels))
 
         def outside(z: str, s: LabelledSequent) -> LabelledDerivation:
-            return _chain([("R-exists", (z, t, body))], s, lambda s2: _close(s2, z, body, labels))
+            return _step("R-exists", (z, t, body), s, lambda s2: _close(s2, z, body, labels))
 
         return _box_right(seq, t, x, f, labels, inside, outside)
     raise TranslationError(f"cannot close a leaf on {f!r}")
@@ -850,12 +810,9 @@ def _close(seq: LabelledSequent, x: str, f: Formula, labels: _Labels) -> Labelle
 # --- checking ---------------------------------------------------------------
 
 
-_AXIOMS = frozenset({"init", "L-bot", "R-top", "M", "tau-empty"})
-
-
 def _labelled_premisses(node: LabelledDerivation, logic: LogicSpec | None):
     out = _rule_premisses(node.rule, node.principal, node.conclusion, logic)
-    if node.rule in _AXIOMS and node.children and not isinstance(out, str):
+    if out == () and node.children:
         return "axioms take no premisses"
     return out
 

@@ -127,13 +127,14 @@ class SearchStats:
     cycle_cuts: int = 0
     loop_checks: int = 0
 
-    def record(self, h: Hypersequent) -> None:
+    def record(self, components: tuple[Sequent, ...]) -> None:
+        """Count one visited goal, given by its components."""
         self.visited += 1
-        n = len(h.components)
+        n = len(components)
         if n > self.max_components:
             self.max_components = n
         size = 0
-        for s in h.components:
+        for s in components:
             size += sequent_nodes(s)
             occ = sequent_size(s)
             if occ > self.max_component_size:
@@ -206,7 +207,7 @@ def _search(
         if result is None:
             visited += 1
             if stats is not None:
-                stats.record(Hypersequent(goal) if lean else goal)
+                stats.record(goal if lean else goal.components)
             if visited > budget:
                 raise BudgetExceeded(visited, budget)
             if lean:

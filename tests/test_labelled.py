@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import rngs
-from nnml.formula import Atom, Box, Imp, TOP
+from nnml.formula import And, Atom, Box, Imp, Or, TOP
 from nnml.gen import random_formula, random_hypersequent
 from nnml.hypersequent import parse_hypersequent, parse_input
 from nnml.labelled import (
+    _RULES,
     ForcesAll,
     ForcesEx,
     LabelledDerivation,
@@ -35,6 +36,8 @@ p, q = Atom("p"), Atom("q")
 E = parse_logic_name("E")
 M = parse_logic_name("M")
 EC = parse_logic_name("EC")
+MC = parse_logic_name("MC")
+MCN = parse_logic_name("MCN")
 EN = parse_logic_name("EN")
 ET = parse_logic_name("ET")
 
@@ -387,6 +390,107 @@ class TestChecker:
         report = check_labelled(broken)
         assert not report.ok
         assert report.path == (0,)
+
+
+A, B = NbTerm.of(("a",)), NbTerm.of(("b",))
+
+# A principal of the right shape for each labelled rule.
+PRINCIPALS = {
+    "L-and": ("x1", And(p, q)),
+    "R-and": ("x1", And(p, q)),
+    "L-or": ("x1", Or(p, q)),
+    "R-or": ("x1", Or(p, q)),
+    "L-imp": ("x1", Imp(p, q)),
+    "R-imp": ("x1", Imp(p, q)),
+    "init": ("x1", p),
+    "L-bot": ("x1",),
+    "R-top": ("x1",),
+    "M": (A, "x1", "x2"),
+    "tau-empty": ("x1",),
+    "L-box": ("x1", Box(p), "a"),
+    "R-box": (A, "x1", Box(p)),
+    "N": ("x1",),
+    "C": (A, B, "x1"),
+    "L-forall": ("x1", A, p),
+    "R-forall": (A, p, "x2"),
+    "L-exists": (A, p, "x2"),
+    "R-exists": ("x1", A, p),
+    "dec": ("x1", A, B),
+    "dec-bar": ("x1", A, B),
+}
+
+
+def malformed(principal: tuple) -> list[tuple]:
+    """Principals one item too short or too long, with one item of another
+    kind, or with one term overlined."""
+    out = [principal[:-1], principal + ("x9",)]
+    for i, item in enumerate(principal):
+        others = [1, None, "x1" if not isinstance(item, str) else A]
+        if isinstance(item, NbTerm):
+            others.append(item.negated())
+        if isinstance(item, (And, Or, Imp)):
+            others.append(p)
+        out += [principal[:i] + (other,) + principal[i + 1 :] for other in others]
+    return out
+
+
+class TestMalformedPrincipals:
+    def test_every_rule_has_a_principal_here(self):
+        assert set(PRINCIPALS) == set(_RULES)
+
+    @pytest.mark.parametrize("rule", sorted(PRINCIPALS))
+    def test_the_right_shape_passes_the_shape_check(self, rule):
+        node = LabelledDerivation(rule, PRINCIPALS[rule], LabelledSequent.of([], []), ())
+        assert "needs a principal" not in (check_labelled(node).reason or "")
+
+    @pytest.mark.parametrize("rule", sorted(PRINCIPALS))
+    def test_rejected_with_a_reason(self, rule):
+        seq = LabelledSequent.of([WorldAt("x1", p)], [WorldAt("x1", p)])
+        for principal in malformed(PRINCIPALS[rule]):
+            for logic in (None, E, MCN):
+                report = check_labelled(LabelledDerivation(rule, principal, seq, ()), logic)
+                assert not report.ok
+                assert report.reason.startswith(f"{rule} needs a principal of "), (principal, report.reason)
+
+    def test_an_overlined_term_is_not_a_term(self):
+        node = LabelledDerivation("R-box", (A.negated(), "x1", Box(p)), LabelledSequent.of([], []), ())
+        assert check_labelled(node).reason == "R-box needs a principal of term, world, Box"
+
+
+class TestGenericChecks:
+    def test_merging_one_term_with_itself_needs_two_pairings(self):
+        outside = MemberOf("x2", A.negated())
+        one = LabelledSequent.of([PairOf(A, "x1"), outside], [])
+        report = check_labelled(LabelledDerivation("C", (A, A, "x1"), one, ()), MC)
+        assert not report.ok
+        assert report.reason == "the second pairing missing from the left side"
+        two = LabelledSequent.of([PairOf(A, "x1"), PairOf(A, "x1"), outside], [])
+        premiss = LabelledSequent.of(list(two.left) + [PairOf(A.merged(A), "x1")], [])
+        closed = LabelledDerivation("M", (A, "x1", "x2"), premiss, ())
+        assert check_labelled(LabelledDerivation("C", (A, A, "x1"), two, (closed,)), MC)
+
+    def test_exists_left_freshness(self):
+        seq = LabelledSequent.of([ForcesEx(A.negated(), p)], [WorldAt("x2", q)])
+        report = check_labelled(LabelledDerivation("L-exists", (A, p, "x2"), seq, ()))
+        assert not report.ok
+        assert report.reason == "world x2 is not fresh"
+
+    @pytest.mark.parametrize(
+        "rule, principal, left, right, what, side",
+        [
+            ("R-exists", ("x1", A, p), [MemberOf("x1", A.negated())], [], "the existential forcing", "right"),
+            ("R-exists", ("x1", A, p), [], [ForcesEx(A.negated(), p)], "the membership", "left"),
+            ("L-forall", ("x1", A, p), [ForcesAll(A, p)], [], "the membership", "left"),
+            ("L-forall", ("x1", A, p), [MemberOf("x1", A)], [], "the universal forcing", "left"),
+            ("dec", ("x1", A, B), [MemberOf("x1", A.merged(B).negated())], [], "the composite membership", "left"),
+            ("dec-bar", ("x1", A, B), [MemberOf("x1", A.merged(B))], [], "the composite membership", "left"),
+        ],
+    )
+    def test_a_missing_formula_is_rejected(self, rule, principal, left, right, what, side):
+        node = LabelledDerivation(rule, principal, LabelledSequent.of(left, right), ())
+        report = check_labelled(node)
+        assert not report.ok
+        assert report.reason == f"{what} missing from the {side} side"
 
 
 class TestSerialization:
