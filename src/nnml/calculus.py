@@ -10,8 +10,7 @@ component, or the component it creates. The rest is read off the entry:
 - ``_principals`` enumerates each rule's distinct principals in one
   sequent: block choices by position, then formulas in sequent order,
   as the sequent groups them by side and connective; ``_candidates``
-  runs it over the components of a hypersequent, from the start or from
-  a resume point (below);
+  runs it over the components of a hypersequent, which is the full scan;
 - ``_new_sequents`` reads an instance's premisses off the schema, as the
   sequent each premiss brings, for both readings;
 - ``rule_groups`` puts a logic's rules in strategy order;
@@ -24,13 +23,16 @@ component, or the component it creates. The rest is read off the entry:
 - in the cumulative reading that loop check is monotone along a branch:
   a premiss keeps its conclusion whole, each component at its position,
   and only adds items or appends a component, so every candidate of a
-  goal is one of each premiss, in the same relative order, and one that
-  adds nothing at the goal adds nothing at the premiss. The instance
-  itself adds nothing there either. So ``next_instance`` scans a premiss
-  from the resume point of its goal's instance (the group, component
-  position and principal where it was found): it checks only the
-  candidates the goal did not have and those after the instance, and
-  finds the same first instance as a full scan;
+  goal is one of each premiss, and one that adds nothing at the goal
+  adds nothing at the premiss. The instance itself adds nothing there
+  either. So a branch carries an agenda, the candidates it has not found
+  dead, keyed in the order of the full scan (group, component position,
+  the rule's place in its group, then the keys of the principal's blocks
+  and formula). ``next_instance`` loop-checks a goal's agenda up to its
+  first live instance and drops every entry before it; the premisses
+  share the agenda's tail after the instance, each adding the candidates
+  its own additions make, and the first instance found is the full
+  scan's;
 - the deleting reading, ``lean_premisses``, takes the principal out of
   the premisses, gives every new component the verum block when the
   logic has N (so N itself is never applied), and filters no instance by
@@ -79,6 +81,7 @@ from .hypersequent import (
     Block,
     Hypersequent,
     Sequent,
+    block_key,
     block_sets,
     by_connective,
     left_set,
@@ -149,13 +152,13 @@ def initial_evidence(h: Hypersequent, after: tuple | None = None) -> tuple[RuleI
     ``sequent_evidence``), with that component's number.
 
     With ``after``, the resume point of an instance whose premiss h is
-    (see ``_candidates``), only the one component the premiss changed or
-    created is read: search takes instances only on goals with no
+    (see ``next_instance``), only the one component the premiss changed
+    or created is read: search takes instances only on goals with no
     initial component.
     """
     comps = h.components
     if after is not None:
-        goal, _, j, _ = after
+        goal, j, _ = after
         n = len(comps) if len(comps) > len(goal.components) else j + 1
         ev = sequent_evidence(comps[n - 1])
         return None if ev is None else (ev[0], n, ev[1])
@@ -323,8 +326,16 @@ _ORDER = (
 )
 
 
+class RuleGroups(tuple):
+    """A logic's rule groups, and the index that agenda entries are read
+    from. It holds each rule as ``(group index, place in its group,
+    rule)``: in ``by_kind`` those whose principal has a formula, by its
+    side and connective; in ``bare`` the others; in ``with_blocks``
+    those whose principal has blocks."""
+
+
 @cache
-def rule_groups(l: LogicSpec, lean: bool = False) -> tuple[tuple[RuleDef, ...], ...]:
+def rule_groups(l: LogicSpec, lean: bool = False) -> RuleGroups:
     """The logic's rules in strategy order, as groups (see ``_ORDER``).
 
     The lean procedure has no N: every component carries the verum block
@@ -337,13 +348,20 @@ def rule_groups(l: LogicSpec, lean: bool = False) -> tuple[tuple[RuleDef, ...], 
     groups = [tuple(_TABLE[r] for r in group if r in rules) for group in _ORDER]
     arities = sorted(r.arity for r in rules if r.name == "DnPlus")
     groups += [(_graded(arity),) for arity in arities]
-    return tuple(g for g in groups if g)
+    out = RuleGroups(g for g in groups if g)
+    places = [(gi, ri, rd) for gi, group in enumerate(out) for ri, rd in enumerate(group)]
+    out.bare = [r for r in places if r[2].connective is None]
+    out.with_blocks = [r for r in places if r[2].blocks]
+    out.by_kind = {}
+    for r in places:
+        if r[2].connective is not None:
+            out.by_kind.setdefault((r[2].side, r[2].connective), []).append(r)
+    return out
 
 
 # The one choice of no blocks, or of no formula, as a constant: both
 # readings call _principals on every sequent and rule group they meet.
 _EMPTY_CHOICE = ((),)
-_NO_ITEMS: frozenset = frozenset()
 
 
 def _principals(s: Sequent, group) -> list[tuple[RuleDef, tuple]]:
@@ -366,52 +384,55 @@ def _principals(s: Sequent, group) -> list[tuple[RuleDef, tuple]]:
     return out
 
 
-def _added(old: Sequent, new: Sequent) -> frozenset:
-    """The blocks and formulas new has and old lacks, both sides in one
-    set: a principal with none of them was one in old. (A premiss adds
-    at most one block, and only one of a new member set, so it never
-    adds a second copy of a block.)"""
-    if old is new:
-        return _NO_ITEMS
-    return (left_set(new) - left_set(old)) | (right_set(new) - right_set(old)) | frozenset(new.blocks).difference(old.blocks)
-
-
-def _candidates(h: Hypersequent, groups, after: tuple | None = None) -> Iterator[tuple[int, int, RuleDef, Sequent, tuple]]:
-    """Every rule, component and distinct principal, in strategy order,
-    with the group index and component position: within one group,
-    component order first, then the order of ``_principals``.
-
-    ``after`` is the resume point ``(goal, group index, component
-    position, principal)`` of an instance whose premiss h is. The goal's
-    candidates up to and including the instance fail the loop check in h
-    (see the module docstring), so only these are given, in the same
-    order: (a) those the goal did not have, that is, principals with an
-    item the premiss added to the principal's component, or any
-    principal in a component it created; (b) the goal's candidates
-    after the instance. No other component of the goal changed.
-    """
-    if after is None:
-        rgi = rj = -1
-    else:
-        goal, rgi, rj, stop = after
-        kept = len(goal.components)
-        added = _added(goal.components[rj], h.components[rj])
+def _candidates(h: Hypersequent, groups) -> Iterator[tuple[int, int, RuleDef, Sequent, tuple]]:
+    """The full scan: every rule, component and distinct principal, in
+    strategy order, with the group index and component position: within
+    one group, component order first, then the order of ``_principals``."""
     for gi, group in enumerate(groups):
         for j, s in enumerate(h.components):
-            known = None  # when set, the goal's candidates here are known blocked
-            if gi < rgi or (gi == rgi and j <= rj):  # at or before the resume point
-                if j == rj and (gi == rgi or added):
-                    known = added
-                elif j < kept:
-                    continue
             for rd, principal in _principals(s, group):
-                if known is not None:
-                    if gi == rgi and principal == stop:
-                        known = None
-                        continue
-                    if known.isdisjoint(principal):
-                        continue
                 yield gi, j, rd, s, principal
+
+
+def _entry(gi: int, j: int, ri: int, rd: RuleDef, principal: tuple) -> tuple:
+    """An agenda entry, whose first four fields are its key (see the module docstring)."""
+    keys = tuple([block_key(x) if type(x) is Block else sort_key(x) for x in principal])
+    return gi, j, ri, keys, rd, principal
+
+
+def _choices(s: Sequent, rd: RuleDef):
+    """rd's distinct block choices in s, by position, as ``_principals`` makes them."""
+    return dict.fromkeys(combinations(s.blocks, rd.blocks)) if rd.blocks else _EMPTY_CHOICE
+
+
+def _component_entries(groups: RuleGroups, j: int, s: Sequent) -> list[tuple]:
+    """The agenda entries of every candidate in component j, that is s."""
+    out = [_entry(gi, j, ri, rd, blocks) for gi, ri, rd in groups.bare for blocks in _choices(s, rd)]
+    for kind, fs in by_connective(s).items():
+        for gi, ri, rd in groups.by_kind.get(kind, ()):
+            out += [_entry(gi, j, ri, rd, blocks + f) for blocks in _choices(s, rd) for f in fs]
+    return out
+
+
+def _added_entries(groups: RuleGroups, j: int, old: Sequent, new: Sequent) -> list[tuple]:
+    """The agenda entries of the candidates in component j that a premiss
+    made, turning it from old into new: those with a formula or the
+    block it added. (A premiss adds formulas or one block, never both,
+    and a block only of a new member set, so no block is a copy.)"""
+    out = []
+    for side, fs in (("left", left_set(new) - left_set(old)), ("right", right_set(new) - right_set(old))):
+        for f in fs:
+            for gi, ri, rd in groups.by_kind.get((side, type(f)), ()):
+                out += [_entry(gi, j, ri, rd, blocks + (f,)) for blocks in _choices(new, rd)]
+    if len(new.blocks) > len(old.blocks):
+        (block,) = set(new.blocks).difference(old.blocks)
+        others = [b for b in new.blocks if b is not block]
+        for gi, ri, rd in groups.with_blocks:
+            fs = _EMPTY_CHOICE if rd.connective is None else by_connective(new).get((rd.side, rd.connective), ())
+            for rest in dict.fromkeys(combinations(others, rd.blocks - 1)):
+                blocks = tuple(sorted((*rest, block), key=block_key))
+                out += [_entry(gi, j, ri, rd, blocks + f) for f in fs]
+    return out
 
 
 def _without_principal(rd: RuleDef, s: Sequent, principal: tuple) -> Sequent:
@@ -492,18 +513,34 @@ def iter_instances(h: Hypersequent, l: LogicSpec) -> Iterator[RuleInstance]:
             yield RuleInstance(rd.rule, j + 1, principal, _apply(h, j + 1, rd, s, schema, ()))
 
 
-def next_instance(h: Hypersequent, groups, after: tuple | None = None) -> tuple[RuleInstance | None, tuple | None, int]:
+def next_instance(h: Hypersequent, groups: RuleGroups, after: tuple | None = None) -> tuple[RuleInstance | None, tuple | None, int]:
     """The first cumulative instance of h that passes the loop check, its
-    resume point, and the number of candidates loop-checked; with
-    ``after``, the resume point of an instance whose premiss h is, the
-    scan starts there (see ``_candidates``)."""
-    n = 0
-    for n, (gi, j, rd, s, principal) in enumerate(_candidates(h, groups, after), 1):
+    resume point ``(h, its component's position, the agenda after it)``,
+    and the number of candidates loop-checked, in agenda order.
+
+    h's agenda is every candidate; with ``after``, the resume point of an
+    instance whose premiss h is, it is the tail ``after`` carries merged
+    with the candidates the premiss made (see the module docstring).
+    """
+    comps = h.components
+    if after is None:
+        agenda = sorted([e for j, s in enumerate(comps) for e in _component_entries(groups, j, s)])
+    else:
+        goal, j, agenda = after
+        kept = len(goal.components)
+        if len(comps) > kept:
+            new = _component_entries(groups, kept, comps[kept])
+        else:
+            new = _added_entries(groups, j, goal.components[j], comps[j])
+        if new:
+            agenda = sorted(agenda + new)
+    for n, (_, j, _, _, rd, principal) in enumerate(agenda, 1):
+        s = comps[j]
         schema = rd.schema(*principal)
         if not _adds_nothing(h, rd, s, schema):
             inst = RuleInstance(rd.rule, j + 1, principal, _apply(h, j + 1, rd, s, schema, ()))
-            return inst, (h, gi, j, principal), n
-    return None, None, n
+            return inst, (h, j, agenda[n:]), n
+    return None, None, len(agenda)
 
 
 class Moves(dict):

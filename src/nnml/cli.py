@@ -11,11 +11,13 @@ only after ``check_labelled`` accepts it. ``check-model`` evaluates a
 formula in a JSON model and reports the logic's frame conditions.
 
 ``--logic`` names the logic, ``--budget`` bounds the hypersequents a
-search may visit. Each command builds one payload, which ``--output
-json`` prints as JSON and ``--output text`` as lines read off it. The
-JSON is indented two spaces a level, as ``json.dumps(payload, indent=2)``
-would print it, but written without recursion, so a proof tree of any
-depth prints; every formula and sequent text in it was made once. Each
+search may visit, and ``prove --stats`` adds the search's counters
+(``search.SearchStats``) to the output. Each command builds one
+payload, which ``--output json`` prints as JSON and ``--output text``
+as lines read off it. The JSON is indented two spaces a level, as
+``json.dumps(payload, indent=2)`` would print it, but written without
+recursion, so a proof tree of any depth prints; every formula and
+sequent text in it was made once. Each
 countermodel goes into the payload already written, as the text of
 ``model_to_json``, which the writer splices in at its indent and text
 output prints as it is.
@@ -37,6 +39,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from functools import cache
 
 from .formula import Box, TOP, parse, subformula_closure, to_text
@@ -71,6 +74,7 @@ from .search import (
     BudgetExceeded,
     Proved,
     Refuted,
+    SearchStats,
     check_derivation,
     derivation_to_dict,
     prove,
@@ -298,23 +302,33 @@ def _refuted_text(p: dict) -> str:
     return "\n".join(lines)
 
 
+def _with_stats(payload: dict, text, stats: SearchStats | None):
+    """The text function for a payload; with ``stats``, the counters go
+    into the payload, and the text ends with them on one line."""
+    if stats is None:
+        return text
+    payload["stats"] = asdict(stats)
+    return lambda p: text(p) + "\nstats: " + " ".join(f"{k}={v}" for k, v in p["stats"].items())
+
+
 def cmd_prove(args) -> int:
     budget, l = _budget(args), _logic(args)
     h = _parse_goal(args.input)
+    stats = SearchStats() if args.stats else None
     if args.mode == "unkleened":
         if args.model:
             raise CliError("countermodels are only available in invertible mode")
-        ok = prove_unkleened(h, l, budget=budget)
+        ok = prove_unkleened(h, l, budget=budget, stats=stats)
         payload = {
             "logic": canonical_name(l),
             "mode": args.mode,
             "input": render_hypersequent(h),
             "outcome": "proved" if ok else "refuted",
         }
-        _emit(args, payload, lambda p: f"{p['outcome']} ({p['logic']}, unkleened mode)")
+        _emit(args, payload, _with_stats(payload, lambda p: f"{p['outcome']} ({p['logic']}, unkleened mode)", stats))
         return EXIT_PROVED if ok else EXIT_REFUTED
 
-    outcome = prove(h, l, budget=budget)
+    outcome = prove(h, l, budget=budget, stats=stats)
     payload = {"logic": canonical_name(l), "input": render_hypersequent(h)}
     if isinstance(outcome, Proved):
         report = check_derivation(outcome.derivation, l)
@@ -326,7 +340,11 @@ def cmd_prove(args) -> int:
         _emit(
             args,
             payload,
-            lambda p: f"proved ({p['logic']}, {p['visited']} nodes visited)\n{_tree_text(p['derivation'])}",
+            _with_stats(
+                payload,
+                lambda p: f"proved ({p['logic']}, {p['visited']} nodes visited)\n{_tree_text(p['derivation'])}",
+                stats,
+            ),
         )
         return EXIT_PROVED
 
@@ -337,7 +355,7 @@ def cmd_prove(args) -> int:
         enumeration={str(n): n for n in range(1, len(outcome.leaf.components) + 1)},
         countermodels=_countermodels(outcome, h, l, args.model or [], args.rough_cap),
     )
-    _emit(args, payload, _refuted_text)
+    _emit(args, payload, _with_stats(payload, _refuted_text, stats))
     return EXIT_REFUTED
 
 
@@ -454,6 +472,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         choices=["bi", "standard-fine", "standard-rough", "relational"],
         help="countermodel kinds to emit on refutation (bi is always included)",
+    )
+    prove_p.add_argument(
+        "--stats", action="store_true",
+        help="also print the search's counters: goals visited, largest goal, and the loop "
+        "checks (invertible mode) or memo hits and cycle cuts (unkleened mode) it made",
     )
     prove_p.add_argument(
         "--rough-cap", dest="rough_cap", type=int, default=20,

@@ -11,12 +11,12 @@ explores its premisses in order, and returns at the first saturated goal,
 which refutes the root; no backtracking is needed. A proved root yields
 its proof tree. Premisses only add to their conclusion, so the loop
 check is monotone along a branch: what adds nothing at a goal adds
-nothing below it. Each frame keeps the resume point of its instance, and
-the scan of a premiss starts there, checking only the candidates the
-premiss added and those after the instance; a premiss's initial pattern
-is sought only in the component it changed or created
-(``calculus.next_instance``). The order of the search is that of a full
-scan of every goal.
+nothing below it. So a branch carries an agenda of the candidates it has
+not found dead: each frame keeps the tail of its goal's agenda after the
+instance, each premiss adds the candidates it made, and the scan of a
+premiss checks that agenda only; a premiss's initial pattern is sought
+only in the component it changed or created (``calculus.next_instance``).
+The order of the search is that of a full scan of every goal.
 
 The lean mode takes the deleting reading: principals leave the
 premisses, which keeps hypersequents polynomially small but loses the
@@ -155,8 +155,9 @@ class _Frame:
     ``calculus.lean_premisses``), ``rest`` yields the instances not yet
     tried, and ``lowest`` is the lowest stack depth a cycle cut under the
     goal pointed at. In invertible mode
-    ``rest`` is the resume point of the instance, where the scan of each
-    premiss starts (see ``calculus._candidates``)."""
+    ``rest`` is the resume point of the instance, which carries the
+    agenda after it that each premiss's agenda starts from (see
+    ``calculus.next_instance``)."""
 
     __slots__ = ("h", "inst", "premisses", "proved", "rest", "lowest")
 

@@ -302,7 +302,9 @@ def check_resumed_scan(h, logic, choose):
     the premiss to go on with. At each goal, the scan of each premiss of
     the goal's instance, resumed after that instance, gives what the full
     scan gives; every candidate of the goal up to and including the
-    instance fails the loop check in the premiss; and reading only the
+    instance fails the loop check in the premiss; every candidate of the
+    premiss its agenda has dropped, that is, all but its instance and the
+    tail after it, fails the loop check there; and reading only the
     component the premiss changed or created finds its initial pattern.
     Returns the rules of the instances met."""
     groups = rule_groups(logic)
@@ -312,18 +314,26 @@ def check_resumed_scan(h, logic, choose):
     while inst is not None and initial_evidence(h, after) is None:
         rules.append(inst.rule)
         known = []
-        for gi, j, rd, _, principal in _candidates(h, groups):
+        for _, j, rd, s, principal in _candidates(h, groups):
             known.append((rd, j + 1, principal))
-            if (h, gi, j, principal) == place:
+            if not _adds_nothing(h, rd, s, rd.schema(*principal)):
                 break
         assert known[-1] == (rule_def(inst.rule), inst.cid, inst.principal)
+        assert place[:2] == (h, inst.cid - 1)
         for premiss in inst.premisses:
             resumed, resumed_place, _ = next_instance(premiss, groups, place)
             full, full_place, _ = next_instance(premiss, groups)
             assert resumed == full
-            assert resumed_place == full_place
+            assert (resumed_place or ())[:2] == (full_place or ())[:2]
             for rd, cid, principal in known:
                 assert _adds_nothing(premiss, rd, premiss.component(cid), rd.schema(*principal))
+            kept = set()
+            if resumed is not None:
+                kept = {(j, rd, principal) for _, j, _, _, rd, principal in resumed_place[2]}
+                kept.add((resumed.cid - 1, rule_def(resumed.rule), resumed.principal))
+            for _, j, rd, s, principal in _candidates(premiss, groups):
+                if (j, rd, principal) not in kept:
+                    assert _adds_nothing(premiss, rd, s, rd.schema(*principal))
             assert initial_evidence(premiss, place) == initial_evidence(premiss)
         h, after = choose(inst.premisses), place
         inst, place, _ = next_instance(h, groups, after)

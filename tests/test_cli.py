@@ -8,6 +8,7 @@ import runpy
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from nnml.cli import InternalError, _Fragment, _dumps, _verify_countermodel, mai
 from nnml.hypersequent import parse_input
 from nnml.logic import parse_logic_name
 from nnml.models import BiModel, extract_bi_countermodel, model_from_dict, model_to_dict
-from nnml.search import prove
+from nnml.search import SearchStats, prove
 
 AXIOM_M = "box (p & q) -> box p"
 AXIOM_K = "box (p -> q) -> (box p -> box q)"
@@ -244,6 +245,25 @@ class TestProve:
         payload = json.loads(out)
         assert payload["outcome"] == "proved"
         assert payload["derivation"]["rule"] == "ImpR"
+
+    @pytest.mark.parametrize(
+        "mode,stats",
+        [
+            ("invertible", dict(visited=272, max_components=3, max_nodes=456, max_component_size=277, loop_checks=2106)),
+            ("unkleened", dict(visited=53, max_components=2, max_nodes=30, max_component_size=7, memo_hits=2)),
+        ],
+    )
+    def test_stats_of_agglomeration_in_ec(self, capsys, mode, stats):
+        stats = asdict(SearchStats(**stats))  # every counter, in field order
+        goal = "box p1 & box p2 & box p3 & box p4 & box p5 & box p6 -> box (p1 & p2 & p3 & p4 & p5 & p6)"
+        argv = ["prove", goal, "--logic", "EC", "--mode", mode, "--stats"]
+        code, out, _ = run(capsys, *argv, "--output", "json")
+        assert code == 0
+        assert json.loads(out)["stats"] == stats
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == "stats: " + " ".join(f"{k}={v}" for k, v in stats.items())
+        assert "stats" not in run(capsys, *argv[:-1], "--output", "json")[1]
 
 
 json_strings = st.text(st.characters(), max_size=8) | st.sampled_from(
@@ -590,6 +610,8 @@ def fuzz_argvs(draw, model_file: str) -> list[str]:
         for kind in draw(st.lists(st.sampled_from(["bi", "standard-fine", "standard-rough", "relational"]), max_size=2)):
             argv += ["--model", kind]
         argv += ["--rough-cap", str(draw(st.integers(0, 8)))]
+        if draw(st.booleans()):
+            argv.append("--stats")
     if command == "translate" and draw(st.booleans()):
         argv.append("--derive")
     return argv
