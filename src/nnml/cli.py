@@ -12,7 +12,8 @@ formula in a JSON model and reports the logic's frame conditions.
 
 ``--logic`` names the logic, ``--budget`` bounds the hypersequents a
 search may visit, and ``prove --stats`` adds the search's counters
-(``search.SearchStats``) to the output. Each command builds one
+(``search.SearchStats``) to the output, also when the search stops at
+its budget. Each command builds one
 payload, which ``--output json`` prints as JSON and ``--output text``
 as lines read off it. The JSON is indented two spaces a level, as
 ``json.dumps(payload, indent=2)`` would print it, but written without
@@ -27,6 +28,14 @@ error, 3 internal verification failure, 4 budget exceeded. Input nested
 too deeply for the interpreter's stack is a usage error. A reader that
 closes stdout or stderr early does not change them: the rest of the
 output is dropped, with no traceback.
+
+Arguments are read by ``_parse_argv``, which gives the namespace that
+``build_parser().parse_args`` gives. The common argv, a subcommand with
+its positionals and flags written out in full, it reads off a table
+taken from the parser's own actions at the first call. Argparse takes
+more than ten times as long on such an argv, a fifth of a small call.
+Any other argv goes to argparse, which so writes all help and every
+usage error.
 
 A refutation numbers its worlds by position: the n-th component of the
 saturated leaf is world n of every countermodel, and the JSON payload
@@ -313,6 +322,8 @@ def _with_stats(payload: dict, text, stats: SearchStats | None):
 
 def cmd_prove(args) -> int:
     budget, l = _budget(args), _logic(args)
+    if args.rough_cap < 1:
+        raise CliError("--rough-cap must be positive")
     h = _parse_goal(args.input)
     stats = SearchStats() if args.stats else None
     if args.mode == "unkleened":
@@ -428,7 +439,10 @@ def cmd_translate(args) -> int:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing keeps no state
-    in it, and building it costs more than most calls."""
+    in it, and building it costs more than most calls. It is the one
+    definition of every flag: ``_parse_argv`` reads the common argv by a
+    table taken from its actions, and hands it any other argv, so it
+    alone writes help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="nnml",
         description="Decision procedures, countermodels, and labelled translations "
@@ -486,15 +500,134 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NO = object()
+
+
+def _defaults(p: argparse.ArgumentParser) -> dict:
+    """The values ``p.parse_known_args`` gives when no argument is given:
+    each action's default, the first for a shared dest, a str one
+    converted by its type; then the ``set_defaults`` of other dests."""
+    start: dict = {}
+    for a in p._actions:
+        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS and a.dest not in start:
+            convert = p._registry_get("type", a.type, a.type)
+            start[a.dest] = convert(a.default) if isinstance(a.default, str) else a.default
+    return {**p._defaults, **start}
+
+
+def _command_entry(p: argparse.ArgumentParser):
+    """A subcommand's entry in ``_argv_table``: its positionals, its flags
+    by option string, and its defaults. Each positional or flag is a row
+    (dest, how, arg, choices): how is "store" or "append" for a value
+    that the type function arg converts, or None for the constant arg.
+    None for a subparser whose flags argparse reads in other ways too."""
+    if p._mutually_exclusive_groups:
+        return None
+    positionals, flags = [], {}
+    for a in p._actions:
+        kind = type(a)
+        if kind is argparse._HelpAction:
+            continue  # not in the table: argparse answers -h and --help
+        if (a.required and a.option_strings) or getattr(a, "deprecated", False):
+            return None
+        if kind in (argparse._StoreAction, argparse._AppendAction) and a.nargs is None:
+            how = "store" if kind is argparse._StoreAction else "append"
+            row = (a.dest, how, p._registry_get("type", a.type, a.type), a.choices)
+        elif kind in (argparse._StoreConstAction, argparse._StoreTrueAction, argparse._StoreFalseAction):
+            row = (a.dest, None, a.const, None)
+        else:
+            return None
+        if a.option_strings:
+            flags.update(dict.fromkeys(a.option_strings, row))
+        elif row[1] == "store":
+            positionals.append(row)
+        else:
+            return None
+    return positionals, flags, _defaults(p)
+
+
+@cache
+def _argv_table() -> dict:
+    """Per subcommand of ``build_parser()``, what ``_parse_argv`` reads its
+    argv by, taken from the parser's own actions, so that every flag
+    keeps its one definition there. Built at the first call, not at
+    import."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if type(a) is argparse._SubParsersAction)
+    top, table = _defaults(parser), {}
+    for name, p in sub.choices.items():
+        entry = _command_entry(p)
+        if entry is not None:
+            positionals, flags, start = entry
+            table[name] = positionals, flags, {**top, sub.dest: name, **start}
+    return table
+
+
+def _value(row, token: str):
+    """A positional's or a flag's value from its token, or ``_NO`` where
+    argparse would reject the token or might read it otherwise."""
+    if token[:1] == "-":
+        return _NO
+    _, _, convert, choices = row
+    try:
+        value = convert(token)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):  # what argparse reports as a usage error
+        return _NO
+    return _NO if choices is not None and value not in choices else value
+
+
+def _parse_argv(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the common argv read off
+    ``_argv_table()``: a subcommand, its positionals and its flags, each
+    flag written out in full, as ``--flag value``, or alone when it stores
+    a constant. Any other argv goes to argparse: ``-h``, an abbreviation,
+    ``--flag=value``, ``--``, a value starting with ``-``, a value its
+    type or choices reject, a wrong number of positionals. So argparse
+    writes all help and every usage error."""
+    tokens = sys.argv[1:] if argv is None else list(argv)
+    entry = _argv_table().get(tokens[0]) if tokens else None
+    if entry is not None:
+        positionals, flags, start = entry
+        values, given = dict(start), []
+        i, n = 1, len(tokens)
+        while i < n:
+            row = flags.get(tokens[i])
+            i += 1
+            if row is None:
+                given.append(tokens[i - 1])
+                continue
+            dest, how, arg, _ = row
+            if how is None:
+                values[dest] = arg
+                continue
+            value = _value(row, tokens[i]) if i < n else _NO
+            if value is _NO:
+                break
+            values[dest] = [*(values[dest] or ()), value] if how == "append" else value
+            i += 1
+        else:
+            if len(given) == len(positionals):
+                for row, token in zip(positionals, given):
+                    value = values[row[0]] = _value(row, token)
+                    if value is _NO:
+                        break
+                else:
+                    return argparse.Namespace(**values)
+    return build_parser().parse_args(tokens)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_argv(argv)
     try:
         return args.func(args)
     except BudgetExceeded as e:
+        payload = {"outcome": "budget-exceeded", "visited": e.visited, "budget": e.budget}
         _emit(
             args,
-            {"outcome": "budget-exceeded", "visited": e.visited, "budget": e.budget},
-            lambda p: f"budget exceeded after {p['visited']} nodes (budget {p['budget']})",
+            payload,
+            _with_stats(
+                payload, lambda p: f"budget exceeded after {p['visited']} nodes (budget {p['budget']})", e.stats
+            ),
         )
         return EXIT_BUDGET
     except (CliError, TranslationError) as e:

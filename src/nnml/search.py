@@ -106,11 +106,14 @@ class Refuted:
 
 
 class BudgetExceeded(Exception):
-    """Search gave up after visiting more hypersequents than allowed."""
+    """Search gave up after visiting more hypersequents than allowed.
+    ``stats`` are the counters of the search it stopped, when it kept
+    any: how far it got."""
 
-    def __init__(self, visited: int, budget: int):
+    def __init__(self, visited: int, budget: int, stats: SearchStats | None = None):
         self.visited = visited
         self.budget = budget
+        self.stats = stats
         super().__init__(
             f"proof search budget exceeded: visited {visited} hypersequents "
             f"(budget {budget})"
@@ -210,7 +213,7 @@ def _search(
             if stats is not None:
                 stats.record(goal if lean else goal.components)
             if visited > budget:
-                raise BudgetExceeded(visited, budget)
+                raise BudgetExceeded(visited, budget, stats)
             if lean:
                 if any(map(sequent_evidence, goal)):
                     result = memo[goal] = True

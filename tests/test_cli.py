@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, output schemas, verification."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nnml.cli import InternalError, _Fragment, _dumps, _verify_countermodel, main
+from nnml.cli import InternalError, _Fragment, _dumps, _parse_argv, _verify_countermodel, build_parser, main
 from nnml.hypersequent import parse_input
 from nnml.logic import parse_logic_name
 from nnml.models import BiModel, extract_bi_countermodel, model_from_dict, model_to_dict
@@ -77,6 +78,24 @@ class TestProve:
         )
         assert code == 4
         assert json.loads(out)["outcome"] == "budget-exceeded"
+
+    @pytest.mark.parametrize("mode, budget", [("invertible", 20), ("unkleened", 5)])
+    def test_budget_stop_reports_its_stats(self, capsys, mode, budget):
+        goal = "box p1 & box p2 & box p3 -> box (p1 & p2 & p3)"
+        argv = ["prove", goal, "--logic", "EC", "--mode", mode, "--budget", str(budget), "--stats"]
+        code, out, _ = run(capsys, *argv, "--output", "json")
+        assert code == 4
+        payload = json.loads(out)
+        assert (payload["outcome"], payload["visited"], payload["budget"]) == ("budget-exceeded", budget + 1, budget)
+        stats = payload["stats"]
+        assert list(stats) == list(asdict(SearchStats())) and stats["visited"] == payload["visited"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 4
+        assert out.splitlines() == [
+            f"budget exceeded after {budget + 1} nodes (budget {budget})",
+            "stats: " + " ".join(f"{k}={v}" for k, v in stats.items()),
+        ]
+        assert "stats" not in run(capsys, *argv[:-1], "--output", "json")[1]
 
     def test_unkleened_mode(self, capsys):
         code, out, _ = run(
@@ -183,6 +202,14 @@ class TestProve:
         assert code == 2
         assert err.startswith("error:")
         assert "--rough-cap" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize("mode", ["invertible", "unkleened"])
+    def test_world_cap_below_one_is_a_usage_error(self, capsys, cap, mode):
+        code, out, err = run(
+            capsys, "prove", AXIOM_M, "--logic", "E", "--mode", mode, "--rough-cap", cap,
+        )
+        assert (code, out, err) == (2, "", "error: --rough-cap must be positive\n")
 
     @pytest.mark.parametrize("depth, code", [(150, 1), (200, 2)])
     def test_deep_nesting(self, capsys, depth, code):
@@ -615,6 +642,76 @@ def fuzz_argvs(draw, model_file: str) -> list[str]:
     if command == "translate" and draw(st.booleans()):
         argv.append("--derive")
     return argv
+
+
+# Tokens argparse reads in ways the table does not: a flag with its value
+# after "=", an abbreviation, help, "--", a negative number, an int with an
+# underscore, a repeated flag, an empty or extra positional.
+_ODD_TOKENS = ["--logic=E", "--log", "-h", "--", "--budget", "-1", "--rough-cap", "1_0", "--model", "bi",
+               "--stats", "--derive", "--output", "", "extra", "-", "-p", "--frob"]
+
+
+@st.composite
+def odd_argvs(draw, model_file: str) -> list[str]:
+    """An argv of ``fuzz_argvs`` with up to three edits: a token put in or
+    replaced by one of ``_ODD_TOKENS``, a flag's value replaced by one, a
+    token taken out (a flag's value, say), or the positionals moved after
+    the flags."""
+    argv = draw(fuzz_argvs(model_file))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["insert", "replace", "value", "delete", "flags-first"]))
+        at = draw(st.integers(0, len(argv)))
+        values = [i for i in range(1, len(argv)) if argv[i - 1][:2] == "--"]
+        if edit == "value" and values:
+            at, edit = draw(st.sampled_from(values)), "replace"
+        if edit == "insert":
+            argv.insert(at, draw(st.sampled_from(_ODD_TOKENS)))
+        elif edit == "replace" and at < len(argv):
+            argv[at] = draw(st.sampled_from(_ODD_TOKENS))
+        elif edit == "delete" and at < len(argv):
+            del argv[at]
+        elif edit == "flags-first" and argv[:1] != ["check-model"]:
+            argv = argv[:1] + argv[2:] + argv[1:2]
+    return argv
+
+
+def _parsed(parse, argv):
+    """What parse(argv) gives, or the exit code it raises, with what it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestParseArgv:
+    """``_parse_argv`` gives what argparse gives, or argparse's own exit."""
+
+    @given(fuzz_argvs("model.json") | odd_argvs("model.json"))
+    @settings(max_examples=600)
+    def test_same_namespace_or_exit_as_argparse(self, argv):
+        assert _parsed(_parse_argv, argv) == _parsed(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prove", AXIOM_M, "--logic", "E", "--output", "json", "--model", "bi", "--model", "standard-fine"],
+            ["prove", "--stats", AXIOM_M, "--mode", "unkleened", "--logic", "E", "--budget", "7"],
+            ["translate", "p -> p", "--logic", "K", "--derive", "--output", "json"],
+            ["check-model", "model.json", "box p", "--logic", "E"],
+            ["prove", "", "--logic", ""],
+        ],
+    )
+    def test_the_common_argv_skips_argparse(self, argv, monkeypatch):
+        expected = vars(build_parser().parse_args(argv))
+
+        def refuse(*_):
+            raise AssertionError("argparse was asked")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        assert vars(_parse_argv(argv)) == expected
 
 
 class TestFuzz:
