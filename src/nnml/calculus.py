@@ -65,8 +65,9 @@ component, or the component it creates. The rest is read off the entry:
 A hypersequent where no cumulative instance survives the loop check and
 no initial pattern applies is saturated, and saturation is exactly the
 countermodel condition the models module consumes. ``is_saturated``
-tests it clause by clause, apart from the table, as the oracle that the
-test suite compares ``iter_instances`` against.
+reads it off the table by the full scan, as search finds its leaves, so
+each rule's saturation clause is its entry; the tests hold a
+clause-by-clause statement of saturation as an independent oracle.
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ from .logic import (
     rule_set,
 )
 
-_TOP_BLOCK_SET = frozenset({TOP})
 _TOP_BLOCK = Block.of((TOP,))
 
 
@@ -513,6 +513,13 @@ def iter_instances(h: Hypersequent, l: LogicSpec) -> Iterator[RuleInstance]:
             yield RuleInstance(rd.rule, j + 1, principal, _apply(h, j + 1, rd, s, schema, ()))
 
 
+def is_saturated(h: Hypersequent, l: LogicSpec) -> bool:
+    """No initial pattern applies to h, and no cumulative instance of the
+    logic's rules passes the loop check: the leaf condition of search,
+    and the condition under which countermodels are read off h."""
+    return initial_evidence(h) is None and next(iter_instances(h, l), None) is None
+
+
 def next_instance(h: Hypersequent, groups: RuleGroups, after: tuple | None = None) -> tuple[RuleInstance | None, tuple | None, int]:
     """The first cumulative instance of h that passes the loop check, its
     resume point ``(h, its component's position, the agenda after it)``,
@@ -625,113 +632,3 @@ def lean_premiss(seqs: tuple[Sequent, ...], j: int, base: Sequent | None, new: S
         out[j] = base
         out.append(new)
     return normalize(out)
-
-
-# --- the saturation oracle ------------------------------------------------------
-
-
-def _box_right_blocked(h: Hypersequent, bs: frozenset, body: Formula, monotonic: bool) -> bool:
-    for c in h.components:
-        if bs <= left_set(c) and body in right_set(c):
-            return True
-    if monotonic:
-        return False
-    for c in h.components:
-        if body in left_set(c) and bs & right_set(c):
-            return True
-    return False
-
-
-def _left_superset_exists(h: Hypersequent, needed: frozenset) -> bool:
-    return any(needed <= left_set(c) for c in h.components)
-
-
-def _right_hits(h: Hypersequent, candidates: frozenset) -> bool:
-    return any(candidates & right_set(c) for c in h.components)
-
-
-def _right_pair_exists(h: Hypersequent, s1: frozenset, s2: frozenset) -> bool:
-    # a pair (A, B) with A and B in the same succedent set; A = B is allowed
-    return any(s1 & right_set(c) and s2 & right_set(c) for c in h.components)
-
-
-def is_saturated(h: Hypersequent, l: LogicSpec) -> bool:
-    """Clause-by-clause saturation test, one clause per rule in the logic.
-
-    Deliberately implemented against the component contents rather than by
-    asking for instances; the test suite cross-checks the two paths.
-    """
-    rules = rule_set(l)
-    comps = h.components
-    all_left = [left_set(s) for s in comps]
-    all_right = [right_set(s) for s in comps]
-    for s, ls, rs in zip(comps, all_left, all_right):
-        if BOTTOM in ls or TOP in rs or ls & rs:
-            return False
-        for f in ls:
-            match f:
-                case And(a, b):
-                    if not (a in ls and b in ls):
-                        return False
-                case Or(a, b):
-                    if not (a in ls or b in ls):
-                        return False
-                case Imp(a, b):
-                    if not (a in rs or b in ls):
-                        return False
-                case Box(a):
-                    if frozenset({a}) not in block_sets(s):
-                        return False
-        for f in rs:
-            match f:
-                case And(a, b):
-                    if not (a in rs or b in rs):
-                        return False
-                case Or(a, b):
-                    if not (a in rs and b in rs):
-                        return False
-                case Imp(a, b):
-                    if not (a in ls and b in rs):
-                        return False
-        bsets = block_sets(s)
-        if RULE_T in rules and any(not bs <= ls for bs in bsets):
-            return False
-        if RULE_C in rules:
-            for i in range(len(bsets)):
-                for j in range(i + 1, len(bsets)):
-                    if bsets[i] | bsets[j] not in bsets:
-                        return False
-        if RULE_N in rules and _TOP_BLOCK_SET not in bsets:
-            return False
-        boxes = [f for f in rs if isinstance(f, Box)]
-        if boxes and s.blocks:
-            monotonic = BOX_RM in rules
-            for bs in bsets:
-                for f in boxes:
-                    if _box_right_blocked(h, bs, f.body, monotonic):
-                        continue
-                    return False
-        if RULE_P in rules:
-            for bs in bsets:
-                if not _left_superset_exists(h, bs):
-                    return False
-        if RULE_D1 in rules:
-            for bs in bsets:
-                if not (_left_superset_exists(h, bs) or _right_hits(h, bs)):
-                    return False
-        if RULE_D2 in rules:
-            for i in range(len(bsets)):
-                for j in range(i + 1, len(bsets)):
-                    if not (
-                        _left_superset_exists(h, bsets[i] | bsets[j])
-                        or _right_pair_exists(h, bsets[i], bsets[j])
-                    ):
-                        return False
-        for rule in sorted((r for r in rules if r.name == "DnPlus"), key=lambda r: r.arity):
-            for idxs in combinations(range(len(bsets)), rule.arity):
-                union: frozenset = frozenset()
-                for i in idxs:
-                    union = union | bsets[i]
-                if not _left_superset_exists(h, union):
-                    return False
-    return True

@@ -280,8 +280,6 @@ def _countermodels(outcome: Refuted, root: Hypersequent, l: LogicSpec, kinds, ro
             out[kind] = _Fragment(model_to_json(bi))
             continue
         if kind == "relational":
-            if not l.regular:
-                raise CliError("relational countermodels need a regular logic (M and C)")
             m = extract_relational_countermodel(leaf, l)
             _verify_countermodel(m, leaf, l)
             out[kind] = _Fragment(model_to_json(m))
@@ -325,10 +323,12 @@ def cmd_prove(args) -> int:
     if args.rough_cap < 1:
         raise CliError("--rough-cap must be positive")
     h = _parse_goal(args.input)
+    if args.model and args.mode == "unkleened":
+        raise CliError("countermodels are only available in invertible mode")
+    if "relational" in (args.model or ()) and not l.regular:
+        raise CliError("relational countermodels need a regular logic (M and C)")
     stats = SearchStats() if args.stats else None
     if args.mode == "unkleened":
-        if args.model:
-            raise CliError("countermodels are only available in invertible mode")
         ok = prove_unkleened(h, l, budget=budget, stats=stats)
         payload = {
             "logic": canonical_name(l),

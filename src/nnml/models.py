@@ -546,8 +546,8 @@ def extract_relational_countermodel(leaf: Hypersequent, l: LogicSpec) -> Relatio
     under block merging guarantees one) whose positive worlds form the
     successor set.
     """
-    if not (l.monotonic and l.has_c):
-        raise ValueError("relational extraction needs a monotone logic with C")
+    if not l.regular:
+        raise ValueError("relational extraction needs a regular logic (M and C)")
     if not is_saturated(leaf, l):
         raise ValueError("countermodel extraction needs a saturated hypersequent")
     comps, worlds, bit, valuation = _leaf_worlds(leaf)

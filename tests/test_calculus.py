@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import rngs
+from saturation_oracle import leaf_and_neighbours, saturated_by_clauses
+from test_acceptance import LOGICS
 from nnml import calculus
 from nnml.calculus import (
     InvalidInstance,
@@ -273,18 +275,32 @@ class TestSaturation:
     def test_saturated_leaf_of_the_monotonicity_search(self):
         leaf = hs("box (p & q), <p & q> => box p | p => p & q, q")
         assert is_saturated(leaf, E)
+        assert saturated_by_clauses(leaf, E)
 
     def test_initial_hypersequents_are_not_saturated(self):
-        assert not is_saturated(hs("p => p"), E)
-        assert not is_saturated(hs("false =>"), E)
+        for h in (hs("p => p"), hs("false =>")):
+            assert not is_saturated(h, E)
+            assert not saturated_by_clauses(h, E)
+
+    @pytest.mark.parametrize(
+        "text, in_e, in_m",
+        [
+            ("p, <q> => box p", False, False),
+            ("p, <q> => box p | p => q", True, False),
+            ("p, <q> => box p | q => p", True, True),
+        ],
+    )
+    def test_box_right_is_blocked_by_either_direction_without_monotonicity(self, text, in_e, in_m):
+        for logic, expected in ((E, in_e), (M, in_m)):
+            assert is_saturated(hs(text), logic) == saturated_by_clauses(hs(text), logic) == expected
 
     @given(rngs)
     @settings(max_examples=150)
     def test_matches_the_instance_enumeration(self, rng):
-        logic = rng.choice([E, M, EC, EN, ET, EP, ED, ED2, parse_logic_name("K")])
-        h = random_hypersequent(rng, max_nodes=6, max_boxes=2)
-        expected = initial_evidence(h) is None and list(iter_instances(h, logic)) == []
-        assert is_saturated(h, logic) == expected
+        logic = parse_logic_name(rng.choice(LOGICS + ("K",)))
+        for h in (random_hypersequent(rng, max_nodes=6, max_boxes=2), *leaf_and_neighbours(rng, logic)):
+            expected = initial_evidence(h) is None and list(iter_instances(h, logic)) == []
+            assert saturated_by_clauses(h, logic) == is_saturated(h, logic) == expected
 
     @given(rngs)
     @settings(max_examples=60)

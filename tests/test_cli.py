@@ -116,10 +116,12 @@ class TestProve:
         assert code == 2
 
     def test_relational_needs_a_regular_logic(self, capsys):
-        code, _, _ = run(
-            capsys, "prove", AXIOM_M, "--logic", "E", "--model", "relational"
-        )
-        assert code == 2
+        for goal in (AXIOM_M, "p -> p"):  # refuted and proved alike
+            code, _, err = run(
+                capsys, "prove", goal, "--logic", "E", "--model", "relational"
+            )
+            assert code == 2
+            assert "relational countermodels need a regular logic (M and C)" in err
 
     def test_relational_countermodel(self, capsys):
         code, out, _ = run(

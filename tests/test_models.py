@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rngs
+from saturation_oracle import leaf_and_neighbours, saturated_by_clauses
+from test_acceptance import LOGICS
 from nnml.cli import _Fragment, _dumps
 from nnml.formula import Atom, Box, BOTTOM, TOP, And, Imp, Or, parse, subformula_closure, to_text
-from nnml.gen import random_bi_model, random_formula, random_standard_model
+from nnml.gen import random_bi_model, random_formula, random_hypersequent, random_standard_model
 from nnml.hypersequent import interpret, parse_hypersequent, parse_input
 from nnml.logic import LogicSpec, parse_logic_name
 from nnml.models import (
@@ -609,10 +611,22 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_relational_countermodel(out.leaf, E)
 
-    def test_extraction_needs_saturation(self):
-        h = parse_hypersequent("p & q => r")
-        with pytest.raises(ValueError):
-            extract_bi_countermodel(h, E)
+    @given(rngs)
+    @settings(max_examples=80)
+    def test_extraction_needs_saturation(self, rng):
+        logic = parse_logic_name(rng.choice(LOGICS + ("K",)))
+        inputs = [
+            parse_hypersequent("p & q => r"),
+            random_hypersequent(rng, max_nodes=6, max_boxes=2),
+            *leaf_and_neighbours(rng, logic),
+        ]
+        for h in inputs:
+            try:
+                extract_bi_countermodel(h, logic)
+            except ValueError:
+                assert not saturated_by_clauses(h, logic)
+            else:
+                assert saturated_by_clauses(h, logic)
 
     @given(rngs)
     @settings(max_examples=60)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import rngs
+from saturation_oracle import saturated_by_clauses
 from test_acceptance import LOGICS
 from nnml.calculus import initial_evidence, is_saturated, iter_instances
 from nnml.formula import Atom, to_text
@@ -125,6 +126,7 @@ class TestRefutations:
     def test_leaf_is_saturated_and_enumerated(self):
         out = outcome("box (p & q) -> box p", E)
         assert is_saturated(out.leaf, E)
+        assert saturated_by_clauses(out.leaf, E)
         assert len(out.leaf.components) == 2
 
     def test_the_failed_monotonicity_search_leaf(self):
@@ -141,6 +143,7 @@ class TestRefutations:
         out = prove(parse_input(to_goal(f)), logic)
         if isinstance(out, Refuted):
             assert is_saturated(out.leaf, logic)
+            assert saturated_by_clauses(out.leaf, logic)
 
 
 class TestDeterminism:
