@@ -10,10 +10,12 @@ cube, or with ``--derive`` the labelled derivation of its proof, printed
 only after ``check_labelled`` accepts it. ``check-model`` evaluates a
 formula in a JSON model and reports the logic's frame conditions.
 
-``--logic`` names the logic, ``--budget`` bounds the hypersequents a
-search may visit, and ``prove --stats`` adds the search's counters
-(``search.SearchStats``) to the output, also when the search stops at
-its budget. Each command builds one
+``--logic`` names the logic. ``--budget`` bounds the hypersequents a
+search may visit; with ``translate --derive`` it also bounds the
+labelled steps of the translation, which can outgrow the proof
+(closing a boxed leaf doubles its steps at each box). ``prove --stats``
+adds the search's counters (``search.SearchStats``) to the output, also
+when the search stops at its budget. Each command builds one
 payload, which ``--output json`` prints as JSON and ``--output text``
 as lines read off it. The JSON is indented two spaces a level, as
 ``json.dumps(payload, indent=2)`` would print it, but written without
@@ -427,7 +429,7 @@ def cmd_translate(args) -> int:
     if isinstance(outcome, Refuted):
         _write("refuted: no derivation to translate")
         return EXIT_REFUTED
-    ld = translate_derivation(outcome.derivation, l)
+    ld = translate_derivation(outcome.derivation, l, budget)
     report = check_labelled(ld, l)
     if not report:
         raise InternalError(f"translated derivation failed its audit: {report.reason}")

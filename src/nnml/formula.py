@@ -114,7 +114,11 @@ class Formula(Syntax):
 
     The sort key puts atoms first (alphabetically), then the constants,
     then box, then the binary connectives (by ``_rank``); a compound key
-    holds the keys of the operands. The text (``to_text``) has the fewest
+    is its rank followed by the keys of its operands, one flat tuple: the
+    formula in prefix order. A rank fixes its arity and an atom's key is
+    ``(0, name)``, so no key is a prefix of another, and flat keys order
+    as the nested keys ``(rank, *operand keys)`` would, while comparing
+    two of them takes time linear in their length. The text (``to_text``) has the fewest
     parentheses the binding strengths (``_prec``) allow; ``_top_bar``
     says whether a ``|`` stands in it outside parentheses.
     """
@@ -127,7 +131,7 @@ class Formula(Syntax):
 
     def __post_init__(self):
         parts = operands(self)
-        key = (0, self.name) if isinstance(self, Atom) else (self._rank, *map(sort_key, parts))
+        key = (0, self.name) if isinstance(self, Atom) else sum(map(sort_key, parts), (self._rank,))
         object.__setattr__(self, "_sort_key", key)
         object.__setattr__(self, "_node_count", 1 + sum(map(node_count, parts)))
         text, top_bar = _show(self, parts)

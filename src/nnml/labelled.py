@@ -19,9 +19,11 @@ premisses, or a string saying why the instance is not legal. The checker
 audits every node with it, so a malformed principal is rejected with a
 reason, and the translation builds every step with it.
 
-Derivations translate rule by rule; the auxiliary unfoldings for the box
-right rule (one fresh world inside the term, one fresh world outside it)
-are generated on the fly, as are the closing steps for leaves whose
+Derivations translate rule by rule, from an explicit stack: each step is
+a task that gives its rule, its principal and one task per premiss, so
+a derivation of any depth translates. The auxiliary unfoldings for the
+box right rule (one fresh world inside the term, one fresh world outside
+it) are generated on the fly, as are the closing steps for leaves whose
 shared formula is compound.
 
 Terms, labelled formulas and labelled sequents are interned like
@@ -58,7 +60,7 @@ from .logic import (
     RULE_N,
     TOP_R,
 )
-from .search import CheckReport, Derivation, audit, check_derivation, tree_to_dict
+from .search import BudgetExceeded, CheckReport, Derivation, audit, check_derivation, tree_to_dict
 
 TAU = "tau"
 
@@ -568,102 +570,102 @@ def _with_record(binfo: _BInfo, cid: int, b: Block, info: _BlockInfo) -> _BInfo:
     return {**binfo, cid: binfo.get(cid, ()) + ((b, info),)}
 
 
-def translate_derivation(d: Derivation, l: LogicSpec) -> LabelledDerivation:
+def translate_derivation(d: Derivation, l: LogicSpec, budget: int = 10**6) -> LabelledDerivation:
     """Turn a checked hypersequent derivation into a labelled derivation
-    of the static translation of its conclusion."""
+    of the static translation of its conclusion.
+
+    Closing a leaf on a boxed formula doubles its steps at each box, so
+    the translation stops with ``BudgetExceeded`` once it holds more than
+    ``budget`` labelled steps."""
     _require_cube(l)
     report = check_derivation(d, l)
     if not report:
         raise TranslationError(f"input derivation does not check: {report.reason}")
     root, world_of, binfo, labels = _translate_with_context(d.conclusion)
-    try:
-        return _translate_node(d, root, world_of, binfo, labels, l)
-    except RecursionError:
-        raise TranslationError("derivation nested too deeply to translate") from None
+    return _build(root, _node(d, world_of, binfo, labels), budget)
 
 
-def _translate_node(
-    d: Derivation,
-    seq: LabelledSequent,
-    world_of: dict[int, str],
-    binfo: _BInfo,
-    labels: _Labels,
-    l: LogicSpec,
-) -> LabelledDerivation:
-    rule = d.rule
-
-    def step(name: str, principal: tuple, b: _BInfo) -> LabelledDerivation:
-        """The labelled rule for d; each premiss goes on with the child of d
-        in the same place."""
-        prems = _apply_rule(name, principal, seq)
-        children = [_translate_node(c, s, world_of, b, labels, l) for c, s in zip(d.children, prems)]
-        return LabelledDerivation(name, principal, seq, tuple(children))
-
-    x = world_of[d.cid]
-    if rule in (BOT_L, TOP_R, INIT):
-        return _close(seq, x, BOTTOM if rule == BOT_L else TOP if rule == TOP_R else d.principal[0], labels)
-    if rule in _PROPOSITIONAL:
-        (f,) = d.principal
-        return step(_PROPOSITIONAL[rule], (x, f), binfo)
-    if rule == BOX_L:
-        (f,) = d.principal
-        a = labels.nb()
-        info = _BlockInfo(NbTerm.of((a,)), ((f.body, a),))
-        return step("L-box", (x, f, a), _with_record(binfo, d.cid, Block.of((f.body,)), info))
-    if rule == RULE_N:
-        info = _BlockInfo(TAU_TERM, ((TOP, None),))
-        return step("N", (x,), _with_record(binfo, d.cid, Block.of((TOP,)), info))
-    if rule == RULE_C:
-        b1, b2 = d.principal
-        info1, info2 = _find_blocks(binfo, d.cid, d.principal)
-        merged = _BlockInfo(info1.term.merged(info2.term), info1.members + info2.members)
-        return step(
-            "C", (info1.term, info2.term, x), _with_record(binfo, d.cid, b1.merged(b2), merged)
-        )
-    if rule in (BOX_R, BOX_RM):
-        return _translate_box_right(d, seq, world_of, binfo, labels, l)
-    raise TranslationError(f"rule {rule.render()} has no labelled counterpart")
+def _build(seq: LabelledSequent, task, budget: int) -> LabelledDerivation:
+    """The derivation of seq that task gives, from an explicit stack. A
+    task takes a labelled sequent and gives the rule to apply, its
+    principal and one task per premiss. Tasks run depth first and draw
+    their fresh labels as they run, so labels come in preorder; nodes are
+    built bottom-up, from the steps in reverse."""
+    steps = []
+    stack = [(seq, task)]
+    while stack:
+        seq, task = stack.pop()
+        rule, principal, then = task(seq)
+        prems = _apply_rule(rule, principal, seq)
+        steps.append((rule, principal, seq, len(prems)))
+        if len(steps) > budget:
+            raise BudgetExceeded(len(steps), budget)
+        stack.extend(reversed(list(zip(prems, then, strict=True))))
+    built: list[LabelledDerivation] = []
+    for rule, principal, seq, n in reversed(steps):
+        built.append(LabelledDerivation(rule, principal, seq, tuple([built.pop() for _ in range(n)])))
+    return built[0]
 
 
-def _step(rule: str, principal: tuple, seq: LabelledSequent, *then) -> LabelledDerivation:
-    """The labelled rule applied to seq, then[i](s) deriving its i-th
-    premiss s; an axiom takes no then."""
-    prems = _apply_rule(rule, principal, seq)
-    return LabelledDerivation(rule, principal, seq, tuple([k(s) for k, s in zip(then, prems, strict=True)]))
+def _node(d: Derivation, world_of: dict[int, str], binfo: _BInfo, labels: _Labels):
+    """The task for d: the labelled rule for d, each premiss going on with
+    the child of d in the same place."""
+
+    def then(b: _BInfo) -> list:
+        return [_node(c, world_of, b, labels) for c in d.children]
+
+    def task(seq: LabelledSequent):
+        rule, x = d.rule, world_of[d.cid]
+        if rule in (BOT_L, TOP_R, INIT):
+            return _close(x, BOTTOM if rule == BOT_L else TOP if rule == TOP_R else d.principal[0], labels)(seq)
+        if rule in _PROPOSITIONAL:
+            return _PROPOSITIONAL[rule], (x, *d.principal), then(binfo)
+        if rule == BOX_L:
+            (f,) = d.principal
+            a = labels.nb()
+            info = _BlockInfo(NbTerm.of((a,)), ((f.body, a),))
+            return "L-box", (x, f, a), then(_with_record(binfo, d.cid, Block.of((f.body,)), info))
+        if rule == RULE_N:
+            info = _BlockInfo(TAU_TERM, ((TOP, None),))
+            return "N", (x,), then(_with_record(binfo, d.cid, Block.of((TOP,)), info))
+        if rule == RULE_C:
+            b1, b2 = d.principal
+            info1, info2 = _find_blocks(binfo, d.cid, d.principal)
+            merged = _BlockInfo(info1.term.merged(info2.term), info1.members + info2.members)
+            return "C", (info1.term, info2.term, x), then(_with_record(binfo, d.cid, b1.merged(b2), merged))
+        if rule in (BOX_R, BOX_RM):
+            return _translate_box_right(d, world_of, binfo, labels)
+        raise TranslationError(f"rule {rule.render()} has no labelled counterpart")
+
+    return task
 
 
-def _chain(steps, seq: LabelledSequent, last) -> LabelledDerivation:
-    """One-premiss rules, given as (rule, principal) pairs, applied in turn
-    from seq, then last(s) for the sequent s they leave."""
+def _chain(steps, last):
+    """The task of one-premiss rules, given as (rule, principal) pairs,
+    applied in turn, then of task last."""
     if not steps:
-        return last(seq)
-    (rule, principal), rest = steps[0], steps[1:]
-    (prem,) = _apply_rule(rule, principal, seq)
-    return LabelledDerivation(rule, principal, seq, (_chain(rest, prem, last),))
+        return last
+    (rule, principal), *rest = steps
+    return lambda seq: (rule, principal, (_chain(rest, last),))
 
 
-def _box_right(seq: LabelledSequent, t: NbTerm, x: str, box: Box, labels: _Labels, inside, outside):
+def _box_right(t: NbTerm, x: str, box: Box, labels: _Labels, inside, outside):
     """R-box at x on the term t. Its first premiss goes on by R-forall
     with a fresh world y inside t, its second by L-exists with a fresh
-    world z outside t; inside(y, s) and outside(z, s) derive the sequents
-    s those steps leave."""
-    body = box.body
-    s1, s2 = _apply_rule("R-box", (t, x, box), seq)
-    y = labels.world()
-    p1 = _step("R-forall", (t, body, y), s1, lambda s: inside(y, s))
-    z = labels.world()
-    p2 = _step("L-exists", (t, body, z), s2, lambda s: outside(z, s))
-    return LabelledDerivation("R-box", (t, x, box), seq, (p1, p2))
+    world z outside t; the tasks inside(y) and outside(z) derive the
+    sequents those steps leave. Each world is drawn when its step runs."""
+
+    def fresh(rule: str, then):
+        def task(seq: LabelledSequent):
+            w = labels.world()
+            return rule, (t, box.body, w), (then(w),)
+
+        return task
+
+    return "R-box", (t, x, box), (fresh("R-forall", inside), fresh("L-exists", outside))
 
 
-def _translate_box_right(
-    d: Derivation,
-    seq: LabelledSequent,
-    world_of: dict[int, str],
-    binfo: _BInfo,
-    labels: _Labels,
-    l: LogicSpec,
-) -> LabelledDerivation:
+def _translate_box_right(d: Derivation, world_of: dict[int, str], binfo: _BInfo, labels: _Labels):
     """R-box on the block's term t. Inside t, membership is split down to
     single labels and each member's universal formula read at the new
     world, before the last child of d goes on. Outside t, the M axiom
@@ -683,37 +685,28 @@ def _translate_box_right(
     label_formula = {lab: m for m, lab in info.members if lab is not None}
 
     def descend(child: Derivation, world: str):
-        """Go on with child, whose new component is world."""
+        """The task for child, whose new component is world."""
         new_cid = len(child.conclusion.components)
-        world_of_child, binfo_child = {**world_of, new_cid: world}, {**binfo, new_cid: ()}
-        return lambda s: _translate_node(child, s, world_of_child, binfo_child, labels, l)
+        return _node(child, {**world_of, new_cid: world}, {**binfo, new_cid: ()}, labels)
 
-    def inside(y: str, s: LabelledSequent) -> LabelledDerivation:
-        steps = []
-        rest = t
-        while len(rest.labels) > 1:
-            head, rest = NbTerm.of(rest.labels[:1]), NbTerm.of(rest.labels[1:])
-            steps.append(("dec", (y, head, rest)))
-        steps += [
-            ("L-forall", (y, NbTerm.of((label,)), member))
-            for member, label in info.members
-            if label is not None
-        ]
-        return _chain(steps, s, descend(d.children[-1], y))
+    def inside(y: str):
+        ls = t.labels
+        steps = [("dec", (y, NbTerm.of(ls[i : i + 1]), NbTerm.of(ls[i + 1 :]))) for i in range(len(ls) - 1)]
+        steps += [("L-forall", (y, NbTerm.of((a,)), m)) for m, a in info.members if a is not None]
+        return _chain(steps, descend(d.children[-1], y))
 
-    def outside(z: str, s: LabelledSequent, term: NbTerm = t) -> LabelledDerivation:
+    def outside(z: str, term: NbTerm = t):
         if d.rule == BOX_RM:
-            return _step("M", (t, x, z), s)
+            return lambda seq: ("M", (t, x, z), ())
         if len(term.labels) > 1:
             head, tail = NbTerm.of(term.labels[:1]), NbTerm.of(term.labels[1:])
-            branches = (lambda s1: outside(z, s1, head), lambda s2: outside(z, s2, tail))
-            return _step("dec-bar", (z, head, tail), s, *branches)
+            return lambda seq: ("dec-bar", (z, head, tail), (outside(z, head), outside(z, tail)))
         if term == TAU_TERM:
-            return _step("tau-empty", (z,), s)
+            return lambda seq: ("tau-empty", (z,), ())
         member = label_formula[term.labels[0]]
-        return _step("R-exists", (z, term, member), s, descend(child_for[member], z))
+        return _chain([("R-exists", (z, term, member))], descend(child_for[member], z))
 
-    return _box_right(seq, t, x, box, labels, inside, outside)
+    return _box_right(t, x, box, labels, inside, outside)
 
 
 # --- closing leaves ----------------------------------------------------------
@@ -766,45 +759,45 @@ def _box_support(seq: LabelledSequent, x: str, body: Formula) -> NbTerm | None:
     return None
 
 
-def _close(seq: LabelledSequent, x: str, f: Formula, labels: _Labels) -> LabelledDerivation:
-    """Derive a sequent in which f is supported on both sides at x."""
-    if isinstance(f, Atom):
-        return _step("init", (x, f), seq)
-    if isinstance(f, Top):
-        return _step("R-top", (x,), seq)
-    if isinstance(f, Bottom):
-        return _step("L-bot", (x,), seq)
-    if isinstance(f, (And, Or, Imp)):
-        # Decompose f where it occurs, the side whose rule has one
-        # premiss first; that premiss still supports f on both sides,
-        # while the two premisses of the other rule each close one
-        # immediate subformula.
-        for side in ("left", "right") if isinstance(f, And) else ("right", "left"):
-            if WorldAt(x, f) in getattr(seq, side):
-                rule = _RULE_FOR[side, type(f)]
-                prems = _apply_rule(rule, (x, f), seq)
-                targets = (f,) if len(prems) == 1 else (f.left, f.right)
-                children = tuple(_close(p, x, g, labels) for p, g in zip(prems, targets))
-                return LabelledDerivation(rule, (x, f), seq, children)
-        supported = _lsupp if isinstance(f, Or) else _rsupp
-        return _close(seq, x, f.left if supported(seq, x, f.left) else f.right, labels)
-    if isinstance(f, Box):
-        if WorldAt(x, f) in seq.left:
-            a = labels.nb()
-            return _step("L-box", (x, f, a), seq, lambda s: _close(s, x, f, labels))
-        t = _box_support(seq, x, f.body)
-        if t is None or WorldAt(x, f) not in seq.right:
+def _close(x: str, f: Formula, labels: _Labels):
+    """The task that derives a sequent in which f is supported on both
+    sides at x."""
+
+    def task(seq: LabelledSequent):
+        g = f
+        while isinstance(g, (And, Or, Imp)):
+            # Decompose g where it occurs, the side whose rule has one
+            # premiss first; that premiss still supports g on both sides,
+            # while the two premisses of the other rule each close one
+            # immediate subformula. Where it occurs on neither side, close
+            # the immediate subformula the sequent supports.
+            first, second = ("left", "right") if isinstance(g, And) else ("right", "left")
+            if WorldAt(x, g) in getattr(seq, first):
+                return _RULE_FOR[first, type(g)], (x, g), (_close(x, g, labels),)
+            if WorldAt(x, g) in getattr(seq, second):
+                return _RULE_FOR[second, type(g)], (x, g), (_close(x, g.left, labels), _close(x, g.right, labels))
+            supported = _lsupp if isinstance(g, Or) else _rsupp
+            g = g.left if supported(seq, x, g.left) else g.right
+        if isinstance(g, Atom):
+            return "init", (x, g), ()
+        if isinstance(g, Top):
+            return "R-top", (x,), ()
+        if isinstance(g, Bottom):
+            return "L-bot", (x,), ()
+        if not isinstance(g, Box):
+            raise TranslationError(f"cannot close a leaf on {g!r}")
+        if WorldAt(x, g) in seq.left:
+            return "L-box", (x, g, labels.nb()), (_close(x, g, labels),)
+        t = _box_support(seq, x, g.body)
+        if t is None or WorldAt(x, g) not in seq.right:
             raise TranslationError("boxed leaf lost its labelled evidence")
-        body = f.body
+        return _box_right(
+            t, x, g, labels,
+            lambda y: _chain([("L-forall", (y, t, g.body))], _close(y, g.body, labels)),
+            lambda z: _chain([("R-exists", (z, t, g.body))], _close(z, g.body, labels)),
+        )
 
-        def inside(y: str, s: LabelledSequent) -> LabelledDerivation:
-            return _step("L-forall", (y, t, body), s, lambda s2: _close(s2, y, body, labels))
-
-        def outside(z: str, s: LabelledSequent) -> LabelledDerivation:
-            return _step("R-exists", (z, t, body), s, lambda s2: _close(s2, z, body, labels))
-
-        return _box_right(seq, t, x, f, labels, inside, outside)
-    raise TranslationError(f"cannot close a leaf on {f!r}")
+    return task
 
 
 # --- checking ---------------------------------------------------------------

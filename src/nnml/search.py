@@ -108,7 +108,8 @@ class Refuted:
 class BudgetExceeded(Exception):
     """Search gave up after visiting more hypersequents than allowed.
     ``stats`` are the counters of the search it stopped, when it kept
-    any: how far it got."""
+    any: how far it got. ``labelled.translate_derivation`` raises it too,
+    counting labelled steps as ``visited``."""
 
     def __init__(self, visited: int, budget: int, stats: SearchStats | None = None):
         self.visited = visited

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -224,12 +225,18 @@ class TestProve:
         [["prove"], ["prove", "--output", "json"], ["translate", "--derive"]],
         ids=["prove", "prove-json", "translate-derive"],
     )
-    def test_long_conjunction_is_too_deep(self, capsys, argv):
-        # Sorting the antecedent compares sort keys that nest as deep as
-        # the conjunction is long.
+    def test_long_conjunction_gets_its_verdict(self, capsys, argv):
+        # The conjunction nests 1,199 deep, and sorting compares the flat
+        # sort keys of such formulas.
         text = " & ".join(f"p{i}" for i in range(1200)) + " -> p"
         code, out, err = run(capsys, argv[0], text, "--logic", "E", *argv[1:])
-        assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+        assert (code, err) == (1, "")
+        if argv[0] == "translate":
+            assert out == "refuted: no derivation to translate\n"
+        elif "json" in argv:
+            assert json.loads(out)["outcome"] == "refuted"
+        else:
+            assert out.startswith("refuted (E, ")
 
     def test_wide_sequent_countermodel_is_verified(self, capsys):
         # The one formula this sequent asserts nests 600 conjunctions deep.
@@ -591,19 +598,36 @@ class TestTranslate:
         code, _, _ = run(capsys, "translate", "p => q", "--logic", "ET")
         assert code == 2
 
-    @pytest.mark.parametrize("pairs, code", [(150, 0), (400, 2)])
-    def test_deep_derivations(self, capsys, pairs, code):
-        # The proof nests one rule per conjunction, and the translation
-        # recurses a few frames per rule, so 400 pairs pass the default
-        # recursion limit: a usage error, not a traceback.
+    @pytest.mark.parametrize("pairs, lowered", [(150, 0), (400, 0), (800, 0), (400, 1)])
+    def test_deep_derivations(self, capsys, pairs, lowered):
+        # The proof nests one rule per conjunction. The translation works
+        # from an explicit stack, so it also translates under a recursion
+        # limit that a recursion of one frame per rule would exceed, on any
+        # CPython version.
         wide = ", ".join(f"a{i} & b{i}" for i in range(pairs)) + f", b{pairs - 1} -> z => z"
         limit = sys.getrecursionlimit()
-        got, out, err = run(capsys, "translate", wide, "--logic", "E", "--derive")
-        assert got == code and sys.getrecursionlimit() == limit
-        if code == 0:
-            assert out.startswith("[L-and]") and err == ""
-        else:
-            assert (out, err) == ("", "error: derivation nested too deeply to translate\n")
+        inner = len(inspect.stack(0)) + 150 if lowered else limit
+        sys.setrecursionlimit(inner)
+        try:
+            got, out, err = run(capsys, "translate", wide, "--logic", "E", "--derive")
+            assert sys.getrecursionlimit() == inner
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (got, err) == (0, "") and out.startswith("[L-and]")
+
+    def test_deep_formula(self, capsys):
+        text = "p -> " + "~" * 400 + "p"
+        code, out, err = run(capsys, "translate", text, "--logic", "E", "--derive")
+        assert (code, err) == (0, "") and out.startswith("[R-imp] => x1:(p -> ~~")
+
+    def test_translation_stops_at_its_budget(self, capsys):
+        # Closing the boxed leaf doubles the labelled steps at each box:
+        # the proof is a few nodes, its translation thousands of steps.
+        boxed = "box " * 10 + "p"
+        argv = ["translate", f"{boxed} -> {boxed}", "--logic", "E", "--derive"]
+        assert run(capsys, *argv)[0] == 0
+        code, out, err = run(capsys, *argv, "--budget", "1000")
+        assert (code, out, err) == (4, "budget exceeded after 1001 nodes (budget 1000)\n", "")
 
 
 # Goal texts of at most 10 tokens: the notation's marks and words, a

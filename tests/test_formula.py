@@ -20,6 +20,7 @@ from nnml.formula import (
     dia,
     neg,
     node_count,
+    operands,
     parse,
     sort_key,
     subformula_closure,
@@ -29,6 +30,11 @@ from nnml.formula import (
 from nnml.hypersequent import Hypersequent, Sequent, render_hypersequent
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
+
+
+def _nested_key(f):
+    """The reference order: the rank, then each operand's nested key."""
+    return (0, f.name) if isinstance(f, Atom) else (f._rank, *map(_nested_key, operands(f)))
 
 
 class TestParse:
@@ -172,6 +178,16 @@ class TestOrder:
     @given(formulas, formulas)
     def test_key_equality_is_formula_equality(self, f, g):
         assert (sort_key(f) == sort_key(g)) == (f == g)
+
+    @given(formulas, formulas, formulas)
+    def test_flat_keys_order_as_nested_keys(self, f, g, h):
+        # Pairs that share a prefix, so that comparisons reach deep.
+        items = [f, g, And(h, f), And(h, g), Imp(f, h), Imp(g, h), Box(f), Box(g)]
+        for a in items:
+            for b in items:
+                ka, kb, na, nb = sort_key(a), sort_key(b), _nested_key(a), _nested_key(b)
+                assert (ka < kb, ka == kb) == (na < nb, na == nb)
+                assert (ka == kb) == (a is b)
 
     @given(formulas, formulas, formulas)
     def test_key_gives_total_order(self, f, g, h):
