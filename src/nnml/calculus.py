@@ -7,18 +7,17 @@ formula of a given connective on a given side, and gives the rule's
 premiss schema: for each premiss, what it adds to the principal's
 component, or the component it creates. The rest is read off the entry:
 
-- ``_principals`` enumerates each rule's distinct principals in one
-  sequent: block choices by position, then formulas in sequent order,
-  as the sequent groups them by side and connective; ``_candidates``
-  runs it over the components of a hypersequent, which is the full scan;
+- ``_choices`` gives a rule's distinct block choices in one sequent, by
+  position; ``_principals`` follows each with the rule's formulas in
+  sequent order, as the sequent groups them by side and connective;
 - ``_new_sequents`` reads an instance's premisses off the schema, as the
   sequent each premiss brings, for both readings;
 - ``rule_groups`` puts a logic's rules in strategy order;
-- the cumulative reading, ``iter_instances``, keeps the principal in
-  every premiss, which makes every rule invertible. It filters instances
-  by a local loop check: an instance is blocked when one of its premisses
-  adds nothing new, that is, when the principal's component already has
-  what the premiss adds to it, or an existing component's antecedent and
+- the cumulative reading keeps the principal in every premiss, which
+  makes every rule invertible. It filters instances by a local loop
+  check: an instance is blocked when one of its premisses adds nothing
+  new, that is, when the principal's component already has what the
+  premiss adds to it, or an existing component's antecedent and
   succedent sets contain those of the component the premiss creates;
 - in the cumulative reading that loop check is monotone along a branch:
   a premiss keeps its conclusion whole, each component at its position,
@@ -26,13 +25,13 @@ component, or the component it creates. The rest is read off the entry:
   goal is one of each premiss, and one that adds nothing at the goal
   adds nothing at the premiss. The instance itself adds nothing there
   either. So a branch carries an agenda, the candidates it has not found
-  dead, keyed in the order of the full scan (group, component position,
-  the rule's place in its group, then the keys of the principal's blocks
-  and formula). ``next_instance`` loop-checks a goal's agenda up to its
+  dead, keyed in strategy order (group, component position, the rule's
+  place in its group, then the keys of the principal's blocks and
+  formula). ``next_instance`` loop-checks a goal's agenda up to its
   first live instance and drops every entry before it; the premisses
   share the agenda's tail after the instance, each adding the candidates
-  its own additions make, and the first instance found is the full
-  scan's;
+  its own additions make, and each finds the first instance that its
+  full agenda, every candidate it has, would give;
 - the deleting reading, ``lean_premisses``, takes the principal out of
   the premisses, gives every new component the verum block when the
   logic has N (so N itself is never applied), and filters no instance by
@@ -41,9 +40,9 @@ component, or the component it creates. The rest is read off the entry:
   instance around it: the base left without the principal and the new
   sequent of each premiss. A move depends on one sequent only, so the
   first time a sequent and rule group are asked for, their moves are
-  made, and one search's ``Moves`` table keeps them for every later ask.
-  ``lean_premiss`` builds one premiss from a move, already normal
-  (``normalize``), when lean search reaches it;
+  made from ``_principals``, and one search's ``Moves`` table keeps them
+  for every later ask. ``lean_premiss`` builds one premiss from a move,
+  already normal (``normalize``), when lean search reaches it;
 - the propositional rules and BoxL stay invertible in the deleting
   reading, and their entries say so (``RuleDef.commits``). The
   cumulative rule is invertible, so each cumulative premiss of a
@@ -64,10 +63,11 @@ component, or the component it creates. The rest is read off the entry:
 
 A hypersequent where no cumulative instance survives the loop check and
 no initial pattern applies is saturated, and saturation is exactly the
-countermodel condition the models module consumes. ``is_saturated``
-reads it off the table by the full scan, as search finds its leaves, so
-each rule's saturation clause is its entry; the tests hold a
-clause-by-clause statement of saturation as an independent oracle.
+countermodel condition the models module consumes. ``is_saturated`` is
+search's leaf test: no initial pattern, and ``next_instance`` finds
+nothing on the full agenda. So each rule's saturation clause is its
+entry; the tests hold a clause-by-clause statement of saturation, and a
+scan of every principal in strategy order, as independent oracles.
 """
 
 from __future__ import annotations
@@ -359,9 +359,15 @@ def rule_groups(l: LogicSpec, lean: bool = False) -> RuleGroups:
     return out
 
 
-# The one choice of no blocks, or of no formula, as a constant: both
-# readings call _principals on every sequent and rule group they meet.
+# The one choice of no blocks, or of no formula, as a constant: the
+# agenda and lean search ask for choices on every sequent and rule group
+# they meet.
 _EMPTY_CHOICE = ((),)
+
+
+def _choices(s: Sequent, rd: RuleDef):
+    """rd's distinct block choices in s, by position."""
+    return dict.fromkeys(combinations(s.blocks, rd.blocks)) if rd.blocks else _EMPTY_CHOICE
 
 
 def _principals(s: Sequent, group) -> list[tuple[RuleDef, tuple]]:
@@ -377,32 +383,16 @@ def _principals(s: Sequent, group) -> list[tuple[RuleDef, tuple]]:
             fs = by_connective(s).get((rd.side, rd.connective))
             if not fs:
                 continue
-        choices = dict.fromkeys(combinations(s.blocks, rd.blocks)) if rd.blocks else _EMPTY_CHOICE
-        for blocks in choices:
+        for blocks in _choices(s, rd):
             for f in fs:
                 out.append((rd, blocks + f))
     return out
-
-
-def _candidates(h: Hypersequent, groups) -> Iterator[tuple[int, int, RuleDef, Sequent, tuple]]:
-    """The full scan: every rule, component and distinct principal, in
-    strategy order, with the group index and component position: within
-    one group, component order first, then the order of ``_principals``."""
-    for gi, group in enumerate(groups):
-        for j, s in enumerate(h.components):
-            for rd, principal in _principals(s, group):
-                yield gi, j, rd, s, principal
 
 
 def _entry(gi: int, j: int, ri: int, rd: RuleDef, principal: tuple) -> tuple:
     """An agenda entry, whose first four fields are its key (see the module docstring)."""
     keys = tuple([block_key(x) if type(x) is Block else sort_key(x) for x in principal])
     return gi, j, ri, keys, rd, principal
-
-
-def _choices(s: Sequent, rd: RuleDef):
-    """rd's distinct block choices in s, by position, as ``_principals`` makes them."""
-    return dict.fromkeys(combinations(s.blocks, rd.blocks)) if rd.blocks else _EMPTY_CHOICE
 
 
 def _component_entries(groups: RuleGroups, j: int, s: Sequent) -> list[tuple]:
@@ -505,21 +495,6 @@ def build_premisses(h: Hypersequent, rule: RuleId, cid: int, principal: tuple) -
     return _apply(h, cid, rd, s, rd.schema(*principal), ())
 
 
-def iter_instances(h: Hypersequent, l: LogicSpec) -> Iterator[RuleInstance]:
-    """Cumulative instances that pass the loop check, in strategy order."""
-    for _, j, rd, s, principal in _candidates(h, rule_groups(l)):
-        schema = rd.schema(*principal)
-        if not _adds_nothing(h, rd, s, schema):
-            yield RuleInstance(rd.rule, j + 1, principal, _apply(h, j + 1, rd, s, schema, ()))
-
-
-def is_saturated(h: Hypersequent, l: LogicSpec) -> bool:
-    """No initial pattern applies to h, and no cumulative instance of the
-    logic's rules passes the loop check: the leaf condition of search,
-    and the condition under which countermodels are read off h."""
-    return initial_evidence(h) is None and next(iter_instances(h, l), None) is None
-
-
 def next_instance(h: Hypersequent, groups: RuleGroups, after: tuple | None = None) -> tuple[RuleInstance | None, tuple | None, int]:
     """The first cumulative instance of h that passes the loop check, its
     resume point ``(h, its component's position, the agenda after it)``,
@@ -548,6 +523,13 @@ def next_instance(h: Hypersequent, groups: RuleGroups, after: tuple | None = Non
             inst = RuleInstance(rd.rule, j + 1, principal, _apply(h, j + 1, rd, s, schema, ()))
             return inst, (h, j, agenda[n:]), n
     return None, None, len(agenda)
+
+
+def is_saturated(h: Hypersequent, l: LogicSpec) -> bool:
+    """No initial pattern applies to h, and no cumulative instance of the
+    logic's rules passes the loop check: the leaf condition of search,
+    and the condition under which countermodels are read off h."""
+    return initial_evidence(h) is None and next_instance(h, rule_groups(l))[0] is None
 
 
 class Moves(dict):

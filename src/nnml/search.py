@@ -16,7 +16,7 @@ not found dead: each frame keeps the tail of its goal's agenda after the
 instance, each premiss adds the candidates it made, and the scan of a
 premiss checks that agenda only; a premiss's initial pattern is sought
 only in the component it changed or created (``calculus.next_instance``).
-The order of the search is that of a full scan of every goal.
+The order of the search is that of checking each goal's full agenda.
 
 The lean mode takes the deleting reading: principals leave the
 premisses, which keeps hypersequents polynomially small but loses the

@@ -1,11 +1,18 @@
-"""Saturation decided clause by clause, apart from the rule table.
+"""Saturation decided clause by clause, apart from the rule table, and
+the full scan of every candidate, apart from the agenda.
 
 A hypersequent is saturated when no initial pattern applies and every
 rule's saturation clause holds: what each instance would add is there
-already. ``nnml.calculus.is_saturated`` reads this off the rule table;
+already. ``nnml.calculus.is_saturated`` reads this off the rule table,
+as search's leaf test (``next_instance`` finds nothing);
 ``saturated_by_clauses`` states each clause by hand, so the tests can
 check the table, and the countermodel guard that relies on it, against
 an independent definition.
+
+``iter_instances`` walks every rule, component and distinct principal
+in strategy order (``_candidates``), apart from the agenda that
+``next_instance`` keys and sorts, so the tests can check the agenda's
+order, its loop check and its resume points against it.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import random
 from itertools import combinations
 from typing import Iterator
 
+from nnml.calculus import RuleDef, RuleInstance, _adds_nothing, _apply, _principals, rule_groups
 from nnml.formula import And, BOTTOM, Box, Formula, Imp, Or, TOP
 from nnml.gen import random_formula
 from nnml.hypersequent import Hypersequent, Sequent, block_sets, left_set, right_set
@@ -129,6 +137,24 @@ def saturated_by_clauses(h: Hypersequent, l: LogicSpec) -> bool:
                 if not _left_superset_exists(h, union):
                     return False
     return True
+
+
+def _candidates(h: Hypersequent, groups) -> Iterator[tuple[int, int, RuleDef, Sequent, tuple]]:
+    """The full scan: every rule, component and distinct principal, in
+    strategy order, with the group index and component position: within
+    one group, component order first, then the order of ``_principals``."""
+    for gi, group in enumerate(groups):
+        for j, s in enumerate(h.components):
+            for rd, principal in _principals(s, group):
+                yield gi, j, rd, s, principal
+
+
+def iter_instances(h: Hypersequent, l: LogicSpec) -> Iterator[RuleInstance]:
+    """Cumulative instances that pass the loop check, in strategy order."""
+    for _, j, rd, s, principal in _candidates(h, rule_groups(l)):
+        schema = rd.schema(*principal)
+        if not _adds_nothing(h, rd, s, schema):
+            yield RuleInstance(rd.rule, j + 1, principal, _apply(h, j + 1, rd, s, schema, ()))
 
 
 def one_item_deleted(h: Hypersequent) -> Iterator[Hypersequent]:

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from nnml.calculus import iter_instances
+from saturation_oracle import iter_instances
 from nnml.formula import Box, node_count, parse, subformula_closure
 from nnml.gen import (
     random_bi_model,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import rngs
-from saturation_oracle import leaf_and_neighbours, saturated_by_clauses
+from saturation_oracle import _candidates, iter_instances, leaf_and_neighbours, saturated_by_clauses
 from test_acceptance import LOGICS
 from nnml import calculus
 from nnml.calculus import (
@@ -12,12 +12,10 @@ from nnml.calculus import (
     Moves,
     _adds_nothing,
     _apply,
-    _candidates,
     _without_principal,
     build_premisses,
     initial_evidence,
     is_saturated,
-    iter_instances,
     lean_premiss,
     lean_premisses,
     next_instance,

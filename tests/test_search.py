@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import rngs
-from saturation_oracle import saturated_by_clauses
+from saturation_oracle import iter_instances, saturated_by_clauses
 from test_acceptance import LOGICS
-from nnml.calculus import initial_evidence, is_saturated, iter_instances
+from nnml.calculus import initial_evidence, is_saturated
 from nnml.formula import Atom, to_text
 from nnml.gen import random_formula, random_hypersequent
 from nnml.hypersequent import parse_hypersequent, parse_input, render_hypersequent
@@ -128,6 +128,20 @@ class TestRefutations:
         assert is_saturated(out.leaf, E)
         assert saturated_by_clauses(out.leaf, E)
         assert len(out.leaf.components) == 2
+
+    # The refuted goals of perfbench's hard-refuted workload, at their
+    # smaller sizes: leaves of 3 to 11 components, beyond what random
+    # draws of a few nodes reach.
+    @pytest.mark.parametrize(
+        "text,logic",
+        [(hansson(n), logic) for logic in (ED, MD, EP) for n in (2, 3)]
+        + [(agglomeration(n), logic) for logic in (E, M) for n in (2, 4)],
+    )
+    def test_large_leaf_is_saturated_and_enumerated(self, text, logic):
+        leaf = outcome(text, logic).leaf
+        assert is_saturated(leaf, logic)
+        assert saturated_by_clauses(leaf, logic)
+        assert initial_evidence(leaf) is None and next(iter_instances(leaf, logic), None) is None
 
     def test_the_failed_monotonicity_search_leaf(self):
         out = outcome("box (p & q) -> box p", E)
